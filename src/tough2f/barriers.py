@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, component_masks, _count_components, iter_bits
+from .graphs import Graph, GraphError, component_masks, iter_bits
 from .invariants import is_t_tough
 from .rationals import Rational
 
@@ -330,7 +330,7 @@ def extract_witness(g: Graph, barrier: Barrier,
     # counting identities from the construction
     assert w_mask.bit_count() == (a_mask.bit_count() + ell_prime
                                   + 2 * big_odd_weight)
-    comp_count = _count_components(adj, g.full_mask & ~w_mask)
+    comp_count = sum(1 for _ in component_masks(adj, g.full_mask & ~w_mask))
     assert comp_count >= len(barrier.b) - ell_prime + h_sum
     if h_max <= 1:
         assert comp_count >= len(barrier.b)

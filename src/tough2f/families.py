@@ -250,12 +250,12 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
             alpha=a * m,
             min_degree=(b + c) * m - 1,
         )
+    if spec.family in ("Gprime", "Gstar"):
+        return ExpectedInvariants()
     n, k = p["n"], p["k"]
     denom = 3 * (2 * n + 1) + 1
     ratio = Rational.from_fraction(2 - Fraction(n + 3, denom))
     inst = build(spec)
-    if spec.family in ("Gprime", "Gstar"):
-        return ExpectedInvariants()
     if spec.family == "G":
         return ExpectedInvariants(
             toughness=ratio,

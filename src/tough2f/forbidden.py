@@ -3,15 +3,19 @@ containment testing.
 
 Patterns are written "P5+2P1": components joined by '+', each an optional
 copy count followed by P<order>. The induced search places path components
-longest first and isolated vertices last, pruning on adjacency; path
-reversal and equal-length component permutation symmetries are broken to
-avoid duplicate work.
+longest first and isolated vertices last, drawing each vertex from a
+bitmask of the candidates that keep the embedding induced; path reversal
+and equal-length component permutation symmetries are broken to avoid
+duplicate work. ``contains`` orders the patterns themselves by induced
+containment, which lets a caller derive one pattern's answer on a host
+from another's (see ``theorems.GraphFacts``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import Graph, GraphError, disjoint_union, edgeless, path
 
@@ -70,66 +74,74 @@ def pattern_graph(p: ForestPattern) -> Graph:
 
 def find_induced(host: Graph, p: ForestPattern) -> tuple | None:
     """An induced embedding of the pattern, as a tuple of host vertices in
-    pattern-vertex order (see pattern_graph), or None."""
+    pattern-vertex order (see pattern_graph), or None.
+
+    Candidates come from bitmasks, lowest vertex first. A path grows by
+    ``adj[last]`` minus the closed neighbourhood of the vertices placed
+    before ``last``; a new component or isolated vertex starts outside the
+    closed neighbourhood of everything placed, above its start bound.
+    """
     n = host.n
     if p.order > n:
         return None
     adj = host.adj
+    full = host.full_mask
     paths = p.paths  # already sorted descending
 
     placed: list[int] = []
 
-    def place_isolated(remaining: int, placed_mask: int, start: int) -> bool:
+    def place_isolated(remaining: int, closed: int, start: int) -> bool:
+        """``closed`` is the closed neighbourhood of the placed vertices."""
         if remaining == 0:
             return True
-        for v in range(start, n):
-            bit = 1 << v
-            if placed_mask & bit or adj[v] & placed_mask:
-                continue
+        cands = full & ~closed & -(1 << start)
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            v = bit.bit_length() - 1
             placed.append(v)
-            if place_isolated(remaining - 1, placed_mask | bit, v + 1):
+            if place_isolated(remaining - 1, closed | bit | adj[v], v + 1):
                 return True
             placed.pop()
         return False
 
-    def extend_path(need: int, seq_first: int, placed_mask: int,
-                    pi: int) -> bool:
-        """Grow the current path by ``need`` more vertices."""
-        if need == 0:
-            if seq_first > placed[-1]:
-                return False  # path reversal symmetry: first endpoint smallest
-            return place_component(pi + 1, placed_mask)
+    def extend_path(need: int, seq_first: int, before: int, pi: int) -> bool:
+        """Grow the current path by ``need`` more vertices; ``before`` is the
+        closed neighbourhood of the vertices placed before the last one."""
         last = placed[-1]
+        closed = before | adj[last] | 1 << last
+        if need == 0:
+            return place_component(pi + 1, closed)
         # must touch the previous path vertex, nothing else already placed
-        forbidden = placed_mask & ~(1 << last)
-        for v in range(n):
-            bit = 1 << v
-            if placed_mask & bit:
-                continue
-            a = adj[v]
-            if not (a >> last & 1) or a & forbidden:
-                continue
-            placed.append(v)
-            if extend_path(need - 1, seq_first, placed_mask | bit, pi):
+        cands = adj[last] & ~before
+        if need == 1:
+            # path reversal symmetry: the far endpoint is above the first
+            cands &= -(2 << seq_first)
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            placed.append(bit.bit_length() - 1)
+            if extend_path(need - 1, seq_first, closed, pi):
                 return True
             placed.pop()
         return False
 
-    def place_component(pi: int, placed_mask: int) -> bool:
+    def place_component(pi: int, closed: int) -> bool:
+        """``closed`` is the closed neighbourhood of the placed vertices."""
         if pi == len(paths):
-            return place_isolated(p.isolated, placed_mask, 0)
+            return place_isolated(p.isolated, closed, 0)
         order = paths[pi]
         # equal-length component permutation symmetry: increasing start vertex
         start = 0
         if pi > 0 and paths[pi - 1] == order:
-            prev_start = placed[-order]
-            start = prev_start + 1
-        for v in range(start, n):
-            bit = 1 << v
-            if placed_mask & bit or adj[v] & placed_mask:
-                continue
+            start = placed[-order] + 1
+        cands = full & ~closed & -(1 << start)
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            v = bit.bit_length() - 1
             placed.append(v)
-            if extend_path(order - 1, v, placed_mask | bit, pi):
+            if extend_path(order - 1, v, closed, pi):
                 return True
             placed.pop()
         return False
@@ -142,6 +154,17 @@ def find_induced(host: Graph, p: ForestPattern) -> tuple | None:
 def is_free(host: Graph, p: ForestPattern) -> bool:
     """True iff the host contains no induced copy of the pattern."""
     return find_induced(host, p) is None
+
+
+@cache
+def contains(p: ForestPattern, q: ForestPattern) -> bool:
+    """True iff pattern ``q`` is an induced subgraph of pattern ``p``.
+
+    Induced containment is transitive, so a host that contains ``p``
+    contains ``q``, and a host free of ``q`` is free of ``p``. Memoised:
+    the patterns of a hunt are few and asked about once per graph.
+    """
+    return find_induced(pattern_graph(p), q) is not None
 
 
 def verify_embedding(host: Graph, p: ForestPattern, embedding) -> bool:

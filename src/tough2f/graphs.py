@@ -73,9 +73,8 @@ class Graph:
         return 2 * len(self.edges) == self.n * (self.n - 1)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return _count_components(self.adj, self.full_mask) == 1
+        full = self.full_mask
+        return next(component_masks(self.adj, full), full) == full
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -200,39 +199,24 @@ def delete(g: Graph, s) -> Graph:
     return induced(g, [v for v in range(g.n) if v not in drop])
 
 
-def component_masks(adj, avail: int) -> list[int]:
-    """Connected components of the subgraph induced on the ``avail`` bitmask."""
-    comps = []
+def component_masks(adj, avail: int) -> Iterator[int]:
+    """Yield the connected components of the subgraph induced on the
+    ``avail`` bitmask, as bitmasks, in order of their lowest vertex.
+
+    A caller that only needs to know whether some count is reachable may
+    stop early.
+    """
     rest = avail
     while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= adj[v]
-            frontier = grow & avail & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
-def _count_components(adj, avail: int) -> int:
-    count = 0
-    rest = avail
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= adj[v]
-            frontier = grow & avail & ~comp
-            comp |= frontier
-        count += 1
-        rest &= ~comp
-    return count
+        todo = rest & -rest
+        free = rest ^ todo  # not yet reached from the component's root
+        while todo:
+            bit = todo & -todo
+            new = adj[bit.bit_length() - 1] & free
+            free ^= new
+            todo ^= bit | new
+        yield rest ^ free
+        rest = free
 
 
 def components(g: Graph) -> tuple[frozenset, ...]:
@@ -243,7 +227,7 @@ def components(g: Graph) -> tuple[frozenset, ...]:
 
 def count_components(g: Graph, removed=()) -> int:
     avail = g.full_mask & ~_check_subset(g, removed)
-    return _count_components(g.adj, avail)
+    return sum(1 for _ in component_masks(g.adj, avail))
 
 
 # graph6 interchange ------------------------------------------------------------

@@ -4,16 +4,18 @@ connectivity and toughness.
 Toughness and the independence number are NP-hard in general; the searches
 here are exact and exhaustive with pruning, practical up to roughly order 24
 for toughness and order 40 for independence on sparse inputs. Connectivity
-uses unit-capacity vertex-split maximum flow (Menger), so it scales further.
+uses unit-capacity vertex-split maximum flow (Menger), run only on the pairs
+that Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
+minimum degree against each non-neighbour, and each non-adjacent pair of
+neighbours of v. So it scales further.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .graphs import Graph, GraphError, _count_components, iter_bits
+from .graphs import Graph, GraphError, component_masks, iter_bits
 from .rationals import Rational
 
 
@@ -70,64 +72,85 @@ def independence_number(g: Graph) -> tuple[int, frozenset]:
 
 # Vertex connectivity ------------------------------------------------------------
 
-def _local_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths, capped at cutoff.
+def _split_network(g: Graph) -> tuple:
+    """Vertex-split network of ``g``: v_in = 2v, v_out = 2v + 1.
 
-    Unit-capacity vertex splitting: v_in = 2v, v_out = 2v + 1.
+    Returns (out, head, cap): the arcs leaving each node, each arc's head and
+    its capacity. Arc i ^ 1 is the reverse of arc i, with capacity 0. Every
+    forward arc has capacity 1: paths leave s at s_out and enter t at t_in,
+    and with unit vertex capacities no edge arc carries more than one path.
     """
-    cap: dict[tuple[int, int], int] = {}
-    big = g.n + 1
+    out: list[list[int]] = [[] for _ in range(2 * g.n)]
+    head: list[int] = []
+
+    def arc(a: int, b: int) -> None:
+        out[a].append(len(head))
+        head.append(b)
+        out[b].append(len(head))
+        head.append(a)
+
     for v in range(g.n):
-        cap[(2 * v, 2 * v + 1)] = big if v in (s, t) else 1
-        cap[(2 * v + 1, 2 * v)] = 0
+        arc(2 * v, 2 * v + 1)
     for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            cap[(2 * a + 1, 2 * b)] = big
-            cap.setdefault((2 * b, 2 * a + 1), 0)
-    out_arcs: dict[int, list[int]] = {}
-    for a, b in cap:
-        out_arcs.setdefault(a, []).append(b)
+        arc(2 * u + 1, 2 * v)
+        arc(2 * v + 1, 2 * u)
+    return out, head, [1, 0] * (len(head) // 2)
+
+
+def _local_connectivity(network: tuple, s: int, t: int, cutoff: int) -> int:
+    """Max number of internally vertex-disjoint s-t paths, capped at cutoff,
+    by BFS augmentation on a copy of ``network`` (see _split_network)."""
+    out, head, cap = network
+    cap = cap.copy()
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cutoff:
-        # BFS for an augmenting path
-        parent = {source: source}
+        via = [-1] * len(out)  # the arc each node was reached by
+        via[source] = len(head)  # reached, by no arc
         queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in out_arcs.get(a, ()):
-                    if b not in parent and cap[(a, b)] > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
+        for a in queue:
+            for i in out[a]:
+                b = head[i]
+                if cap[i] and via[b] < 0:
+                    via[b] = i
+                    queue.append(b)
+            if via[sink] >= 0:
+                break
+        else:
             break
         b = sink
         while b != source:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+            i = via[b]
+            cap[i] -= 1
+            cap[i ^ 1] += 1
+            b = head[i ^ 1]
         flow += 1
     return flow
 
 
 def connectivity(g: Graph) -> int:
-    """kappa(G); convention kappa(K_n) = n - 1, kappa(disconnected) = 0."""
+    """kappa(G); convention kappa(K_n) = n - 1, kappa(disconnected) = 0.
+
+    Flows run only on the Esfahanian-Hakimi pairs. Take v of minimum degree.
+    A minimum separator S that misses v separates v from a non-neighbour; one
+    that contains v separates two non-adjacent neighbours of v, because v
+    has neighbours in two components of G - S (else S - v would separate).
+    """
     if g.n == 0:
         raise GraphError("connectivity of the empty graph is undefined")
     if g.is_complete():
         return g.n - 1
     if not g.is_connected():
         return 0
-    best = min_degree(g)  # kappa <= delta for non-complete graphs
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if not g.has_edge(s, t):
-                best = min(best, _local_connectivity(g, s, t, best))
-                if best == 0:
-                    return 0
+    adj = g.adj
+    v = min(range(g.n), key=g.degree)
+    best = g.degree(v)  # kappa <= delta for non-complete graphs
+    pairs = [(v, w) for w in iter_bits(g.full_mask & ~adj[v] & ~(1 << v))]
+    pairs += [(x, y) for x in iter_bits(adj[v])
+              for y in iter_bits(adj[v] & ~adj[x] & ~((2 << x) - 1))]
+    network = _split_network(g)
+    for s, t in pairs:
+        best = min(best, _local_connectivity(network, s, t, best))
     return best
 
 
@@ -144,30 +167,62 @@ class ToughnessResult:
     witness: frozenset | None
 
 
+def _cut_records(g: Graph, num: int, den: int):
+    """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
+    (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
+    and below the ratio of every cut yielded before it. den = 0 means no
+    bound.
+
+    Cuts are walked through the vertices they leave. Gosper's hack steps
+    through those masks in increasing order on the graph relabelled by
+    v -> n-1-v, which is the lexicographic order of S in the original
+    labels. A cut beats num/den only with c_min = floor(|S| den/num) + 1
+    components, so its count stops once the vertices left unseen cannot
+    reach c_min.
+    """
+    n, full = g.n, g.full_mask
+    radj = [0] * n
+    for u, v in g.edges:
+        radj[n - 1 - u] |= 1 << (n - 1 - v)
+        radj[n - 1 - v] |= 1 << (n - 1 - u)
+    for size in range(1, n - 1):
+        left = n - size
+        if size * den >= num * left:
+            return  # every cut of this size has ratio >= size/left
+        c_min = max(2, size * den // num + 1)
+        rest = (1 << left) - 1
+        while rest <= full:
+            count = 0
+            unseen = rest
+            for comp in component_masks(radj, rest):
+                count += 1
+                unseen ^= comp
+                if count + unseen.bit_count() < c_min:
+                    break
+            else:
+                yield size, count, frozenset(
+                    n - 1 - b for b in iter_bits(full & ~rest))
+                num, den = size, count
+                c_min = size * den // num + 1
+            low = rest & -rest
+            ripple = rest + low
+            rest = (((ripple ^ rest) >> 2) // low) | ripple
+
+
 def toughness(g: Graph) -> ToughnessResult:
-    """min |S| / c(G - S) over all cut sets, as a reduced rational."""
+    """min |S| / c(G - S) over all cut sets, as a reduced rational. The
+    witness is the first minimum-ratio cut in (|S|, lexicographic) order."""
     if g.is_complete():
         return ToughnessResult(Rational.infinity(), None)
     if not g.is_connected():
         return ToughnessResult(Rational(0), frozenset())
-    n, adj, full = g.n, g.adj, g.full_mask
-    best: Fraction | None = None
-    best_set: tuple[int, ...] = ()
-    for size in range(1, n - 1):
-        # every cut of this size yields ratio >= size/(n-size)
-        if best is not None and Fraction(size, n - size) >= best:
-            break
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            comps = _count_components(adj, full & ~mask)
-            if comps >= 2:
-                ratio = Fraction(size, comps)
-                if best is None or ratio < best:
-                    best, best_set = ratio, combo
-    assert best is not None  # non-complete connected graphs have a cut set
-    return ToughnessResult(Rational.from_fraction(best), frozenset(best_set))
+    record = None
+    for record in _cut_records(g, 1, 0):
+        pass
+    if record is None:
+        raise RuntimeError("a connected non-complete graph has a cut set")
+    size, comps, cut = record
+    return ToughnessResult(Rational(size, comps), cut)
 
 
 def is_t_tough(g: Graph, t) -> bool:
@@ -184,15 +239,4 @@ def is_t_tough(g: Graph, t) -> bool:
         return True
     if not g.is_connected():
         return False
-    n, adj, full = g.n, g.adj, g.full_mask
-    for size in range(1, n - 1):
-        if Fraction(size, n - size) >= t:
-            break
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            comps = _count_components(adj, full & ~mask)
-            if comps >= 2 and Fraction(size, comps) < t:
-                return False
-    return True
+    return next(_cut_records(g, t.numerator, t.denominator), None) is None

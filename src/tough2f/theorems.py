@@ -21,12 +21,24 @@ from .rationals import Rational
 
 
 class GraphFacts:
-    """Lazily computed, cached invariants of one graph."""
+    """Lazily computed, cached invariants of one graph.
+
+    Monotone questions are answered from earlier answers where those decide
+    them. tau is kept as an interval: a threshold that passed bounds it from
+    below, one that failed bounds it strictly from above, and ``tough_at``
+    runs ``invariants.is_t_tough`` only for a threshold strictly inside. For
+    ``is_free``, a host that contains P contains every induced sub-pattern
+    of P, and a host free of Q is free of every pattern that contains Q
+    (``forbidden.contains``); only an undecided pattern is searched for.
+    """
 
     def __init__(self, graph: Graph, name: str = ""):
         self.graph = graph
         self.name = name or f"order-{graph.n}"
         self._cache: dict = {}
+        self._tau_lo = None  # largest threshold asked with tau >= it
+        self._tau_hi = None  # smallest threshold asked with tau < it
+        self._free: dict = {}  # pattern -> whether the host is free of it
 
     @property
     def order(self) -> int:
@@ -50,17 +62,36 @@ class GraphFacts:
             self._cache["kappa"] = invariants.connectivity(self.graph)
         return self._cache["kappa"]
 
-    def tough_at(self, t: Fraction) -> bool:
-        key = ("tough", t)
-        if key not in self._cache:
-            self._cache[key] = invariants.is_t_tough(self.graph, t)
-        return self._cache[key]
+    def tough_at(self, t) -> bool:
+        if not isinstance(t, Rational):
+            t = Fraction(t)
+        if t > 0:  # is_t_tough rejects any other threshold
+            if self._tau_lo is not None and t <= self._tau_lo:
+                return True
+            if self._tau_hi is not None and t >= self._tau_hi:
+                return False
+        tough = invariants.is_t_tough(self.graph, t)
+        if tough:
+            self._tau_lo = t
+        else:
+            self._tau_hi = t
+        return tough
 
     def is_free(self, pattern: forbidden.ForestPattern) -> bool:
-        key = ("free", pattern)
-        if key not in self._cache:
-            self._cache[key] = forbidden.is_free(self.graph, pattern)
-        return self._cache[key]
+        free = self._free.get(pattern)
+        if free is not None:
+            return free
+        for known, known_free in self._free.items():
+            if known_free and forbidden.contains(pattern, known):
+                free = True
+                break
+            if not known_free and forbidden.contains(known, pattern):
+                free = False
+                break
+        else:
+            free = forbidden.is_free(self.graph, pattern)
+        self._free[pattern] = free
+        return free
 
     @property
     def has_two_factor(self) -> bool:
@@ -125,7 +156,8 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
         if not Fraction(3, 2) <= t < 2:
             raise GraphError("THM1ii needs rational t with 3/2 <= t < 2")
         denom = 7 * t - 7 - t * t
-        assert denom > 0  # positive throughout [3/2, 2)
+        if denom <= 0:
+            raise RuntimeError("7t - 7 - t^2 is positive throughout [3/2, 2)")
         threshold = Fraction(3 * t - 2 - t * t, 1) / denom
         clauses = (
             at_least_three,

@@ -1,7 +1,7 @@
 """Linear-forest patterns and induced containment."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,7 +16,7 @@ from tough2f import (
     path,
     pattern_graph,
 )
-from tough2f.forbidden import verify_embedding
+from tough2f.forbidden import contains, verify_embedding
 from tough2f.graphs import components
 
 from conftest import random_graph
@@ -111,3 +111,47 @@ def test_verify_embedding_rejects_bad_maps():
     assert verify_embedding(g, p, (0, 1, 2))
     assert not verify_embedding(g, p, (0, 1, 1))   # not injective
     assert not verify_embedding(g, p, (0, 2, 1))   # wrong adjacency
+
+
+def first_normal_embedding(host, p: ForestPattern):
+    """Oracle: the lexicographically least induced embedding in the search's
+    normal form: each path's first endpoint below its last, paths of equal
+    length by increasing first vertex, isolated vertices increasing."""
+    pat = pattern_graph(p)
+    starts = [sum(p.paths[:i]) for i in range(len(p.paths))]
+    for emb in permutations(range(host.n), p.order):
+        if any(emb[a] > emb[a + order - 1]
+               for a, order in zip(starts, p.paths)):
+            continue
+        if any(p.paths[i] == p.paths[i + 1] and emb[a] > emb[starts[i + 1]]
+               for i, a in enumerate(starts[:-1])):
+            continue
+        singles = emb[sum(p.paths):]
+        if list(singles) != sorted(singles):
+            continue
+        if all(pat.has_edge(i, j) == host.has_edge(emb[i], emb[j])
+               for i in range(pat.n) for j in range(i + 1, pat.n)):
+            return emb
+    return None
+
+
+def test_embedding_is_first_in_normal_form():
+    rng = random.Random(59)
+    patterns = [ForestPattern.parse(s) for s in
+                ("P2", "P3", "P4+P1", "2P2", "P3+P2", "P2+2P1", "3P1")]
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.1, 0.8))
+        for p in patterns:
+            assert find_induced(g, p) == first_normal_embedding(g, p), \
+                (g.edges, str(p))
+
+
+CRITERION_5_PATTERNS = [ForestPattern((m,), k)
+                        for m in (2, 3, 4, 5, 6, 7) for k in (1, 2)]
+
+
+def test_contains_matches_brute_force_oracle():
+    for p in CRITERION_5_PATTERNS:
+        for q in CRITERION_5_PATTERNS:
+            assert contains(p, q) == brute_contains(pattern_graph(p), q), \
+                (str(p), str(q))

@@ -58,14 +58,16 @@ def brute_kappa(g: Graph) -> int:
 
 
 def brute_toughness(g: Graph):
+    """(tau, witness) over all subsets: the first minimum-ratio cut in
+    (size, lexicographic) order, or None when there is no cut set."""
     best = None
     for size in range(1, g.n):
         for cut in combinations(range(g.n), size):
             comps = count_components(g, cut)
             if comps >= 2:
                 ratio = Fraction(size, comps)
-                if best is None or ratio < best:
-                    best = ratio
+                if best is None or ratio < best[0]:
+                    best = (ratio, frozenset(cut))
     return best
 
 
@@ -138,7 +140,19 @@ def test_toughness_matches_oracle():
             if not g.is_complete():
                 assert got == 0
         elif g.is_connected():
-            assert got == expected
+            assert got == expected[0]
+
+
+def test_toughness_and_kappa_match_oracles_on_atlas(atlas_connected):
+    # the witness is printed by the CLI, so its tie-break is pinned too
+    for g in atlas_connected:
+        result = toughness(g)
+        expected = brute_toughness(g)
+        if expected is None:
+            assert result.value.is_infinite and result.witness is None
+        else:
+            assert (result.value, result.witness) == expected, g.edges
+        assert connectivity(g) == brute_kappa(g), g.edges
 
 
 def test_chvatal_independence_bound():

@@ -1,11 +1,13 @@
 """Theorem registry, corpus hunting, the ratio inequality, and whole-family
 verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from tough2f import (
+    ForestPattern,
     GraphError,
     GraphFacts,
     Rational,
@@ -13,8 +15,13 @@ from tough2f import (
     check_theorem,
     complete,
     cycle,
+    disjoint_union,
+    edgeless,
     encode_graph6,
     hunt,
+    invariants,
+    is_free,
+    is_t_tough,
     make_theorem,
     path,
     run_lemma_inequality_trials,
@@ -22,6 +29,8 @@ from tough2f import (
 )
 from tough2f.families import FamilySpec, build
 from tough2f.theorems import THEOREM_IDS
+
+from conftest import random_graph
 
 
 def h1_graph():
@@ -125,6 +134,50 @@ def test_hunt_reuses_graph_facts():
     r2 = hunt(facts, make_theorem("EJKS2"))
     assert r1.clean and r2.clean
     assert r1.confirms == 2 and r2.confirms == 1
+
+
+def test_graph_facts_match_direct_calls():
+    rng = random.Random(31)
+    thresholds = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 4),
+                  Fraction(4, 3), Fraction(3, 2), Fraction(7, 4), 2, 3,
+                  Rational(3, 2), Rational(2), Rational.infinity()]
+    patterns = [ForestPattern((m,), k) for m in (2, 3, 4, 5, 6, 7)
+                for k in (1, 2)]
+    patterns += [ForestPattern.parse(s) for s in ("2P2", "P3+P2", "3P1")]
+    hosts = [complete(1), complete(2), complete(5), cycle(5), edgeless(3),
+             disjoint_union(cycle(3), path(4)), h1_graph()]
+    hosts += [random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.9))
+              for _ in range(40)]
+    for g in hosts:
+        facts = GraphFacts(g)
+        queries = thresholds * 2 + patterns * 2
+        rng.shuffle(queries)
+        for q in queries:
+            if isinstance(q, ForestPattern):
+                assert facts.is_free(q) == is_free(g, q), (g.edges, str(q))
+            else:
+                assert facts.tough_at(q) == is_t_tough(g, q), (g.edges, q)
+        for bad in (0, Fraction(-1, 2), Rational(0)):
+            with pytest.raises(GraphError):
+                facts.tough_at(bad)
+
+
+def test_graph_facts_derive_monotone_answers(monkeypatch):
+    asked = []
+
+    def counted(g, t):
+        asked.append(t)
+        return is_t_tough(g, t)
+
+    monkeypatch.setattr(invariants, "is_t_tough", counted)
+    facts = GraphFacts(cycle(5))  # tau = 1
+    assert facts.tough_at(Fraction(1)) and not facts.tough_at(Fraction(3, 2))
+    assert facts.tough_at(Fraction(1, 2))
+    assert not facts.tough_at(Fraction(7, 4))
+    assert not facts.tough_at(Rational.infinity())
+    assert asked == [Fraction(1), Fraction(3, 2)]
+    assert not facts.tough_at(Fraction(5, 4))
+    assert len(asked) == 3
 
 
 # Ratio inequality ---------------------------------------------------------------

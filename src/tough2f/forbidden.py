@@ -81,6 +81,12 @@ def find_induced(host: Graph, p: ForestPattern) -> tuple | None:
     before ``last``; a new component or isolated vertex starts outside the
     closed neighbourhood of everything placed, above its start bound.
     """
+    return _find_induced(host, p)
+
+
+def _find_induced(host: Graph, p: ForestPattern) -> tuple | None:
+    """The search behind ``find_induced``. ``contains`` calls it directly,
+    so that ``find_induced`` counts only searches of host graphs."""
     n = host.n
     if p.order > n:
         return None
@@ -164,7 +170,7 @@ def contains(p: ForestPattern, q: ForestPattern) -> bool:
     contains ``q``, and a host free of ``q`` is free of ``p``. Memoised:
     the patterns of a hunt are few and asked about once per graph.
     """
-    return find_induced(pattern_graph(p), q) is not None
+    return _find_induced(pattern_graph(p), q) is not None
 
 
 def verify_embedding(host: Graph, p: ForestPattern, embedding) -> bool:

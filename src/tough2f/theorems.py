@@ -63,8 +63,6 @@ class GraphFacts:
         return self._cache["kappa"]
 
     def tough_at(self, t) -> bool:
-        if not isinstance(t, Rational):
-            t = Fraction(t)
         if t > 0:  # is_t_tough rejects any other threshold
             if self._tau_lo is not None and t <= self._tau_lo:
                 return True

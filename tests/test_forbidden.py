@@ -16,6 +16,7 @@ from tough2f import (
     path,
     pattern_graph,
 )
+from tough2f import forbidden
 from tough2f.forbidden import contains, verify_embedding
 from tough2f.graphs import components
 
@@ -155,3 +156,15 @@ def test_contains_matches_brute_force_oracle():
         for q in CRITERION_5_PATTERNS:
             assert contains(p, q) == brute_contains(pattern_graph(p), q), \
                 (str(p), str(q))
+
+
+def test_contains_does_not_call_find_induced(monkeypatch):
+    # find_induced is the entry point that per-layer tracing counts; pattern
+    # against pattern searches must not show there, cached or not
+    def refuse(host, p):
+        raise AssertionError("contains went through find_induced")
+
+    monkeypatch.setattr(forbidden, "find_induced", refuse)
+    contains.cache_clear()
+    p, q = ForestPattern.parse("P5+2P1"), ForestPattern.parse("P3+P1")
+    assert contains(p, q) and not contains(q, p)

@@ -1,6 +1,7 @@
 """Exact toughness, Tutte barriers and 2-factor verification for small graphs."""
 
 from .graphs import (
+    CertificateError,
     Graph,
     GraphError,
     add_matching,
@@ -53,7 +54,7 @@ from .barriers import (
 )
 from .forbidden import ForestPattern, find_induced, is_free, pattern_graph
 from .families import FamilySpec, build, expected, remark1b_gap_check
-from .rationals import Rational
+from .rationals import INF, Rational
 from .theorems import (
     GraphFacts,
     check_lemma_inequality,

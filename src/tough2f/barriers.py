@@ -14,10 +14,11 @@ exists. A biased barrier maximizes |A| and, subject to that, minimizes |B|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .graphs import Graph, GraphError, component_masks, iter_bits
+from .graphs import (CertificateError, Graph, GraphError, component_masks,
+                     iter_bits, vertex_mask)
 from .invariants import is_t_tough
-from .rationals import Rational
 
 EXHAUSTIVE_BARRIER_CAP = 14  # the (A,B) search space is 3^n
 
@@ -55,15 +56,6 @@ class BarrierDecomposition:
     per_u: dict            # u in B -> PerVertex
 
 
-def _mask_of(g: Graph, vertices) -> int:
-    mask = 0
-    for v in vertices:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range")
-        mask |= 1 << v
-    return mask
-
-
 def _deficiency_masks(g: Graph, a_mask: int, b_mask: int) -> int:
     adj = g.adj
     rest = g.full_mask & ~a_mask & ~b_mask
@@ -81,16 +73,16 @@ def _deficiency_masks(g: Graph, a_mask: int, b_mask: int) -> int:
 
 
 def deficiency(g: Graph, a, b) -> int:
-    a_mask = _mask_of(g, a)
-    b_mask = _mask_of(g, b)
+    a_mask = vertex_mask(g, a)
+    b_mask = vertex_mask(g, b)
     if a_mask & b_mask:
         raise GraphError("A and B must be disjoint")
     return _deficiency_masks(g, a_mask, b_mask)
 
 
 def decompose(g: Graph, a, b) -> BarrierDecomposition:
-    a_mask = _mask_of(g, a)
-    b_mask = _mask_of(g, b)
+    a_mask = vertex_mask(g, a)
+    b_mask = vertex_mask(g, b)
     if a_mask & b_mask:
         raise GraphError("A and B must be disjoint")
     adj = g.adj
@@ -120,33 +112,37 @@ def decompose(g: Graph, a, b) -> BarrierDecomposition:
 
 # Exhaustive search ----------------------------------------------------------------
 
-def _iter_pairs(n: int):
-    """All (A,B) bitmask pairs of disjoint vertex subsets (3^n of them)."""
-    for a_mask in range(1 << n):
-        rest = ((1 << n) - 1) & ~a_mask
+def _barriers(g: Graph):
+    """Yield (a_mask, b_mask, deficiency) for every barrier of ``g``.
+
+    All 3^n pairs of disjoint vertex subsets are tried: A in increasing mask
+    order and, for each A, B in decreasing mask order.
+    """
+    if g.n > EXHAUSTIVE_BARRIER_CAP:
+        raise GraphError(
+            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
+    full = g.full_mask
+    for a_mask in range(full + 1):
+        rest = full & ~a_mask
         b_mask = rest
         while True:
-            yield a_mask, b_mask
+            d = _deficiency_masks(g, a_mask, b_mask)
+            if d <= -2:
+                yield a_mask, b_mask, d
             if b_mask == 0:
                 break
             b_mask = (b_mask - 1) & rest
 
 
-def _check_cap(g: Graph):
-    if g.n > EXHAUSTIVE_BARRIER_CAP:
-        raise GraphError(
-            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
+def _as_barrier(a_mask: int, b_mask: int, d: int) -> Barrier:
+    return Barrier(frozenset(iter_bits(a_mask)),
+                   frozenset(iter_bits(b_mask)), d)
 
 
 def find_barrier(g: Graph) -> Barrier | None:
     """Some (A,B) with deficiency <= -2, or None (iff G has a 2-factor)."""
-    _check_cap(g)
-    for a_mask, b_mask in _iter_pairs(g.n):
-        d = _deficiency_masks(g, a_mask, b_mask)
-        if d <= -2:
-            return Barrier(frozenset(iter_bits(a_mask)),
-                           frozenset(iter_bits(b_mask)), d)
-    return None
+    hit = next(_barriers(g), None)
+    return None if hit is None else _as_barrier(*hit)
 
 
 def find_biased_barrier(g: Graph) -> Barrier | None:
@@ -157,19 +153,12 @@ def find_biased_barrier(g: Graph) -> Barrier | None:
     biased barriers) is deliberately not used to prune, so structure checks
     against the result stay non-circular.
     """
-    _check_cap(g)
-    best_key = None
-    best = None
-    for a_mask, b_mask in _iter_pairs(g.n):
-        d = _deficiency_masks(g, a_mask, b_mask)
-        if d <= -2:
-            a = tuple(iter_bits(a_mask))
-            b = tuple(iter_bits(b_mask))
-            key = (-len(a), len(b), a, b)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = Barrier(frozenset(a), frozenset(b), d)
-    return best
+    def key(hit):
+        a, b = tuple(iter_bits(hit[0])), tuple(iter_bits(hit[1]))
+        return -len(a), len(b), a, b
+
+    best = min(_barriers(g), key=key, default=None)
+    return None if best is None else _as_barrier(*best)
 
 
 # Biased barrier structure ----------------------------------------------------------
@@ -200,7 +189,7 @@ def check_biased_properties(g: Graph, barrier: Barrier) -> BiasedBarrierReport:
         raise GraphError("pair is not a barrier")
     dec = decompose(g, barrier.a, barrier.b)
     adj = g.adj
-    b_mask = _mask_of(g, barrier.b)
+    b_mask = vertex_mask(g, barrier.b)
     b_independent = all((adj[u] & b_mask) == 0 for u in barrier.b)
     even_isolated = all(info.odd or info.edges_to_b == 0
                         for info in dec.components)
@@ -233,7 +222,7 @@ class ToughnessWitness:
     ell_prime: int
     h_sum: int
     component_count: int
-    ratio: Rational
+    ratio: Fraction
 
 
 def extract_witness(g: Graph, barrier: Barrier,
@@ -251,15 +240,16 @@ def extract_witness(g: Graph, barrier: Barrier,
         the maximum is >= 2. Guarantees
             |W| = |A| + ell' + sum_{t>=1} 2t |C_{2t+1}|
             c(G-W) >= |B| - ell' + sum_{i<=ell'} h_{G_i}(u_i).
-    Both counting identities are recomputed and asserted before returning.
+    Both counting identities are recomputed and checked before returning;
+    a failed check raises CertificateError.
     """
     if deficiency(g, barrier.a, barrier.b) > -2:
         raise GraphError("pair is not a barrier")
     if dec is None:
         dec = decompose(g, barrier.a, barrier.b)
     adj = g.adj
-    a_mask = _mask_of(g, barrier.a)
-    b_mask = _mask_of(g, barrier.b)
+    a_mask = vertex_mask(g, barrier.a)
+    b_mask = vertex_mask(g, barrier.b)
     big_odd = [i for i, info in enumerate(dec.components)
                if info.odd and info.edges_to_b >= 3]
     big_odd_weight = sum((dec.components[i].edges_to_b - 1) // 2
@@ -279,17 +269,13 @@ def extract_witness(g: Graph, barrier: Barrier,
             with_b_neighbor = [v for v in info.vertices
                                if adj[v] & b_mask]
             # e(v,B) <= 1 on odd components, so there are e(H,B) of these
-            assert len(with_b_neighbor) == info.edges_to_b
+            if len(with_b_neighbor) != info.edges_to_b:
+                raise CertificateError("an odd component has e(v,B) > 1")
             for v in with_b_neighbor[:info.edges_to_b - 1]:
                 w_mask |= 1 << v
     else:
         alive = [True] * len(dec.components)
-        comp_masks = []
-        for info in dec.components:
-            m = 0
-            for v in info.vertices:
-                m |= 1 << v
-            comp_masks.append(m)
+        comp_masks = [vertex_mask(g, info.vertices) for info in dec.components]
         steps = 0
         seen_singleton_step = False
         while True:
@@ -304,11 +290,13 @@ def extract_witness(g: Graph, barrier: Barrier,
             if best_h == 0:
                 break
             steps += 1
-            assert steps <= len(barrier.b)
+            if steps > len(barrier.b):
+                raise CertificateError("more steps than vertices in B")
             ell += 1
             if best_h >= 2:
-                # steps with maximum >= 2 must precede the singleton steps
-                assert not seen_singleton_step
+                if seen_singleton_step:
+                    raise CertificateError(
+                        "a step with maximum >= 2 follows a singleton step")
                 ell_prime += 1
                 h_sum += best_h
                 w_mask |= 1 << best_u
@@ -320,7 +308,10 @@ def extract_witness(g: Graph, barrier: Barrier,
                 e_uh = (adj[best_u] & comp_masks[i]).bit_count()
                 if e_uh == 0:
                     continue
-                assert info.odd and e_uh == 1
+                if not (info.odd and e_uh == 1):
+                    raise CertificateError(
+                        f"u = {best_u} meets an even component or sends it "
+                        "more than one edge")
                 for v in info.vertices:
                     if (adj[v] & b_mask).bit_count() == 1 \
                             and not (adj[best_u] >> v & 1):
@@ -328,13 +319,16 @@ def extract_witness(g: Graph, barrier: Barrier,
                 alive[i] = False
 
     # counting identities from the construction
-    assert w_mask.bit_count() == (a_mask.bit_count() + ell_prime
-                                  + 2 * big_odd_weight)
+    if w_mask.bit_count() != (a_mask.bit_count() + ell_prime
+                              + 2 * big_odd_weight):
+        raise CertificateError("|W| differs from |A| + ell' + sum 2t|C_2t+1|")
     comp_count = sum(1 for _ in component_masks(adj, g.full_mask & ~w_mask))
-    assert comp_count >= len(barrier.b) - ell_prime + h_sum
-    if h_max <= 1:
-        assert comp_count >= len(barrier.b)
-    assert comp_count >= 2 and w_mask != 0  # W is a cut set
-    ratio = Rational(w_mask.bit_count(), comp_count)
+    if comp_count < len(barrier.b) - ell_prime + h_sum:
+        raise CertificateError("c(G-W) < |B| - ell' + sum h(u_i)")
+    if h_max <= 1 and comp_count < len(barrier.b):
+        raise CertificateError("c(G-W) < |B| with max h <= 1")
+    if comp_count < 2 or w_mask == 0:
+        raise CertificateError("W is not a cut set")
+    ratio = Fraction(w_mask.bit_count(), comp_count)
     return ToughnessWitness(frozenset(iter_bits(w_mask)), ell, ell_prime,
                             h_sum, comp_count, ratio)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 
 from . import barriers, families, forbidden, graphs, invariants, matching, theorems
 from .graphs import Graph, GraphError
-from .rationals import Rational
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -45,10 +46,6 @@ def _emit(payload):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _sorted(vertices):
-    return sorted(vertices)
-
-
 def _cmd_invariants(args) -> int:
     for name, g in _load_graphs(args.input, args.format):
         tough = invariants.toughness(g)
@@ -56,7 +53,7 @@ def _cmd_invariants(args) -> int:
             "graph": name,
             "order": g.n,
             "tau": str(tough.value),
-            "tau_witness": None if tough.witness is None else _sorted(tough.witness),
+            "tau_witness": None if tough.witness is None else sorted(tough.witness),
             "alpha": invariants.independence_number(g)[0],
             "kappa": invariants.connectivity(g),
             "delta": invariants.min_degree(g) if g.n else None,
@@ -77,7 +74,7 @@ def _cmd_two_factor(args) -> int:
 
 
 def _barrier_payload(b: barriers.Barrier):
-    return {"A": _sorted(b.a), "B": _sorted(b.b), "deficiency": b.deficiency}
+    return {"A": sorted(b.a), "B": sorted(b.b), "deficiency": b.deficiency}
 
 
 def _cmd_barrier(args) -> int:
@@ -97,15 +94,9 @@ def _cmd_barrier(args) -> int:
                 str(u): {"o": pv.o, "h": pv.h} for u, pv in dec.per_u.items()}
             if args.biased:
                 report = barriers.check_biased_properties(g, b)
-                payload["biased_properties"] = {
-                    "b_independent": report.b_independent,
-                    "even_components_isolated": report.even_components_isolated,
-                    "b_edges_into_odd_simple": report.b_edges_into_odd_simple,
-                    "odd_vertices_edges_to_b_simple":
-                        report.odd_vertices_edges_to_b_simple,
-                    "counting_inequality": report.counting_inequality,
-                    "big_odd_class_nonempty": report.big_odd_class_nonempty,
-                }
+                props = asdict(report)
+                del props["one_tough_applicable"]
+                payload["biased_properties"] = props
         _emit(payload)
     return EXIT_OK
 
@@ -122,7 +113,7 @@ def _cmd_witness(args) -> int:
             "graph": name,
             "barrier": _barrier_payload(b),
             "witness": {
-                "W": _sorted(witness.w),
+                "W": sorted(witness.w),
                 "ell": witness.ell,
                 "ell_prime": witness.ell_prime,
                 "h_sum": witness.h_sum,
@@ -154,7 +145,7 @@ def _cmd_family(args) -> int:
         "family": str(spec),
         "order": inst.graph.n,
         "size": len(inst.graph.edges),
-        "sets": {k: _sorted(v) for k, v in inst.sets.items()},
+        "sets": {k: sorted(v) for k, v in inst.sets.items()},
         "matching": sorted(map(list, inst.matching)),
         "expected": {
             "toughness": None if exp.toughness is None else str(exp.toughness),
@@ -170,20 +161,27 @@ def _cmd_family(args) -> int:
     failed = False
     if args.verify:
         claims = theorems.verify_family(spec)
-        payload["claims"] = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in claims]
+        payload["claims"] = [asdict(c) for c in claims]
         failed = any(not c.passed for c in claims)
     _emit(payload)
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """"p/q" or a plain integer; each part is read by int()."""
+    num, slash, den = text.partition("/")
+    den = int(den) if slash else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
+
+
 def _theorem_params(args) -> dict:
     params = {}
     if args.eps is not None:
-        params["eps"] = Rational.parse(args.eps).as_fraction()
+        params["eps"] = _parse_fraction(args.eps)
     if args.t is not None:
-        params["t"] = Rational.parse(args.t).as_fraction()
+        params["t"] = _parse_fraction(args.t)
     if args.k is not None:
         params["k"] = args.k
     if args.ell is not None:

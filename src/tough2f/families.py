@@ -28,7 +28,6 @@ from fractions import Fraction
 from . import graphs
 from .forbidden import ForestPattern
 from .graphs import Graph, GraphError
-from .rationals import Rational
 
 FAMILY_IDS = ("H", "R", "Gprime", "G", "Gstar", "Ghat")
 
@@ -87,7 +86,7 @@ class FamilyInstance:
 
 @dataclass
 class ExpectedInvariants:
-    toughness: Rational | None = None
+    toughness: Fraction | None = None
     alpha: int | None = None
     min_degree: int | None = None
     has_two_factor: bool | None = None
@@ -232,7 +231,7 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
     if spec.family == "H":
         n = p["n"]
         return ExpectedInvariants(
-            toughness=Rational(3 * n, 2 * n + 1),
+            toughness=Fraction(3 * n, 2 * n + 1),
             alpha=2 * n + 1,
             min_degree=n + 1,
             has_two_factor=False,
@@ -246,7 +245,7 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
     if spec.family == "R":
         m, a, b, c = p["m"], p["a"], p["b"], p["c"]
         return ExpectedInvariants(
-            toughness=Rational(c, a),
+            toughness=Fraction(c, a),
             alpha=a * m,
             min_degree=(b + c) * m - 1,
         )
@@ -254,7 +253,7 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
         return ExpectedInvariants()
     n, k = p["n"], p["k"]
     denom = 3 * (2 * n + 1) + 1
-    ratio = Rational.from_fraction(2 - Fraction(n + 3, denom))
+    ratio = 2 - Fraction(n + 3, denom)
     inst = build(spec)
     if spec.family == "G":
         return ExpectedInvariants(

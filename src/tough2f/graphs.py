@@ -21,6 +21,11 @@ class GraphError(ValueError):
     """Invalid graph construction or malformed graph input."""
 
 
+class CertificateError(RuntimeError):
+    """A computed answer failed its own certificate check: a bug, never
+    bad input. Raised explicitly, so ``python -O`` keeps the checks."""
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -174,7 +179,8 @@ def subdivide(g: Graph, edge: tuple[int, int], times: int) -> Graph:
 
 # Vertex subsets and components ------------------------------------------------
 
-def _check_subset(g: Graph, s) -> int:
+def vertex_mask(g: Graph, s) -> int:
+    """Bitmask of the vertex subset ``s``, rejecting out-of-range vertices."""
     mask = 0
     for v in s:
         if not (0 <= v < g.n):
@@ -186,7 +192,7 @@ def _check_subset(g: Graph, s) -> int:
 def induced(g: Graph, s) -> Graph:
     """Induced subgraph on ``s``; new vertex i is the i-th smallest member."""
     keep = sorted(set(s))
-    _check_subset(g, keep)
+    vertex_mask(g, keep)
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     labels = {index[v]: g.labels[v] for v in keep if v in g.labels}
@@ -195,7 +201,7 @@ def induced(g: Graph, s) -> Graph:
 
 def delete(g: Graph, s) -> Graph:
     drop = set(s)
-    _check_subset(g, drop)
+    vertex_mask(g, drop)
     return induced(g, [v for v in range(g.n) if v not in drop])
 
 
@@ -226,7 +232,7 @@ def components(g: Graph) -> tuple[frozenset, ...]:
 
 
 def count_components(g: Graph, removed=()) -> int:
-    avail = g.full_mask & ~_check_subset(g, removed)
+    avail = g.full_mask & ~vertex_mask(g, removed)
     return sum(1 for _ in component_masks(g.adj, avail))
 
 

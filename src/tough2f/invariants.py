@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, GraphError, component_masks, iter_bits
-from .rationals import Rational
+from .rationals import INF
 
 
 def min_degree(g: Graph) -> int:
@@ -160,10 +160,10 @@ def connectivity(g: Graph) -> int:
 class ToughnessResult:
     """Exact toughness with a witnessing cut set.
 
-    ``witness`` is None for complete graphs (value infinity) and the empty
+    ``witness`` is None for complete graphs (value ``INF``) and the empty
     set for disconnected graphs (value 0 by convention).
     """
-    value: Rational
+    value: Fraction | float
     witness: frozenset | None
 
 
@@ -213,26 +213,23 @@ def toughness(g: Graph) -> ToughnessResult:
     """min |S| / c(G - S) over all cut sets, as a reduced rational. The
     witness is the first minimum-ratio cut in (|S|, lexicographic) order."""
     if g.is_complete():
-        return ToughnessResult(Rational.infinity(), None)
+        return ToughnessResult(INF, None)
     if not g.is_connected():
-        return ToughnessResult(Rational(0), frozenset())
+        return ToughnessResult(Fraction(0), frozenset())
     record = None
     for record in _cut_records(g, 1, 0):
         pass
     if record is None:
         raise RuntimeError("a connected non-complete graph has a cut set")
     size, comps, cut = record
-    return ToughnessResult(Rational(size, comps), cut)
+    return ToughnessResult(Fraction(size, comps), cut)
 
 
 def is_t_tough(g: Graph, t) -> bool:
     """tau(G) >= t, terminating as soon as any cut certifies tau < t."""
-    if isinstance(t, Rational):
-        if t.is_infinite:
-            return g.is_complete()
-        t = t.as_fraction()
-    else:
-        t = Fraction(t)
+    if t == INF:
+        return g.is_complete()
+    t = Fraction(t)
     if t <= 0:
         raise GraphError("toughness threshold must be positive")
     if g.is_complete():

@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, GraphError
+from .barriers import EXHAUSTIVE_BARRIER_CAP, Barrier, find_barrier
+from .graphs import CertificateError, Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ class TwoFactor:
 @dataclass(frozen=True)
 class TwoFactorResult:
     factor: TwoFactor | None
-    barrier: "object | None" = None  # barriers.Barrier, attached on request
+    barrier: Barrier | None = None  # attached on request
 
     @property
     def exists(self) -> bool:
@@ -190,9 +191,6 @@ def verify_two_factor(g: Graph, f: TwoFactor) -> bool:
     return g.n > 0 and all(d == 2 for d in degree)
 
 
-BARRIER_CERTIFICATE_CAP = 14  # exhaustive (A,B) search is 3^n
-
-
 def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     """Find a 2-factor or report none.
 
@@ -201,8 +199,7 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     """
     def negative() -> TwoFactorResult:
         barrier = None
-        if certify and g.n <= BARRIER_CERTIFICATE_CAP:
-            from .barriers import find_barrier
+        if certify and g.n <= EXHAUSTIVE_BARRIER_CAP:
             barrier = find_barrier(g)
         return TwoFactorResult(None, barrier)
 
@@ -215,7 +212,8 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     host_edges = frozenset(gadget.edge_map[e] for e in matching.edges
                            if e in gadget.edge_map)
     factor = TwoFactor(host_edges)
-    assert verify_two_factor(g, factor)
+    if not verify_two_factor(g, factor):
+        raise CertificateError("the matched edges do not form a 2-factor")
     return TwoFactorResult(factor)
 
 

@@ -1,151 +1,15 @@
-"""Exact rational values with an explicit +infinity marker.
+"""Exact values: ``fractions.Fraction`` for finite ones, ``INF`` for +infinity.
 
-Toughness of a complete graph is infinite; every other value handled by the
-package (toughness, thresholds, cut ratios) is a reduced fraction. Finite
-values are backed by ``fractions.Fraction``.
+Toughness of a complete graph is infinite (Chvátal's convention); every other
+value handled by the package (toughness, thresholds, cut ratios) is a
+Fraction. ``math.inf`` compares exactly with ints and Fractions and prints
+as "inf". No infinite value reaches arithmetic.
 """
 
-from __future__ import annotations
-
+import math
 from fractions import Fraction
 
+INF = math.inf
 
-class Rational:
-    """A reduced fraction, or +infinity."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, numerator=0, denominator=1):
-        self._value = Fraction(numerator, denominator)
-
-    @classmethod
-    def infinity(cls) -> "Rational":
-        obj = object.__new__(cls)
-        obj._value = None
-        return obj
-
-    @classmethod
-    def from_fraction(cls, frac) -> "Rational":
-        obj = object.__new__(cls)
-        obj._value = Fraction(frac)
-        return obj
-
-    @classmethod
-    def parse(cls, text: str) -> "Rational":
-        """Parse "p/q", a plain integer, or "inf"."""
-        text = text.strip()
-        if text.lower() in ("inf", "infinity"):
-            return cls.infinity()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return cls(int(num), int(den))
-        return cls(int(text))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def numerator(self) -> int:
-        if self._value is None:
-            raise ValueError("infinite value has no numerator")
-        return self._value.numerator
-
-    @property
-    def denominator(self) -> int:
-        if self._value is None:
-            raise ValueError("infinite value has no denominator")
-        return self._value.denominator
-
-    def as_fraction(self) -> Fraction:
-        if self._value is None:
-            raise ValueError("infinite value is not a fraction")
-        return self._value
-
-    @staticmethod
-    def _coerce(other):
-        """Return the comparable payload: a Fraction, or None for infinity."""
-        if isinstance(other, Rational):
-            return other._value
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        val = self._coerce(other)
-        if val is NotImplemented:
-            return NotImplemented
-        return self._value == val
-
-    def __lt__(self, other):
-        val = self._coerce(other)
-        if val is NotImplemented:
-            return NotImplemented
-        if self._value is None:
-            return False
-        if val is None:
-            return True
-        return self._value < val
-
-    def __le__(self, other):
-        val = self._coerce(other)
-        if val is NotImplemented:
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other):
-        val = self._coerce(other)
-        if val is NotImplemented:
-            return NotImplemented
-        return not self <= other
-
-    def __ge__(self, other):
-        val = self._coerce(other)
-        if val is NotImplemented:
-            return NotImplemented
-        return not self < other
-
-    def _arith(self, other, op):
-        val = self._coerce(other)
-        if val is NotImplemented:
-            return NotImplemented
-        if self._value is None or val is None:
-            raise ValueError("arithmetic on infinite rationals is not supported")
-        return Rational.from_fraction(op(self._value, val))
-
-    def __add__(self, other):
-        return self._arith(other, lambda a, b: a + b)
-
-    def __radd__(self, other):
-        return self._arith(other, lambda a, b: b + a)
-
-    def __sub__(self, other):
-        return self._arith(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._arith(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._arith(other, lambda a, b: a * b)
-
-    def __rmul__(self, other):
-        return self._arith(other, lambda a, b: b * a)
-
-    def __truediv__(self, other):
-        return self._arith(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._arith(other, lambda a, b: b / a)
-
-    def __hash__(self):
-        return hash(self._value) if self._value is not None else hash("inf")
-
-    def __str__(self):
-        if self._value is None:
-            return "inf"
-        if self._value.denominator == 1:
-            return str(self._value.numerator)
-        return f"{self._value.numerator}/{self._value.denominator}"
-
-    def __repr__(self):
-        return f"Rational({self})"
+# Older name for Fraction, kept for callers that still import it.
+Rational = Fraction

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import barriers, families, forbidden, graphs, invariants, matching
 from .graphs import Graph, GraphError, decode_graph6
-from .rationals import Rational
 
 
 class GraphFacts:
@@ -116,12 +115,6 @@ THEOREM_IDS = ("THM1i", "THM1ii", "THM2", "THM3i", "THM3ii",
                "THM4i", "THM4ii", "EJKS2", "NIESSEN", "FALSE1T")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Rational):
-        return value.as_fraction()
-    return Fraction(value)
-
-
 def _connected_clauses(level: int):
     """Clauses for "level-connected": more than `level` vertices and kappa."""
     return (
@@ -139,7 +132,7 @@ def _param(params: dict, key: str, theorem_id: str):
 def make_theorem(theorem_id: str, **params) -> TheoremSpec:
     at_least_three = ("order >= 3", lambda f: f.order >= 3)
     if theorem_id == "THM1i":
-        t = _as_fraction(_param(params, "t", theorem_id))
+        t = Fraction(_param(params, "t", theorem_id))
         if not 1 <= t < 2:
             raise GraphError("THM1i needs rational t with 1 <= t < 2")
         clauses = (
@@ -150,7 +143,7 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
         )
         return TheoremSpec(theorem_id, {"t": str(t)}, clauses)
     if theorem_id == "THM1ii":
-        t = _as_fraction(_param(params, "t", theorem_id))
+        t = Fraction(_param(params, "t", theorem_id))
         if not Fraction(3, 2) <= t < 2:
             raise GraphError("THM1ii needs rational t with 3/2 <= t < 2")
         denom = 7 * t - 7 - t * t
@@ -165,7 +158,7 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
         )
         return TheoremSpec(theorem_id, {"t": str(t)}, clauses)
     if theorem_id == "THM2":
-        eps = _as_fraction(_param(params, "eps", theorem_id))
+        eps = Fraction(_param(params, "eps", theorem_id))
         if not 0 < eps <= 1:
             raise GraphError("THM2 needs rational eps with 0 < eps <= 1")
         clauses = (
@@ -301,8 +294,8 @@ def hunt(corpus, spec: TheoremSpec) -> HuntReport:
 def check_lemma_inequality(x, y, t: int, a) -> bool:
     """Exact check of (x + a_0 - 2 + t) / (y + sum a_i - t) <= x / y for
     x >= y > 0, t >= 1, all a_i >= 2, a_0 <= max of a_1..a_t."""
-    x = _as_fraction(x)
-    y = _as_fraction(y)
+    x = Fraction(x)
+    y = Fraction(y)
     a = list(a)
     if not (x >= y > 0):
         raise GraphError("need x >= y > 0")
@@ -369,7 +362,7 @@ def verify_family(spec: families.FamilySpec) -> list:
             got = graphs.count_components(g, w)
             record("cut_component_count", got == comp_count,
                    f"{got} vs {comp_count}")
-            got_ratio = Rational(len(w), got)
+            got_ratio = Fraction(len(w), got)
             record("cut_ratio", got_ratio == ratio, f"{got_ratio} vs {ratio}")
         if g.n <= EXACT_TOUGHNESS_CAP:
             got = invariants.toughness(g).value

@@ -202,3 +202,13 @@ def test_empty_input(tmp_path, capsys):
     source = write(tmp_path, "")
     assert main(["invariants", source]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,theorem", [("--eps", "THM2"), ("--t", "THM1i")])
+def test_hunt_zero_denominator_is_input_error(tmp_path, capsys, flag, theorem):
+    source = write(tmp_path, h1_g6())
+    code = main(["hunt", source, "--theorem", theorem, flag, "1/0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: zero denominator")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tough2f import GraphError, Rational, remark1b_gap_check
+from tough2f import GraphError, remark1b_gap_check
 from tough2f.families import FamilySpec, build, expected
 from tough2f.forbidden import ForestPattern
 from tough2f.graphs import count_components
@@ -103,7 +103,7 @@ def test_ghat_cut_component_count():
 
 def test_expected_h():
     exp = expected(FamilySpec.parse("H:n=2"))
-    assert exp.toughness == Rational(6, 5)
+    assert exp.toughness == Fraction(6, 5)
     assert exp.alpha == 5
     assert exp.min_degree == 3
     assert exp.has_two_factor is False
@@ -113,19 +113,19 @@ def test_expected_h():
 
 def test_expected_r():
     exp = expected(FamilySpec.parse("R:m=1,a=2,b=1,c=3"))
-    assert exp.toughness == Rational(3, 2)
+    assert exp.toughness == Fraction(3, 2)
     assert exp.alpha == 2
     assert exp.min_degree == 3
 
 
 def test_expected_ghat():
     exp = expected(FamilySpec.parse("Ghat:n=1,k=1"))
-    assert exp.toughness == Rational(2) - Rational(4, 10)
-    assert exp.toughness == Rational(8, 5)
+    assert exp.toughness == Fraction(2) - Fraction(4, 10)
+    assert exp.toughness == Fraction(8, 5)
     a, b, d = exp.claimed_barrier
     assert d == -2
     w, comp_count, ratio = exp.claimed_cut
-    assert comp_count == 10 and ratio == Rational(16, 10)
+    assert comp_count == 10 and ratio == Fraction(16, 10)
     assert len(w) == 16
     assert exp.claimed_patterns == (ForestPattern((7,), 1),
                                     ForestPattern((6,), 1))

@@ -1,75 +1,76 @@
-"""Exact rational values and the +infinity marker."""
+"""Exact values: Fraction for finite ones, INF for the toughness of K_n."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tough2f import Rational
+from tough2f import INF, Rational, complete, cycle, is_t_tough
+from tough2f.cli import _parse_fraction
 
 
 def test_construction_reduces():
-    assert Rational(6, 4) == Rational(3, 2)
-    assert Rational(3, 2).numerator == 3
-    assert Rational(3, 2).denominator == 2
-    assert Rational(5).denominator == 1
+    assert Rational is Fraction  # the older name still imports
+    assert Fraction(6, 4) == Fraction(3, 2)
+    assert Fraction(3, 2).numerator == 3
+    assert Fraction(3, 2).denominator == 2
+    assert Fraction(5).denominator == 1
 
 
 def test_parse():
-    assert Rational.parse("3/5") == Rational(3, 5)
-    assert Rational.parse("7") == Rational(7)
-    assert Rational.parse(" inf ") == Rational.infinity()
-    assert Rational.parse("Infinity").is_infinite
-    with pytest.raises(ValueError):
-        Rational.parse("three")
+    assert _parse_fraction("3/5") == Fraction(3, 5)
+    assert _parse_fraction("7") == Fraction(7)
+    assert _parse_fraction(" 3 / 2") == Fraction(3, 2)
+    assert _parse_fraction("3/-2") == Fraction(-3, 2)
+    for text in ("three", "inf", " inf ", "Infinity", "1.5", "3/", "/2",
+                 "1/2/3", "1/0", "0/0"):
+        with pytest.raises(ValueError):
+            _parse_fraction(text)
 
 
 def test_str():
-    assert str(Rational(3, 5)) == "3/5"
-    assert str(Rational(4, 2)) == "2"
-    assert str(Rational.infinity()) == "inf"
+    # the CLI prints tau and ratios with str()
+    assert str(Fraction(3, 5)) == "3/5"
+    assert str(Fraction(4, 2)) == "2"
+    assert str(INF) == "inf"
 
 
 def test_infinity_ordering():
-    inf = Rational.infinity()
-    assert inf.is_infinite
-    assert inf > Rational(10 ** 9)
-    assert Rational(10 ** 9) < inf
-    assert inf >= inf and inf <= inf and inf == Rational.infinity()
-    assert not inf < inf
-    assert not inf > inf
+    assert INF > Fraction(10 ** 9) and INF > 10 ** 400
+    assert Fraction(10 ** 9) < INF
+    assert INF >= INF and INF <= INF and INF == INF
+    assert not INF < INF
+    assert not INF > INF
+    assert INF != Fraction(10 ** 9)
 
 
 def test_infinity_guards():
-    inf = Rational.infinity()
-    with pytest.raises(ValueError):
-        inf.as_fraction()
-    with pytest.raises(ValueError):
-        _ = inf.numerator
-    with pytest.raises(ValueError):
-        inf + 1
-    with pytest.raises(ValueError):
-        1 - inf
+    # INF is no Fraction, so is_t_tough must test for it before converting
+    with pytest.raises(OverflowError):
+        Fraction(INF)
+    assert is_t_tough(complete(3), INF)
+    assert not is_t_tough(cycle(5), INF)
 
 
 def test_mixed_comparisons():
-    assert Rational(3, 2) > 1
-    assert Rational(3, 2) == Fraction(3, 2)
-    assert 2 > Rational(3, 2)
-    assert Rational(3, 2) <= Fraction(3, 2)
-    assert Rational(1, 2) != "1/2"
+    assert Fraction(3, 2) > 1
+    assert 2 > Fraction(3, 2)
+    assert Fraction(3, 2) <= Fraction(3, 2)
+    assert Fraction(1, 2) != "1/2"
+    assert Fraction(3, 2) < INF and 2 < INF
 
 
 def test_arithmetic():
-    assert Rational(1, 2) + Rational(1, 3) == Rational(5, 6)
-    assert Rational(1, 2) - 1 == Rational(-1, 2)
-    assert 2 * Rational(3, 4) == Rational(3, 2)
-    assert Rational(3, 4) / Rational(3, 2) == Rational(1, 2)
-    assert 1 / Rational(4) == Rational(1, 4)
+    # the families' claimed values, Fraction in and Fraction out
+    n = 1
+    ghat = 2 - Fraction(n + 3, 3 * (2 * n + 1) + 1)
+    assert type(ghat) is Fraction and ghat == Fraction(8, 5)
+    assert Fraction(1, 2) - 1 == Fraction(-1, 2)
+    assert 1 / Fraction(4) == Fraction(1, 4)
 
 
 def test_hashable():
-    assert len({Rational(1, 2), Rational(2, 4), Rational.infinity()}) == 2
+    assert len({Fraction(1, 2), Fraction(2, 4), INF}) == 2
 
 
 fractions = st.fractions(min_value=-100, max_value=100,
@@ -78,10 +79,6 @@ fractions = st.fractions(min_value=-100, max_value=100,
 
 @given(fractions, fractions)
 def test_matches_fraction_semantics(a, b):
-    ra, rb = Rational.from_fraction(a), Rational.from_fraction(b)
-    assert (ra < rb) == (a < b)
-    assert (ra == rb) == (a == b)
-    assert (ra + rb).as_fraction() == a + b
-    assert (ra * rb).as_fraction() == a * b
-    if b != 0:
-        assert (ra / rb).as_fraction() == a / b
+    # every finite value sits below INF, whatever the order between them
+    assert a < INF and not a >= INF and a != INF
+    assert min(a, b, INF) == min(a, b) and max(a, b, INF) == INF

@@ -10,7 +10,7 @@ from tough2f import (
     ForestPattern,
     GraphError,
     GraphFacts,
-    Rational,
+    INF,
     check_lemma_inequality,
     check_theorem,
     complete,
@@ -79,7 +79,7 @@ def test_registry_rejects_bad_params():
 
 def test_check_theorem_confirms():
     # C5: delta = alpha = 2 and tau = 1 >= 2 - 1
-    spec = make_theorem("THM2", eps=Rational(1))
+    spec = make_theorem("THM2", eps=Fraction(1))
     report = check_theorem(spec, cycle(5))
     assert report.verdict == "confirms"
     assert report.hypotheses_hold and report.conclusion_holds
@@ -87,7 +87,7 @@ def test_check_theorem_confirms():
 
 def test_check_theorem_vacuous():
     # H_1 is only 1-tough, short of the 3/2 threshold
-    spec = make_theorem("THM2", eps=Rational(1, 2))
+    spec = make_theorem("THM2", eps=Fraction(1, 2))
     report = check_theorem(spec, h1_graph())
     assert report.verdict == "vacuous"
     assert report.conclusion_holds is None
@@ -130,7 +130,7 @@ def test_hunt_finds_planted_counterexample():
 
 def test_hunt_reuses_graph_facts():
     facts = [GraphFacts(cycle(5)), GraphFacts(complete(4))]
-    r1 = hunt(facts, make_theorem("THM2", eps=Rational(1)))
+    r1 = hunt(facts, make_theorem("THM2", eps=Fraction(1)))
     r2 = hunt(facts, make_theorem("EJKS2"))
     assert r1.clean and r2.clean
     assert r1.confirms == 2 and r2.confirms == 1
@@ -140,7 +140,7 @@ def test_graph_facts_match_direct_calls():
     rng = random.Random(31)
     thresholds = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 4),
                   Fraction(4, 3), Fraction(3, 2), Fraction(7, 4), 2, 3,
-                  Rational(3, 2), Rational(2), Rational.infinity()]
+                  Fraction(3, 2), Fraction(2), INF]
     patterns = [ForestPattern((m,), k) for m in (2, 3, 4, 5, 6, 7)
                 for k in (1, 2)]
     patterns += [ForestPattern.parse(s) for s in ("2P2", "P3+P2", "3P1")]
@@ -157,7 +157,7 @@ def test_graph_facts_match_direct_calls():
                 assert facts.is_free(q) == is_free(g, q), (g.edges, str(q))
             else:
                 assert facts.tough_at(q) == is_t_tough(g, q), (g.edges, q)
-        for bad in (0, Fraction(-1, 2), Rational(0)):
+        for bad in (0, Fraction(-1, 2), Fraction(0)):
             with pytest.raises(GraphError):
                 facts.tough_at(bad)
 
@@ -174,7 +174,7 @@ def test_graph_facts_derive_monotone_answers(monkeypatch):
     assert facts.tough_at(Fraction(1)) and not facts.tough_at(Fraction(3, 2))
     assert facts.tough_at(Fraction(1, 2))
     assert not facts.tough_at(Fraction(7, 4))
-    assert not facts.tough_at(Rational.infinity())
+    assert not facts.tough_at(INF)
     assert asked == [Fraction(1), Fraction(3, 2)]
     assert not facts.tough_at(Fraction(5, 4))
     assert len(asked) == 3

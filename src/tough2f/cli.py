@@ -108,7 +108,12 @@ def _cmd_witness(args) -> int:
             _emit({"graph": name, "witness": None,
                    "reason": "graph has a 2-factor (no barrier)"})
             continue
-        witness = barriers.extract_witness(g, b)
+        try:
+            witness = barriers.extract_witness(g, b)
+        except GraphError as exc:  # the barrier has no usable structure
+            _emit({"graph": name, "barrier": _barrier_payload(b),
+                   "witness": None, "reason": str(exc)})
+            continue
         _emit({
             "graph": name,
             "barrier": _barrier_payload(b),

@@ -111,8 +111,13 @@ class TheoremSpec:
         return f"{self.theorem_id}[{inner}]"
 
 
-THEOREM_IDS = ("THM1i", "THM1ii", "THM2", "THM3i", "THM3ii",
-               "THM4i", "THM4ii", "EJKS2", "NIESSEN", "FALSE1T")
+# theorem id -> the parameters it takes
+_THEOREM_PARAMS = {
+    "THM1i": ("t",), "THM1ii": ("t",), "THM2": ("eps",),
+    "THM3i": ("ell", "k"), "THM3ii": ("k",), "THM4i": ("ell", "k"),
+    "THM4ii": ("k",), "EJKS2": (), "NIESSEN": (), "FALSE1T": (),
+}
+THEOREM_IDS = tuple(_THEOREM_PARAMS)
 
 
 def _connected_clauses(level: int):
@@ -130,6 +135,11 @@ def _param(params: dict, key: str, theorem_id: str):
 
 
 def make_theorem(theorem_id: str, **params) -> TheoremSpec:
+    # an unknown id has no stray parameters here and is rejected below
+    stray = sorted(set(params) - set(_THEOREM_PARAMS.get(theorem_id, params)))
+    if stray:
+        raise GraphError(f"{theorem_id} does not take "
+                         + ", ".join(map(repr, stray)))
     at_least_three = ("order >= 3", lambda f: f.order >= 3)
     if theorem_id == "THM1i":
         t = Fraction(_param(params, "t", theorem_id))

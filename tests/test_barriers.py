@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import networkx as nx
 import pytest
 
 from tough2f import (
@@ -22,11 +23,12 @@ from tough2f import (
     path,
     toughness,
 )
-from tough2f.barriers import EXHAUSTIVE_BARRIER_CAP, Barrier
+from tough2f.barriers import (EXHAUSTIVE_BARRIER_CAP, Barrier,
+                               _barriers_by_union, _deficiency_masks)
 from tough2f.families import FamilySpec, build
 from tough2f.graphs import count_components
 
-from conftest import random_graph
+from conftest import nx_to_graph, random_graph
 
 
 def star(k: int) -> Graph:
@@ -104,6 +106,33 @@ def test_find_barrier_matches_two_factor():
         if b is not None:
             assert b.deficiency <= -2
             assert deficiency(g, b.a, b.b) == b.deficiency
+
+
+def plain_barriers(g: Graph) -> set:
+    found = set()
+    for side in product((None, "A", "B"), repeat=g.n):
+        a_mask = sum(1 << v for v, x in enumerate(side) if x == "A")
+        b_mask = sum(1 << v for v, x in enumerate(side) if x == "B")
+        d = _deficiency_masks(g, a_mask, b_mask)
+        if d <= -2:
+            found.add((a_mask, b_mask, d))
+    return found
+
+
+def test_union_walk_yields_every_barrier_once():
+    graphs = [nx_to_graph(h) for h in nx.graph_atlas_g()
+              if h.number_of_nodes() <= 6]
+    rng = random.Random(47)
+    graphs += [random_graph(rng, rng.randint(7, 9), rng.uniform(0.2, 0.7))
+               for _ in range(40)]
+    has_barrier = []
+    for g in graphs:
+        walked = list(_barriers_by_union(g))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == plain_barriers(g)
+        has_barrier.append(bool(walked))
+    # the random graphs include some with and some without a 2-factor
+    assert 0 < sum(has_barrier[-40:]) < 40
 
 
 def test_search_caps():

@@ -119,6 +119,21 @@ def test_witness_absent(tmp_path, capsys):
     assert payloads[0]["witness"] is None
 
 
+def test_witness_continues_past_unusable_barrier(tmp_path, capsys):
+    # P3's biased barrier has max h = 1 and no odd component with 3 edges
+    # into B, so it has no witness; the next graph is still reported
+    source = write(tmp_path, encode_graph6(path(3)) + "\n" + h1_g6())
+    code, payloads = run(capsys, ["witness", source])
+    assert code == EXIT_OK
+    first, second = payloads
+    assert first["graph"] == encode_graph6(path(3))
+    assert first["barrier"] == {"A": [1], "B": [0, 2], "deficiency": -2}
+    assert first["witness"] is None
+    assert first["reason"].startswith("witness construction needs")
+    assert second["graph"] == h1_g6()
+    assert second["witness"]["components"] >= 2
+
+
 def test_forbidden(tmp_path, capsys):
     source = write(tmp_path, encode_graph6(cycle(5)))
     code, payloads = run(capsys, ["forbidden", source, "--pattern", "P4"])
@@ -179,6 +194,16 @@ def test_hunt_missing_param(tmp_path, capsys):
     code = main(["hunt", source, "--theorem", "THM2"])  # eps not given
     capsys.readouterr()
     assert code == EXIT_INPUT_ERROR
+
+
+def test_hunt_stray_param_is_input_error(tmp_path, capsys):
+    source = write(tmp_path, h1_g6())
+    code = main(["hunt", source, "--theorem", "THM2", "--eps", "1/2",
+                 "--t", "3/2", "--k", "9"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err == "error: THM2 does not take 'k', 't'\n"
 
 
 def test_lemma4(capsys):

@@ -77,6 +77,17 @@ def test_registry_rejects_bad_params():
         make_theorem("NOSUCH")
 
 
+def test_registry_rejects_stray_params():
+    # each theorem takes only its own parameters; a stray one is an error,
+    # not silently dropped
+    with pytest.raises(GraphError, match="'k', 't'"):
+        make_theorem("THM2", eps=Fraction(1, 2), t=Fraction(3, 2), k=9)
+    with pytest.raises(GraphError, match="'eps'"):
+        make_theorem("EJKS2", eps=Fraction(1, 2))
+    with pytest.raises(GraphError, match="'ell'"):
+        make_theorem("THM3ii", k=1, ell=1)
+
+
 def test_check_theorem_confirms():
     # C5: delta = alpha = 2 and tau = 1 >= 2 - 1
     spec = make_theorem("THM2", eps=Fraction(1))

@@ -281,8 +281,7 @@ class ToughnessWitness:
     ratio: Fraction
 
 
-def extract_witness(g: Graph, barrier: Barrier,
-                    dec: BarrierDecomposition | None = None) -> ToughnessWitness:
+def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
     """Build the cut set W certifying a toughness upper bound.
 
     Two cases, by max_u h(u) over the biased barrier's B:
@@ -301,8 +300,7 @@ def extract_witness(g: Graph, barrier: Barrier,
     """
     if deficiency(g, barrier.a, barrier.b) > -2:
         raise GraphError("pair is not a barrier")
-    if dec is None:
-        dec = decompose(g, barrier.a, barrier.b)
+    dec = decompose(g, barrier.a, barrier.b)
     adj = g.adj
     a_mask = vertex_mask(g, barrier.a)
     b_mask = vertex_mask(g, barrier.b)

@@ -11,8 +11,8 @@ Families:
                        subdivided once.
   G(n,k)               K_n joined to Gprime(n,k).
   Gstar(n,k)           like Gprime but each matching edge subdivided twice.
-  Ghat(n,k)            K_n joined to Gstar(n,k). Carries the labeled pair
-                       (A,B) with deficiency -2 and the cut W with
+  Ghat(n,k)            K_n joined to Gstar(n,k). Carries the distinguished
+                       pair (A,B) with deficiency -2 and the cut W with
                        c(Ghat - W) = 3(2n+1) + 1.
 
 The distinguished cut W includes the subdividing vertex adjacent to u_1 on
@@ -40,6 +40,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_IDS:
             raise GraphError(f"unknown family {self.family!r}")
+        names = [name for name, _ in self.params]
+        if len(set(names)) != len(names):
+            raise GraphError(f"repeated parameter in family {self.family}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
         p = self.as_dict
         if self.family == "H":
@@ -48,9 +51,13 @@ class FamilySpec:
         elif self.family == "R":
             if set(p) != {"m", "a", "b", "c"} or min(p.values()) < 1:
                 raise GraphError("family R takes m,a,b,c >= 1")
-        elif self.family in ("Gprime", "G"):
+        elif self.family == "Gprime":
             if set(p) != {"n", "k"} or p["k"] < 1 or p["n"] < p["k"] - 1:
-                raise GraphError(f"family {self.family} needs n >= k-1 >= 0")
+                raise GraphError("family Gprime needs n >= k-1 >= 0")
+        elif self.family == "G":
+            # the claimed toughness needs the K_n apex, so n >= 1
+            if set(p) != {"n", "k"} or p["k"] < 1 or p["n"] < max(1, p["k"] - 1):
+                raise GraphError("family G needs k >= 1 and n >= max(1, k-1)")
         else:  # Gstar, Ghat
             if set(p) != {"n", "k"} or p["k"] < 1 or p["n"] < p["k"]:
                 raise GraphError(f"family {self.family} needs n >= k >= 1")
@@ -100,128 +107,85 @@ class ExpectedInvariants:
 
 # Builders -------------------------------------------------------------------------
 
-def _build_h(n: int) -> FamilyInstance:
+def _build_h(spec: FamilySpec, n: int) -> FamilyInstance:
     # apex 0..n-1, independent side n..3n, clique side 3n+1..5n+1
     size = 2 * n + 1
-    apex = list(range(n))
-    indep = list(range(n, n + size))
-    clique = list(range(n + size, n + 2 * size))
-    edges = [(i, j) for i in apex for j in apex if i < j]
-    edges += [(i, j) for i in clique for j in clique if i < j]
-    edges += [(i, v) for i in apex for v in indep + clique]
-    matching = list(zip(indep, clique))
-    edges += matching
-    labels = {v: "apex" for v in apex}
-    labels.update({v: "independent" for v in indep})
-    labels.update({v: "clique" for v in clique})
-    g = Graph(n + 2 * size, edges, labels)
-    spec = FamilySpec("H", (("n", n),))
+    indep = range(n, n + size)
+    clique = range(n + size, n + 2 * size)
+    matching = tuple(zip(indep, clique))
+    sides = graphs.disjoint_union(graphs.edgeless(size), graphs.complete(size))
+    g = graphs.add_matching(graphs.join(graphs.complete(n), sides), matching)
     return FamilyInstance(spec, g,
-                          {"apex": frozenset(apex),
+                          {"apex": frozenset(range(n)),
                            "independent": frozenset(indep),
                            "clique": frozenset(clique)},
-                          tuple(matching))
+                          matching)
 
 
-def _build_r(m: int, a: int, b: int, c: int) -> FamilyInstance:
-    core = graphs.complete(c * m)
-    blocks = graphs.copies(a * m, graphs.complete(b * m))
-    g = graphs.join(core, blocks)
-    labels = {v: "apex" for v in range(c * m)}
-    for v in range(c * m, g.n):
-        labels[v] = f"block-{(v - c * m) // (b * m)}"
-    g = Graph(g.n, g.edges, labels)
-    spec = FamilySpec("R", (("m", m), ("a", a), ("b", b), ("c", c)))
+def _build_r(spec: FamilySpec, m: int, a: int, b: int, c: int) -> FamilyInstance:
+    g = graphs.join(graphs.complete(c * m),
+                    graphs.copies(a * m, graphs.complete(b * m)))
     return FamilyInstance(spec, g, {"apex": frozenset(range(c * m))})
 
 
-def _build_gadget_family(n: int, k: int, subdivisions: int,
+def _build_gadget_family(spec: FamilySpec, n: int, subdivisions: int,
                          apexes: int) -> FamilyInstance:
     """Shared builder for Gprime/G (subdivisions=1) and Gstar/Ghat (=2)."""
     size = 3 * (2 * n + 1)  # matched vertices per side
-    tri = list(range(size))
-    clique = list(range(size, 2 * size))
-    edges = []
-    for t in range(2 * n + 1):
-        base = 3 * t
-        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
-    edges += [(i, j) for i in clique for j in clique if i < j]
-    labels = {v: "triangle" for v in tri}
-    labels.update({v: "clique" for v in clique})
-    sub_near = []   # subdividing vertex adjacent to the triangle side
-    sub_far = []    # subdividing vertex adjacent to the clique side (if 2)
-    idx = 2 * size
-    matching = []
+    sub = 2 * size          # first subdividing vertex
+    # before the apexes: triangles 0..size-1, clique size..sub-1, then the
+    # matching edge (i, size+i) as a path through `subdivisions` new
+    # vertices, the one nearest the triangle first
+    blocks = graphs.disjoint_union(graphs.copies(2 * n + 1, graphs.complete(3)),
+                                   graphs.complete(size))
+    edges = list(blocks.edges)
     for i in range(size):
-        t_v, c_v = tri[i], clique[i]
-        matching.append((t_v, c_v))
-        if subdivisions == 1:
-            edges += [(t_v, idx), (idx, c_v)]
-            labels[idx] = "subdivision"
-            sub_near.append(idx)
-            idx += 1
-        else:
-            edges += [(t_v, idx), (idx, idx + 1), (idx + 1, c_v)]
-            labels[idx] = "subdivision-triangle-side"
-            labels[idx + 1] = "subdivision-clique-side"
-            sub_near.append(idx)
-            sub_far.append(idx + 1)
-            idx += 2
-    base = Graph(idx, edges, labels)
-    if apexes:
-        apex_g = Graph(apexes, [(i, j) for i in range(apexes)
-                                for j in range(i + 1, apexes)],
-                       {v: "apex" for v in range(apexes)})
-        g = graphs.join(apex_g, base)
-        off = apexes
-    else:
-        g, off = base, 0
+        first = sub + subdivisions * i
+        chain = [i, *range(first, first + subdivisions), size + i]
+        edges.extend(zip(chain, chain[1:]))
+    g = graphs.join(graphs.complete(apexes),
+                    Graph(sub + subdivisions * size, edges))
 
     def shift(vs):
-        return frozenset(v + off for v in vs)
+        return frozenset(v + apexes for v in vs)
 
     sets = {
         "apex": frozenset(range(apexes)),
-        "triangle": shift(tri),
-        "clique": shift(clique),
-        "subdivision_near": shift(sub_near),
+        "triangle": shift(range(size)),
+        "clique": shift(range(size, sub)),
+        "subdivision_near": shift(range(sub, sub + subdivisions * size,
+                                        subdivisions)),
     }
-    if sub_far:
-        sets["subdivision_far"] = shift(sub_far)
+    if subdivisions == 2:
+        sets["subdivision_far"] = shift(range(sub + 1, sub + 2 * size, 2))
     # distinguished vertices: u_i = first vertex of each triangle (these are
     # pairwise non-adjacent), v = clique partner of u_1, u = subdividing
     # vertex on the u_1 v matching edge adjacent to u_1
-    u_set = shift(tri[0::3])
-    v_vertex = clique[0] + off
-    u_subdiv = sub_near[0] + off
+    u_set = shift(range(0, size, 3))
+    v_vertex = shift([size])
+    u_subdiv = shift([sub])
     sets["u_independent"] = u_set
-    cut = (sets["apex"]
-           | (sets["triangle"] - u_set)
-           | (sets["clique"] - {v_vertex})
-           | {u_subdiv})
-    sets["W"] = frozenset(cut)
+    sets["W"] = (sets["apex"]
+                 | (sets["triangle"] - u_set)
+                 | (sets["clique"] - v_vertex)
+                 | u_subdiv)
     if apexes:
         sets["A"] = sets["apex"]
-        if sub_far:
+        if subdivisions == 2:
             sets["B"] = sets["subdivision_far"]
-    matching = tuple((a + off, b + off) for a, b in matching)
-    if subdivisions == 1:
-        family = "G" if apexes else "Gprime"
-    else:
-        family = "Ghat" if apexes else "Gstar"
-    spec = FamilySpec(family, (("n", n), ("k", k)))
+    matching = tuple((i + apexes, size + i + apexes) for i in range(size))
     return FamilyInstance(spec, g, sets, matching)
 
 
 def build(spec: FamilySpec) -> FamilyInstance:
     p = spec.as_dict
     if spec.family == "H":
-        return _build_h(p["n"])
+        return _build_h(spec, p["n"])
     if spec.family == "R":
-        return _build_r(p["m"], p["a"], p["b"], p["c"])
+        return _build_r(spec, p["m"], p["a"], p["b"], p["c"])
     subdivisions = 1 if spec.family in ("Gprime", "G") else 2
     apexes = p["n"] if spec.family in ("G", "Ghat") else 0
-    return _build_gadget_family(p["n"], p["k"], subdivisions, apexes)
+    return _build_gadget_family(spec, p["n"], subdivisions, apexes)
 
 
 # Claimed invariants -----------------------------------------------------------------

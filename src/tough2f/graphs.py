@@ -2,8 +2,9 @@
 
 Adjacency is kept both as an edge tuple and as one bitmask per vertex, so
 subset-heavy searches (toughness, barriers) get O(1) adjacency tests while
-matching code can iterate edges. Vertices may carry string labels recording
-their role in a construction ("apex", "subdivision", ...).
+matching code can iterate edges. A vertex is just its index; the roles
+vertices play in a construction are the construction's named vertex sets
+(``families.FamilyInstance.sets``).
 
 Also hosts the two interchange formats: graph6 lines (single-byte header,
 order <= 62) and the plain edge-list text format ("n m" then one "u v" pair
@@ -37,9 +38,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """A simple undirected graph on vertices 0..n-1. Immutable after build."""
 
-    __slots__ = ("n", "edges", "adj", "labels")
+    __slots__ = ("n", "edges", "adj")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels=None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("order must be non-negative")
         seen = set()
@@ -56,7 +57,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "labels", dict(labels) if labels else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -120,30 +120,26 @@ def cycle(n: int) -> Graph:
 def complement(g: Graph) -> Graph:
     edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
              if not g.has_edge(i, j)]
-    return Graph(g.n, edges, g.labels)
+    return Graph(g.n, edges)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     off = g.n
     edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
-    labels = dict(g.labels)
-    labels.update({v + off: lab for v, lab in h.labels.items()})
-    return Graph(g.n + h.n, edges, labels)
+    return Graph(g.n + h.n, edges)
 
 
 def copies(a: int, h: Graph) -> Graph:
     if a < 0:
         raise GraphError("copy count must be non-negative")
-    out = edgeless(0)
-    for _ in range(a):
-        out = disjoint_union(out, h)
-    return out
+    return Graph(a * h.n, [(u + i * h.n, v + i * h.n)
+                           for i in range(a) for u, v in h.edges])
 
 
 def join(g: Graph, h: Graph) -> Graph:
     base = disjoint_union(g, h)
     cross = [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
-    return Graph(base.n, list(base.edges) + cross, base.labels)
+    return Graph(base.n, list(base.edges) + cross)
 
 
 def add_matching(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -155,7 +151,7 @@ def add_matching(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
         if u in used or v in used or u == v:
             raise GraphError("matching pairs must be vertex-disjoint")
         used.update((u, v))
-    return Graph(g.n, list(g.edges) + pairs, g.labels)
+    return Graph(g.n, list(g.edges) + pairs)
 
 
 def subdivide(g: Graph, edge: tuple[int, int], times: int) -> Graph:
@@ -171,10 +167,7 @@ def subdivide(g: Graph, edge: tuple[int, int], times: int) -> Graph:
     edges = [e for e in g.edges if e != key]
     chain = [u] + list(range(g.n, g.n + times)) + [v]
     edges.extend(zip(chain, chain[1:]))
-    labels = dict(g.labels)
-    for w in range(g.n, g.n + times):
-        labels[w] = "subdivision"
-    return Graph(g.n + times, edges, labels)
+    return Graph(g.n + times, edges)
 
 
 # Vertex subsets and components ------------------------------------------------
@@ -195,8 +188,7 @@ def induced(g: Graph, s) -> Graph:
     vertex_mask(g, keep)
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    labels = {index[v]: g.labels[v] for v in keep if v in g.labels}
-    return Graph(len(keep), edges, labels)
+    return Graph(len(keep), edges)
 
 
 def delete(g: Graph, s) -> Graph:

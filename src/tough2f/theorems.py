@@ -350,7 +350,7 @@ def verify_family(spec: families.FamilySpec) -> list:
     """Check every verifiable claimed invariant of a family instance.
 
     Claims out of exact reach (toughness of the order >= 28 constructions)
-    are verified one-sidedly through the labeled cut W.
+    are verified one-sidedly through the distinguished cut W.
     """
     inst = families.build(spec)
     exp = families.expected(spec)

@@ -1,4 +1,4 @@
-"""Construction families: shapes, labeled sets, claimed values, and the
+"""Construction families: shapes, distinguished sets, claimed values, and the
 degree-condition gap arithmetic."""
 
 from fractions import Fraction
@@ -24,7 +24,8 @@ def test_spec_parse_and_str():
 def test_spec_validation():
     for text in ("X:n=1", "H:n=0", "H:k=1", "R:m=1,a=0,b=1,c=1",
                  "Gprime:n=0,k=2", "G:n=1,k=0", "Ghat:n=1,k=2",
-                 "Gstar:n=0,k=1", "H", "H:n=x", "H:n"):
+                 "Gstar:n=0,k=1", "H", "H:n=x", "H:n", "H:n=1,n=2",
+                 "G:n=0,k=1"):
         with pytest.raises(GraphError):
             FamilySpec.parse(text)
     # boundary cases that are valid
@@ -44,7 +45,6 @@ def test_h_shape():
     indep = sorted(inst.sets["independent"])
     assert all(not g.has_edge(u, v)
                for i, u in enumerate(indep) for v in indep[i + 1:])
-    assert g.labels[0] == "apex"
 
     g2 = build(FamilySpec.parse("H:n=2")).graph
     assert g2.n == 12 and len(g2.edges) == 36

@@ -56,8 +56,8 @@ def test_immutability():
         g.n = 5
 
 
-def test_equality_ignores_labels():
-    assert Graph(2, [(0, 1)], {0: "x"}) == Graph(2, [(0, 1)])
+def test_equality_and_hash():
+    assert path(3) == Graph(3, [(1, 2), (0, 1)])
     assert hash(path(3)) == hash(Graph(3, [(1, 2), (0, 1)]))
     assert path(3) != path(4)
 
@@ -87,12 +87,6 @@ def test_disjoint_union_and_copies():
         copies(-1, path(2))
 
 
-def test_disjoint_union_shifts_labels():
-    h = Graph(2, [(0, 1)], {0: "left"})
-    g = disjoint_union(edgeless(3), h)
-    assert g.labels == {3: "left"}
-
-
 def test_join():
     g = join(complete(2), edgeless(3))
     # K2 v 3K1: 1 + 2*3 edges
@@ -117,7 +111,6 @@ def test_subdivide():
     assert g.n == 5 and len(g.edges) == 5
     assert not g.has_edge(0, 1)
     assert g.has_edge(0, 3) and g.has_edge(3, 4) and g.has_edge(4, 1)
-    assert g.labels[3] == g.labels[4] == "subdivision"
     assert subdivide(cycle(3), (0, 1), 0) == cycle(3)
     with pytest.raises(GraphError):
         subdivide(path(3), (0, 2), 1)
@@ -134,11 +127,6 @@ def test_induced_and_delete():
     assert delete(g, []) == g
     with pytest.raises(GraphError):
         induced(g, [7])
-
-
-def test_induced_keeps_labels():
-    g = Graph(3, [(0, 1)], {2: "tag"})
-    assert induced(g, [1, 2]).labels == {1: "tag"}
 
 
 def test_components():

@@ -161,7 +161,7 @@ def _barriers_by_union(g: Graph):
     full = g.full_mask
     for u_mask in range(1, full + 1):  # B = U = empty is no barrier
         rest = full & ~u_mask
-        comps = list(component_masks(adj, rest))
+        comps = component_masks(adj, rest)
         verts = []
         # per v in U: (bit of v, N(v) as a mask, w(v) - 4, p(v))
         for v in iter_bits(u_mask):
@@ -376,7 +376,7 @@ def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
     if w_mask.bit_count() != (a_mask.bit_count() + ell_prime
                               + 2 * big_odd_weight):
         raise CertificateError("|W| differs from |A| + ell' + sum 2t|C_2t+1|")
-    comp_count = sum(1 for _ in component_masks(adj, g.full_mask & ~w_mask))
+    comp_count = len(component_masks(adj, g.full_mask & ~w_mask))
     if comp_count < len(barrier.b) - ell_prime + h_sum:
         raise CertificateError("c(G-W) < |B| - ell' + sum h(u_i)")
     if h_max <= 1 and comp_count < len(barrier.b):

@@ -165,7 +165,7 @@ def _cmd_family(args) -> int:
         payload["graph6"] = graphs.encode_graph6(inst.graph)
     failed = False
     if args.verify:
-        claims = theorems.verify_family(spec)
+        claims = theorems.verify_family(spec, inst)
         payload["claims"] = [asdict(c) for c in claims]
         failed = any(not c.passed for c in claims)
     _emit(payload)

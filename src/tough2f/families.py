@@ -128,23 +128,11 @@ def _build_r(spec: FamilySpec, m: int, a: int, b: int, c: int) -> FamilyInstance
     return FamilyInstance(spec, g, {"apex": frozenset(range(c * m))})
 
 
-def _build_gadget_family(spec: FamilySpec, n: int, subdivisions: int,
-                         apexes: int) -> FamilyInstance:
-    """Shared builder for Gprime/G (subdivisions=1) and Gstar/Ghat (=2)."""
+def _gadget_sets(n: int, subdivisions: int, apexes: int) -> dict:
+    """The named vertex sets of Gprime/G (subdivisions=1) and Gstar/Ghat
+    (=2), numbered as ``_build_gadget_family`` lays the graph out."""
     size = 3 * (2 * n + 1)  # matched vertices per side
     sub = 2 * size          # first subdividing vertex
-    # before the apexes: triangles 0..size-1, clique size..sub-1, then the
-    # matching edge (i, size+i) as a path through `subdivisions` new
-    # vertices, the one nearest the triangle first
-    blocks = graphs.disjoint_union(graphs.copies(2 * n + 1, graphs.complete(3)),
-                                   graphs.complete(size))
-    edges = list(blocks.edges)
-    for i in range(size):
-        first = sub + subdivisions * i
-        chain = [i, *range(first, first + subdivisions), size + i]
-        edges.extend(zip(chain, chain[1:]))
-    g = graphs.join(graphs.complete(apexes),
-                    Graph(sub + subdivisions * size, edges))
 
     def shift(vs):
         return frozenset(v + apexes for v in vs)
@@ -173,8 +161,36 @@ def _build_gadget_family(spec: FamilySpec, n: int, subdivisions: int,
         sets["A"] = sets["apex"]
         if subdivisions == 2:
             sets["B"] = sets["subdivision_far"]
+    return sets
+
+
+def _build_gadget_family(spec: FamilySpec, n: int, subdivisions: int,
+                         apexes: int) -> FamilyInstance:
+    """Shared builder for Gprime/G (subdivisions=1) and Gstar/Ghat (=2)."""
+    size = 3 * (2 * n + 1)  # matched vertices per side
+    sub = 2 * size          # first subdividing vertex
+    # before the apexes: triangles 0..size-1, clique size..sub-1, then the
+    # matching edge (i, size+i) as a path through `subdivisions` new
+    # vertices, the one nearest the triangle first
+    blocks = graphs.disjoint_union(graphs.copies(2 * n + 1, graphs.complete(3)),
+                                   graphs.complete(size))
+    edges = list(blocks.edges)
+    for i in range(size):
+        first = sub + subdivisions * i
+        chain = [i, *range(first, first + subdivisions), size + i]
+        edges.extend(zip(chain, chain[1:]))
+    g = graphs.join(graphs.complete(apexes),
+                    Graph(sub + subdivisions * size, edges))
     matching = tuple((i + apexes, size + i + apexes) for i in range(size))
-    return FamilyInstance(spec, g, sets, matching)
+    return FamilyInstance(spec, g, _gadget_sets(n, subdivisions, apexes),
+                          matching)
+
+
+def _gadget_shape(spec: FamilySpec) -> tuple:
+    """(n, subdivisions, apexes) of a Gprime/G/Gstar/Ghat spec."""
+    n = spec.as_dict["n"]
+    subdivisions = 1 if spec.family in ("Gprime", "G") else 2
+    return n, subdivisions, n if spec.family in ("G", "Ghat") else 0
 
 
 def build(spec: FamilySpec) -> FamilyInstance:
@@ -183,9 +199,7 @@ def build(spec: FamilySpec) -> FamilyInstance:
         return _build_h(spec, p["n"])
     if spec.family == "R":
         return _build_r(spec, p["m"], p["a"], p["b"], p["c"])
-    subdivisions = 1 if spec.family in ("Gprime", "G") else 2
-    apexes = p["n"] if spec.family in ("G", "Ghat") else 0
-    return _build_gadget_family(spec, p["n"], subdivisions, apexes)
+    return _build_gadget_family(spec, *_gadget_shape(spec))
 
 
 # Claimed invariants -----------------------------------------------------------------
@@ -218,12 +232,12 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
     n, k = p["n"], p["k"]
     denom = 3 * (2 * n + 1) + 1
     ratio = 2 - Fraction(n + 3, denom)
-    inst = build(spec)
+    sets = _gadget_sets(*_gadget_shape(spec))
     if spec.family == "G":
         return ExpectedInvariants(
             toughness=ratio,
             has_two_factor=False,
-            claimed_cut=(inst.sets["W"], denom, ratio),
+            claimed_cut=(sets["W"], denom, ratio),
             claimed_patterns=(ForestPattern((5,), k),),
             connectivity_at_least=k + 1,
         )
@@ -231,8 +245,8 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
     return ExpectedInvariants(
         toughness=ratio,
         has_two_factor=False,
-        claimed_barrier=(inst.sets["A"], inst.sets["B"], -2),
-        claimed_cut=(inst.sets["W"], denom, ratio),
+        claimed_barrier=(sets["A"], sets["B"], -2),
+        claimed_cut=(sets["W"], denom, ratio),
         claimed_patterns=(ForestPattern((7,), k), ForestPattern((6,), k)),
         connectivity_at_least=k + 2,
     )

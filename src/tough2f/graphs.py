@@ -78,8 +78,7 @@ class Graph:
         return 2 * len(self.edges) == self.n * (self.n - 1)
 
     def is_connected(self) -> bool:
-        full = self.full_mask
-        return next(component_masks(self.adj, full), full) == full
+        return len(component_masks(self.adj, self.full_mask)) <= 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -137,9 +136,10 @@ def copies(a: int, h: Graph) -> Graph:
 
 
 def join(g: Graph, h: Graph) -> Graph:
-    base = disjoint_union(g, h)
-    cross = [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
-    return Graph(base.n, list(base.edges) + cross)
+    off = g.n
+    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
+    edges += [(u, v + off) for u in range(g.n) for v in range(h.n)]
+    return Graph(g.n + h.n, edges)
 
 
 def add_matching(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -197,24 +197,28 @@ def delete(g: Graph, s) -> Graph:
     return induced(g, [v for v in range(g.n) if v not in drop])
 
 
-def component_masks(adj, avail: int) -> Iterator[int]:
-    """Yield the connected components of the subgraph induced on the
-    ``avail`` bitmask, as bitmasks, in order of their lowest vertex.
+def component_masks(adj, avail: int) -> list[int]:
+    """The connected components of the subgraph induced on the ``avail``
+    bitmask, as a list of bitmasks in order of their lowest vertex.
 
-    A caller that only needs to know whether some count is reachable may
-    stop early.
+    This is the package's one component routine: connectivity, component
+    counts, the toughness cut kernel and the barrier searches all call it.
     """
-    rest = avail
-    while rest:
-        todo = rest & -rest
-        free = rest ^ todo  # not yet reached from the component's root
+    comps = []
+    while avail:
+        todo = avail & -avail
+        free = avail ^ todo  # not yet reached from the component's root
         while todo:
             bit = todo & -todo
             new = adj[bit.bit_length() - 1] & free
-            free ^= new
+            if new:
+                free ^= new
+                if not free:
+                    break  # every vertex left is in this component
             todo ^= bit | new
-        yield rest ^ free
-        rest = free
+        comps.append(avail ^ free)
+        avail = free
+    return comps
 
 
 def components(g: Graph) -> tuple[frozenset, ...]:
@@ -225,7 +229,7 @@ def components(g: Graph) -> tuple[frozenset, ...]:
 
 def count_components(g: Graph, removed=()) -> int:
     avail = g.full_mask & ~vertex_mask(g, removed)
-    return sum(1 for _ in component_masks(g.adj, avail))
+    return len(component_masks(g.adj, avail))
 
 
 # graph6 interchange ------------------------------------------------------------

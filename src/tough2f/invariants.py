@@ -177,33 +177,49 @@ def _cut_records(g: Graph, num: int, den: int):
     through those masks in increasing order on the graph relabelled by
     v -> n-1-v, which is the lexicographic order of S in the original
     labels. A cut beats num/den only with c_min = floor(|S| den/num) + 1
-    components, so its count stops once the vertices left unseen cannot
-    reach c_min.
+    components.
+
+    The walk ends once c_min exceeds alpha(G). One vertex from each
+    component of G - S is an independent set, so c(G - S) <= alpha(G)
+    (Chvatal 1973), and c_min never falls: it grows with |S|, and a yield
+    only lowers num/den. So every cut the stop skips has too few
+    components to be yielded, and the records, the last of which is the
+    toughness witness, are the ones the full walk gives. alpha is computed
+    the first time c_min exceeds 2, since alpha >= 2 for a connected
+    non-complete graph.
     """
     n, full = g.n, g.full_mask
     radj = [0] * n
     for u, v in g.edges:
         radj[n - 1 - u] |= 1 << (n - 1 - v)
         radj[n - 1 - v] |= 1 << (n - 1 - u)
+    alpha = 0  # alpha(G), once computed
+
+    def beyond_alpha(c_min: int) -> bool:
+        nonlocal alpha
+        if c_min <= 2:
+            return False
+        if not alpha:
+            alpha = independence_number(g)[0]
+        return c_min > alpha
+
     for size in range(1, n - 1):
         left = n - size
         if size * den >= num * left:
             return  # every cut of this size has ratio >= size/left
         c_min = max(2, size * den // num + 1)
+        if beyond_alpha(c_min):
+            return
         rest = (1 << left) - 1
         while rest <= full:
-            count = 0
-            unseen = rest
-            for comp in component_masks(radj, rest):
-                count += 1
-                unseen ^= comp
-                if count + unseen.bit_count() < c_min:
-                    break
-            else:
+            count = len(component_masks(radj, rest))
+            if count >= c_min:
                 yield size, count, frozenset(
                     n - 1 - b for b in iter_bits(full & ~rest))
                 num, den = size, count
-                c_min = size * den // num + 1
+                c_min = count + 1
+                if beyond_alpha(c_min):
+                    return
             low = rest & -rest
             ripple = rest + low
             rest = (((ripple ^ rest) >> 2) // low) | ripple

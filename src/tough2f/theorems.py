@@ -346,15 +346,17 @@ class ClaimResult:
 EXACT_TOUGHNESS_CAP = 18
 
 
-def verify_family(spec: families.FamilySpec) -> list:
+def verify_family(spec: families.FamilySpec,
+                  inst: families.FamilyInstance | None = None) -> list:
     """Check every verifiable claimed invariant of a family instance.
 
-    Claims out of exact reach (toughness of the order >= 28 constructions)
-    are verified one-sidedly through the distinguished cut W.
+    ``inst`` is ``build(spec)`` when the caller already holds it; otherwise
+    it is built here. Claims out of exact reach (toughness of the
+    order >= 28 constructions) are verified one-sidedly through the
+    distinguished cut W.
     """
-    inst = families.build(spec)
+    g = (inst or families.build(spec)).graph
     exp = families.expected(spec)
-    g = inst.graph
     results: list[ClaimResult] = []
 
     def record(name, passed, detail=""):

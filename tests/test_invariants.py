@@ -200,6 +200,32 @@ def test_is_t_tough():
         is_t_tough(cycle(5), 0)
 
 
+def test_alpha_stop_matches_oracle():
+    # c(G - S) <= alpha(G) ends the cut walk early; on these graphs the
+    # records it gives must be the full walk's, witness included
+    rng = random.Random(29)
+    thresholds = [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(7, 4),
+                  Fraction(2)]
+    checked = stopped = 0
+    while checked < 25:
+        g = random_graph(rng, rng.randint(8, 11), rng.uniform(0.2, 0.9))
+        if g.is_complete() or not g.is_connected():
+            continue
+        checked += 1
+        tau, witness = brute_toughness(g)
+        result = toughness(g)
+        assert (result.value, result.witness) == (tau, witness), g.edges
+        for t in thresholds:
+            assert is_t_tough(g, t) == (tau >= t), (g.edges, t)
+        # does the walk for toughness reach a size whose c_min is above alpha
+        # before the ratio bound ends it?
+        alpha = independence_number(g)[0]
+        stopped += any(size * tau.denominator // tau.numerator + 1 > alpha
+                       for size in range(1, g.n - 1)
+                       if size < tau * (g.n - size))
+    assert stopped >= 5
+
+
 def test_is_t_tough_agrees_with_toughness():
     rng = random.Random(19)
     thresholds = [Fraction(1, 2), Fraction(1), Fraction(4, 3), Fraction(2)]

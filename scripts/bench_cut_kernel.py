@@ -3,12 +3,10 @@
 Three measurements, each made on the tough2f tree given by ``--src``:
 
 - ``hunt_is_t_tough_s``: seconds for the ``is_t_tough`` threshold queries
-  that one pass of the ``hunt-shared`` benchmark workload makes. The
-  corpus is that workload's (``bench/workloads.py``: seeded random connected
-  graphs of orders 8-11, hunted in chunks by the 23 criterion-5
-  configurations with one ``GraphFacts`` per graph). The queries are
-  recorded in one untimed hunt and then replayed, the median of
-  ``--repeats`` replays.
+  that one pass of the benchmark's ``hunt-shared`` workload makes, as
+  ``bench/workloads.py`` sets it up for seed 3 and the default ``Sizes``.
+  The queries are recorded while the pass runs once, untimed, and then
+  replayed: the median of 5 replays.
 - ``toughness_H3_s``: ``toughness`` on H(3), order 17.
 - ``is_t_tough_H4_1_s``: ``is_t_tough(H(4), 1)``, order 22.
 
@@ -16,8 +14,8 @@ The run also counts the ``component_masks`` calls the kernel makes over the
 hunt queries, one per cut mask it looks at, split by the query's answer
 (``hunt_masks_yes``, ``hunt_masks_no``), and times the benchmark's
 reference kernel, so that runs on hosts of different speed can be told
-apart. Results are merged into ``--out`` under ``--label``, so a parent
-tree and a changed tree can be recorded side by side:
+apart. Results are merged into BENCH_cut_kernel.json under ``--label``, so
+a parent tree and a changed tree can be recorded side by side:
 
     python3 scripts/bench_cut_kernel.py --src ../parent/src --label parent
     python3 scripts/bench_cut_kernel.py --label change
@@ -35,6 +33,9 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_cut_kernel.json"
+SEED = 3
+REPEATS = 5
 
 
 def timed(fn, repeats: int) -> tuple:
@@ -54,20 +55,16 @@ def main(argv=None) -> int:
                     help="directory holding the tough2f package to measure")
     ap.add_argument("--label", required=True,
                     help="name of this run's entry in the output file")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_cut_kernel.json")
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--graphs", type=int, default=800)
-    ap.add_argument("--chunk", type=int, default=100)
-    ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
 
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
-    from tough2f import invariants, theorems
+    from tough2f import invariants
     from tough2f.families import FamilySpec, build
     import reference
     import workloads
 
-    corpus = workloads.hunt_corpus(args.seed, args.graphs)
+    inputs = workloads.setup_hunt_shared(SEED, workloads.Sizes(), ROOT,
+                                         in_process=True)
     queries = []
     is_t_tough = invariants.is_t_tough
 
@@ -77,10 +74,8 @@ def main(argv=None) -> int:
 
     invariants.is_t_tough = recording
     try:
-        facts = [theorems.GraphFacts(g) for g in corpus]
-        for spec in workloads.hunt_grid():
-            for i in range(0, len(facts), args.chunk):
-                theorems.hunt(facts[i:i + args.chunk], spec)
+        for call in inputs.make_pass():
+            call.run()
     finally:
         invariants.is_t_tough = is_t_tough
 
@@ -107,7 +102,7 @@ def main(argv=None) -> int:
         for g, t in queries:
             is_t_tough(g, t)
 
-    hunt_s, hunt_all, _ = timed(replay, args.repeats)
+    hunt_s, hunt_all, _ = timed(replay, REPEATS)
     h3 = build(FamilySpec.parse("H:n=3")).graph
     h4 = build(FamilySpec.parse("H:n=4")).graph
     h3_s, h3_all, tau = timed(lambda: invariants.toughness(h3), 3)
@@ -118,9 +113,8 @@ def main(argv=None) -> int:
     entry = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "corpus_seed": args.seed,
-        "corpus_graphs": args.graphs,
-        "hunt_chunk": args.chunk,
+        "corpus_seed": SEED,
+        "corpus": inputs.corpus,
         "reference_kernel_ms": 1000 * statistics.median(
             reference.sample() for _ in range(21)),
         "hunt_queries": len(queries),
@@ -136,9 +130,9 @@ def main(argv=None) -> int:
         "is_t_tough_H4_1": h4_tough,
         "is_t_tough_H4_1_s": round(h4_s, 3),
     }
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data.setdefault("runs", {})[args.label] = entry
-    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps({args.label: entry}, sort_keys=True))
     return 0
 

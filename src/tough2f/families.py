@@ -128,11 +128,25 @@ def _build_r(spec: FamilySpec, m: int, a: int, b: int, c: int) -> FamilyInstance
     return FamilyInstance(spec, g, {"apex": frozenset(range(c * m))})
 
 
-def _gadget_sets(n: int, subdivisions: int, apexes: int) -> dict:
-    """The named vertex sets of Gprime/G (subdivisions=1) and Gstar/Ghat
-    (=2), numbered as ``_build_gadget_family`` lays the graph out."""
+def _gadget_shape(spec: FamilySpec) -> tuple:
+    """(n, subdivisions, apexes, size, sub) of a Gprime/G (subdivisions=1)
+    or Gstar/Ghat (=2) spec.
+
+    The apexes come first; after them, the triangles are 0..size-1, the
+    clique size..sub-1, and matching edge (i, size+i) runs through the
+    subdividing vertices from sub + subdivisions*i on, the one nearest the
+    triangle first.
+    """
+    n = spec.as_dict["n"]
+    subdivisions = 1 if spec.family in ("Gprime", "G") else 2
+    apexes = n if spec.family in ("G", "Ghat") else 0
     size = 3 * (2 * n + 1)  # matched vertices per side
-    sub = 2 * size          # first subdividing vertex
+    return n, subdivisions, apexes, size, 2 * size
+
+
+def _gadget_sets(shape: tuple) -> dict:
+    """The named vertex sets of a gadget family of the given shape."""
+    _, subdivisions, apexes, size, sub = shape
 
     def shift(vs):
         return frozenset(v + apexes for v in vs)
@@ -164,14 +178,10 @@ def _gadget_sets(n: int, subdivisions: int, apexes: int) -> dict:
     return sets
 
 
-def _build_gadget_family(spec: FamilySpec, n: int, subdivisions: int,
-                         apexes: int) -> FamilyInstance:
-    """Shared builder for Gprime/G (subdivisions=1) and Gstar/Ghat (=2)."""
-    size = 3 * (2 * n + 1)  # matched vertices per side
-    sub = 2 * size          # first subdividing vertex
-    # before the apexes: triangles 0..size-1, clique size..sub-1, then the
-    # matching edge (i, size+i) as a path through `subdivisions` new
-    # vertices, the one nearest the triangle first
+def _build_gadget_family(spec: FamilySpec) -> FamilyInstance:
+    """Shared builder for Gprime/G, Gstar/Ghat, laid out by _gadget_shape."""
+    shape = _gadget_shape(spec)
+    n, subdivisions, apexes, size, sub = shape
     blocks = graphs.disjoint_union(graphs.copies(2 * n + 1, graphs.complete(3)),
                                    graphs.complete(size))
     edges = list(blocks.edges)
@@ -182,15 +192,7 @@ def _build_gadget_family(spec: FamilySpec, n: int, subdivisions: int,
     g = graphs.join(graphs.complete(apexes),
                     Graph(sub + subdivisions * size, edges))
     matching = tuple((i + apexes, size + i + apexes) for i in range(size))
-    return FamilyInstance(spec, g, _gadget_sets(n, subdivisions, apexes),
-                          matching)
-
-
-def _gadget_shape(spec: FamilySpec) -> tuple:
-    """(n, subdivisions, apexes) of a Gprime/G/Gstar/Ghat spec."""
-    n = spec.as_dict["n"]
-    subdivisions = 1 if spec.family in ("Gprime", "G") else 2
-    return n, subdivisions, n if spec.family in ("G", "Ghat") else 0
+    return FamilyInstance(spec, g, _gadget_sets(shape), matching)
 
 
 def build(spec: FamilySpec) -> FamilyInstance:
@@ -199,7 +201,7 @@ def build(spec: FamilySpec) -> FamilyInstance:
         return _build_h(spec, p["n"])
     if spec.family == "R":
         return _build_r(spec, p["m"], p["a"], p["b"], p["c"])
-    return _build_gadget_family(spec, *_gadget_shape(spec))
+    return _build_gadget_family(spec)
 
 
 # Claimed invariants -----------------------------------------------------------------
@@ -232,7 +234,7 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
     n, k = p["n"], p["k"]
     denom = 3 * (2 * n + 1) + 1
     ratio = 2 - Fraction(n + 3, denom)
-    sets = _gadget_sets(*_gadget_shape(spec))
+    sets = _gadget_sets(_gadget_shape(spec))
     if spec.family == "G":
         return ExpectedInvariants(
             toughness=ratio,

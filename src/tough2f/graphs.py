@@ -122,10 +122,14 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
+def _union_edges(g: Graph, h: Graph) -> list:
+    """The edges of g and of h, with h's vertices shifted past g's."""
     off = g.n
-    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
-    return Graph(g.n + h.n, edges)
+    return list(g.edges) + [(u + off, v + off) for u, v in h.edges]
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph(g.n + h.n, _union_edges(g, h))
 
 
 def copies(a: int, h: Graph) -> Graph:
@@ -136,10 +140,8 @@ def copies(a: int, h: Graph) -> Graph:
 
 
 def join(g: Graph, h: Graph) -> Graph:
-    off = g.n
-    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
-    edges += [(u, v + off) for u in range(g.n) for v in range(h.n)]
-    return Graph(g.n + h.n, edges)
+    cross = [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
+    return Graph(g.n + h.n, _union_edges(g, h) + cross)
 
 
 def add_matching(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:

@@ -355,7 +355,11 @@ def verify_family(spec: families.FamilySpec,
     order >= 28 constructions) are verified one-sidedly through the
     distinguished cut W.
     """
-    g = (inst or families.build(spec)).graph
+    if inst is None:
+        inst = families.build(spec)
+    elif inst.spec != spec:
+        raise GraphError(f"instance of {inst.spec} given for {spec}")
+    g = inst.graph
     exp = families.expected(spec)
     results: list[ClaimResult] = []
 

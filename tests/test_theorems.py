@@ -252,6 +252,13 @@ def test_verify_family_ghat():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+def test_verify_family_takes_only_its_own_instance():
+    spec = FamilySpec.parse("R:m=1,a=2,b=1,c=3")
+    assert verify_family(spec, build(spec)) == verify_family(spec)
+    with pytest.raises(GraphError):
+        verify_family(spec, build(FamilySpec.parse("H:n=1")))
+
+
 def test_verify_family_gprime():
     results = verify_family(FamilySpec.parse("Gprime:n=1,k=1"))
     names = {r.name for r in results}

@@ -8,7 +8,11 @@ for family instances:
 - ``matching`` and ``gadget_matching``: the sorted edges of
   ``max_matching`` on the graph and on its Tutte gadget (when every degree
   is at least 2), which pin the blossom search's mate array;
-- ``alpha``: ``independence_number``'s value and sorted witness.
+- ``alpha``: ``independence_number``'s value and sorted witness;
+- ``gadgets``: for seeded random hosts of orders 10-24, the sha256 of the
+  sorted edges of ``max_matching`` on the host's gadget (orders up to a
+  few hundred, where blossoms nest and a changed contraction order shows
+  up as a different maximum matching of the same size).
 
 A faster kernel must reproduce all of them. After a deliberate change to
 what a kernel returns, record them again with
@@ -16,6 +20,7 @@ what a kernel returns, record them again with
     PYTHONPATH=src python tests/test_kernel_golden.py
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -34,6 +39,8 @@ GOLDEN = Path(__file__).with_name("kernel_golden.json")
 
 RANDOM_SEED = 47
 RANDOM_GRAPHS = 90  # orders 6..14, ten of each
+GADGET_SEED = 53
+GADGET_HOSTS = 300
 
 # (spec, pin alpha too); alpha on Ghat(2,k) is left out for its running time
 FAMILIES = (
@@ -47,6 +54,21 @@ def random_graphs() -> list:
     rng = random.Random(RANDOM_SEED)
     return [random_graph(rng, 6 + i % 9, rng.uniform(0.2, 0.8))
             for i in range(RANDOM_GRAPHS)]
+
+
+def gadget_hosts() -> list:
+    rng = random.Random(GADGET_SEED)
+    hosts = []
+    while len(hosts) < GADGET_HOSTS:
+        g = random_graph(rng, rng.randint(10, 24), rng.uniform(0.1, 0.45))
+        if all(g.degree(v) >= 2 for v in range(g.n)):
+            hosts.append(g)
+    return hosts
+
+
+def gadget_digest(g) -> str:
+    edges = sorted(max_matching(build_gadget(g).graph).edges)
+    return hashlib.sha256(repr(edges).encode()).hexdigest()
 
 
 def pairs(edges) -> list:
@@ -75,6 +97,8 @@ def record_all() -> dict:
                       for g in random_graphs()]}
     out["families"] = {text: record(build(FamilySpec.parse(text)).graph, alpha)
                        for text, alpha in FAMILIES}
+    out["gadgets"] = [[encode_graph6(g), gadget_digest(g)]
+                      for g in gadget_hosts()]
     return out
 
 
@@ -87,6 +111,8 @@ def test_golden_covers_every_input(golden):
     assert [entry["graph6"] for entry in golden["random"]] == [
         encode_graph6(g) for g in random_graphs()]
     assert sorted(golden["families"]) == sorted(text for text, _ in FAMILIES)
+    assert [host for host, _ in golden["gadgets"]] == [
+        encode_graph6(g) for g in gadget_hosts()]
 
 
 @pytest.mark.parametrize("index", range(RANDOM_GRAPHS))
@@ -102,6 +128,12 @@ def test_family_kernels(text, alpha, golden):
     assert record(g, alpha) == golden["families"][text]
 
 
+def test_gadget_matchings(golden):
+    changed = [host for host, digest in golden["gadgets"]
+               if gadget_digest(decode_graph6(host)) != digest]
+    assert changed == []
+
+
 def dump(data: dict) -> str:
     """One entry per line, so a changed answer shows as one changed line."""
     lines = ['{"families": {']
@@ -109,7 +141,11 @@ def dump(data: dict) -> str:
     lines += [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
               + ("," if i < len(fams) - 1 else "")
               for i, (k, v) in enumerate(fams)]
-    lines.append('}, "random": [')
+    lines.append('}, "gadgets": [')
+    lines += [f" {json.dumps(e)}" + ("," if i < len(data["gadgets"]) - 1
+                                    else "")
+              for i, e in enumerate(data["gadgets"])]
+    lines.append('], "random": [')
     lines += [f" {json.dumps(e, sort_keys=True)}"
               + ("," if i < len(data["random"]) - 1 else "")
               for i, e in enumerate(data["random"])]

@@ -12,10 +12,10 @@ Three measurements, each made on the tough2f tree given by ``--src``:
 
 The run also counts the ``component_masks`` calls the kernel makes over the
 hunt queries, one per cut mask it looks at, split by the query's answer
-(``hunt_masks_yes``, ``hunt_masks_no``), and times the benchmark's
-reference kernel, so that runs on hosts of different speed can be told
-apart. Results are merged into BENCH_cut_kernel.json under ``--label``, so
-a parent tree and a changed tree can be recorded side by side:
+(``hunt_masks_yes``, ``hunt_masks_no``). Results and the provenance of
+``benchkit.provenance`` are merged into BENCH_cut_kernel.json under
+``--label``, so a parent tree and a changed tree can be recorded side by
+side:
 
     python3 scripts/bench_cut_kernel.py --src ../parent/src --label parent
     python3 scripts/bench_cut_kernel.py --label change
@@ -23,44 +23,20 @@ a parent tree and a changed tree can be recorded side by side:
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import platform
-import statistics
 import sys
-from pathlib import Path
-from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+from benchkit import ROOT, parse_args, provenance, save, timed
+
 OUT = ROOT / "BENCH_cut_kernel.json"
 SEED = 3
 REPEATS = 5
 
 
-def timed(fn, repeats: int) -> tuple:
-    """(median seconds, every repeat's seconds, the last result)."""
-    times = []
-    result = None
-    for _ in range(repeats):
-        start = perf_counter()
-        result = fn()
-        times.append(perf_counter() - start)
-    return statistics.median(times), times, result
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory holding the tough2f package to measure")
-    ap.add_argument("--label", required=True,
-                    help="name of this run's entry in the output file")
-    args = ap.parse_args(argv)
-
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+    args = parse_args(__doc__.splitlines()[0], argv)
     from tough2f import invariants
     from tough2f.families import FamilySpec, build
-    import reference
     import workloads
 
     inputs = workloads.setup_hunt_shared(SEED, workloads.Sizes(), ROOT,
@@ -111,12 +87,9 @@ def main(argv=None) -> int:
                                   in zip(queries, answers)]).encode())
 
     entry = {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
+        **provenance(),
         "corpus_seed": SEED,
         "corpus": inputs.corpus,
-        "reference_kernel_ms": 1000 * statistics.median(
-            reference.sample() for _ in range(21)),
         "hunt_queries": len(queries),
         "hunt_yes": sum(answers),
         "hunt_queries_sha256": digest.hexdigest(),
@@ -130,10 +103,7 @@ def main(argv=None) -> int:
         "is_t_tough_H4_1": h4_tough,
         "is_t_tough_H4_1_s": round(h4_s, 3),
     }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data.setdefault("runs", {})[args.label] = entry
-    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({args.label: entry}, sort_keys=True))
+    save(OUT, args.label, entry)
     return 0
 
 

@@ -2,10 +2,13 @@
 connectivity and toughness.
 
 Toughness and the independence number are NP-hard in general; the searches
-here are exact and exhaustive with pruning, practical up to roughly order 24
-for toughness and order 40 for independence on sparse inputs. Connectivity
-uses unit-capacity vertex-split maximum flow (Menger), run only on the pairs
-that Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
+here are exact and exhaustive with pruning. Toughness is practical up to
+roughly order 24. The independence search also prunes on a greedy clique
+cover, which bounds alpha from above, and returns the same alpha and
+witness as without it; it takes well under a second on random graphs of
+order 80 and on the paper's constructions. Connectivity uses unit-capacity
+vertex-split maximum flow (Menger), run only on the pairs that
+Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
 minimum degree against each non-neighbour, and each non-adjacent pair of
 neighbours of v. So it scales further.
 """
@@ -31,10 +34,31 @@ def independence_number(g: Graph) -> tuple[int, frozenset]:
     """alpha(G) with a witnessing independent set.
 
     Branch and bound on the highest-degree remaining vertex, seeded with a
-    greedy (min-degree-first) solution.
+    greedy (min-degree-first) solution. A node is pruned when even all its
+    remaining vertices, or one vertex from each clique of a greedy clique
+    cover of them, could not beat the best set so far: an independent set
+    meets each clique at most once, so the cover's size bounds alpha of the
+    remaining graph (the colouring bound of Tomita and Seki, DMTCS 2003,
+    on the complement). The best set changes only on a strictly larger
+    set, which a pruned node cannot hold, so alpha and the witness are
+    those of the unpruned search.
     """
     adj = g.adj
     full = g.full_mask
+
+    def cover(avail: int) -> int:
+        """Cliques in a greedy clique cover of ``avail``, lowest first."""
+        cliques = 0
+        while avail:
+            low = avail & -avail
+            grow = adj[low.bit_length() - 1] & avail
+            avail ^= low
+            while grow:
+                low = grow & -grow
+                avail ^= low
+                grow &= adj[low.bit_length() - 1]
+            cliques += 1
+        return cliques
 
     def greedy(avail: int) -> int:
         chosen = 0
@@ -50,7 +74,7 @@ def independence_number(g: Graph) -> tuple[int, frozenset]:
     def expand(avail: int, chosen: int, size: int):
         nonlocal best, best_set
         count = avail.bit_count()
-        if size + count <= best:
+        if size + count <= best or size + cover(avail) <= best:
             return
         v = -1
         vdeg = -1

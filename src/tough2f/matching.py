@@ -5,7 +5,11 @@ host edges, to a perfect matching of the gadget graph: each host vertex v
 contributes d(v) edge-slot vertices and d(v)-2 core vertices, joined
 completely bipartitely; each host edge becomes a single gadget edge between
 the slots it occupies at its two endpoints. Maximum matching is computed by
-an unweighted Edmonds blossom search with a greedy initial matching.
+an unweighted Edmonds blossom search with a greedy initial matching
+(Edmonds, "Paths, trees, and flowers", 1965). Its blossom bases are kept in
+a union-find, a contraction touches only the two tree paths it closes, and
+the vertices it makes outer are enqueued in increasing index order, so the
+matching found is the one a full rescan of the bases would find.
 
 ``brute_force_two_factor`` is the independent oracle: exhaustive per-vertex
 choice of 2 incident edges.
@@ -75,7 +79,20 @@ def build_gadget(g: Graph) -> GadgetGraph:
 # Edmonds blossom maximum matching ------------------------------------------------
 
 def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """mate array of a maximum matching (-1 for exposed vertices)."""
+    """mate array of a maximum matching (-1 for exposed vertices).
+
+    ``adj`` lists each vertex's neighbours in increasing order. A greedy
+    matching is grown by one single-root search per exposed vertex. The
+    blossom bases live in a union-find (``link``; a root is its blossom's
+    base). A contraction walks only the two tree paths up to the stem,
+    collects the bases on them, and links those bases to the stem only after
+    both walks, so each walk sees the bases as they were. The inner vertices
+    it makes outer are enqueued in increasing index order, the order a scan
+    over all vertices would give, so the mate array is the one that such a
+    scan finds. Each search
+    resets only the vertices that the previous one touched. When a search
+    fails, ``used`` marks exactly the outer vertices of its tree.
+    """
     mate = [-1] * n
     for v in range(n):
         if mate[v] == -1:
@@ -86,55 +103,84 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
                     break
 
     parent = [-1] * n
-    base = list(range(n))
+    link = list(range(n))
+    used = [False] * n
+    stamp = [0] * n
+    clock = 0
+    tree: list[int] = []    # vertices given a parent by the current search
+    linked: list[int] = []  # bases linked to a stem by the current search
+    outer: list[int] = []   # vertices marked used by the current search
+
+    def find(v: int) -> int:
+        root = v
+        while link[root] != root:
+            root = link[root]
+        while link[v] != root:
+            link[v], v = root, link[v]
+        return root
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        nonlocal clock
+        clock += 1
         while True:
-            a = base[a]
-            seen[a] = True
+            a = find(a)
+            stamp[a] = clock
             if mate[a] == -1:
                 break
             a = parent[mate[a]]
         while True:
-            b = base[b]
-            if seen[b]:
+            b = find(b)
+            if stamp[b] == clock:
                 return b
             b = parent[mate[b]]
 
-    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]):
-        while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+    def mark_path(v: int, stem: int, child: int, bases: list[int]):
+        while (b := find(v)) != stem:
+            bases.append(b)
+            bases.append(find(mate[v]))
             parent[v] = child
+            tree.append(v)
             child = mate[v]
-            v = parent[mate[v]]
+            v = parent[child]
 
     def find_augmenting_path(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        used = [False] * n
+        for v in tree:
+            parent[v] = -1
+        for v in linked:
+            link[v] = v
+        for v in outer:
+            used[v] = False
+        tree.clear()
+        linked.clear()
+        outer.clear()
         used[root] = True
+        outer.append(root)
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            v_base = find(v)
             for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
+                if mate[v] == to or v_base == (
+                        to if link[to] == to else find(to)):
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                    stem = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, stem, to, in_blossom)
-                    mark_path(to, stem, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = stem
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    stem = v_base = lca(v, to)
+                    bases: list[int] = []
+                    mark_path(v, stem, to, bases)
+                    mark_path(to, stem, v, bases)
+                    # a vertex outside ``used`` is its own blossom's only
+                    # member, so the unused bases are all that turn outer
+                    for b in sorted(set(bases)):
+                        if b != stem:
+                            link[b] = stem
+                            linked.append(b)
+                        if not used[b]:
+                            used[b] = True
+                            outer.append(b)
+                            queue.append(b)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree.append(to)
                     if mate[to] == -1:
                         # augment along the alternating path back to root
                         u = to
@@ -146,6 +192,7 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
                             u = nxt
                         return True
                     used[mate[to]] = True
+                    outer.append(mate[to])
                     queue.append(mate[to])
         return False
 
@@ -156,7 +203,11 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
 
 
 def max_matching(h: Graph) -> Matching:
-    adj = [sorted(h.neighbors(v)) for v in range(h.n)]
+    # h.edges is sorted, so each neighbour list comes out sorted
+    adj: list[list[int]] = [[] for _ in range(h.n)]
+    for u, v in h.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     mate = _blossom_matching(h.n, adj)
     edges = frozenset((v, mate[v]) for v in range(h.n)
                       if mate[v] > v)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from tough2f import (
@@ -23,9 +24,9 @@ from tough2f import (
     toughness,
 )
 from tough2f.families import build, FamilySpec
-from tough2f.graphs import count_components
+from tough2f.graphs import complement, count_components
 
-from conftest import random_graph
+from conftest import graph_to_nx, random_graph
 
 
 def petersen() -> Graph:
@@ -166,16 +167,43 @@ def test_chvatal_independence_bound():
         assert toughness(g).value <= Fraction(g.n - alpha, alpha)
 
 
+def nx_alpha(g: Graph) -> int:
+    return nx.max_weight_clique(graph_to_nx(complement(g)), weight=None)[1]
+
+
+def assert_alpha_witness(g: Graph, alpha: int, witness) -> None:
+    assert len(witness) == alpha
+    assert all(not g.has_edge(u, v) for u, v in combinations(witness, 2))
+
+
 def test_alpha_and_kappa_match_oracles():
     rng = random.Random(17)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.0, 1.0))
         alpha, witness = independence_number(g)
         assert alpha == brute_alpha(g)
-        assert len(witness) == alpha
-        assert all(not g.has_edge(u, v) for u, v in combinations(witness, 2))
+        assert_alpha_witness(g, alpha, witness)
         if g.n >= 1:
             assert connectivity(g) == brute_kappa(g)
+
+
+def test_alpha_matches_networkx_at_order_40():
+    # past brute_alpha's reach, where the clique-cover bound does the pruning
+    rng = random.Random(37)
+    for i in range(40):
+        g = random_graph(rng, 20 + i % 21, rng.uniform(0.1, 0.6))
+        alpha, witness = independence_number(g)
+        assert alpha == nx_alpha(g)
+        assert_alpha_witness(g, alpha, witness)
+
+
+@pytest.mark.parametrize("text,alpha", [
+    ("Gstar:n=1,k=1", 13), ("Ghat:n=1,k=1", 13), ("Ghat:n=2,k=1", 21)])
+def test_alpha_of_constructions(text, alpha):
+    g = build(FamilySpec.parse(text)).graph
+    value, witness = independence_number(g)
+    assert value == alpha == nx_alpha(g)
+    assert_alpha_witness(g, value, witness)
 
 
 def test_connectivity_conventions():

@@ -136,21 +136,14 @@ def test_gadget_matchings(golden):
 
 def dump(data: dict) -> str:
     """One entry per line, so a changed answer shows as one changed line."""
-    lines = ['{"families": {']
-    fams = sorted(data["families"].items())
-    lines += [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
-              + ("," if i < len(fams) - 1 else "")
-              for i, (k, v) in enumerate(fams)]
-    lines.append('}, "gadgets": [')
-    lines += [f" {json.dumps(e)}" + ("," if i < len(data["gadgets"]) - 1
-                                    else "")
-              for i, e in enumerate(data["gadgets"])]
-    lines.append('], "random": [')
-    lines += [f" {json.dumps(e, sort_keys=True)}"
-              + ("," if i < len(data["random"]) - 1 else "")
-              for i, e in enumerate(data["random"])]
-    lines.append("]}")
-    return "\n".join(lines) + "\n"
+    def lines(entries):
+        return ",\n".join(f" {entry}" for entry in entries)
+    families = lines(f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+                     for k, v in sorted(data["families"].items()))
+    gadgets = lines(json.dumps(e) for e in data["gadgets"])
+    graphs = lines(json.dumps(e, sort_keys=True) for e in data["random"])
+    return (f'{{"families": {{\n{families}\n}}, "gadgets": [\n{gadgets}\n'
+            f'], "random": [\n{graphs}\n]}}\n')
 
 
 if __name__ == "__main__":

@@ -85,6 +85,31 @@ def test_max_matching_matches_networkx():
         assert len(max_matching(g).edges) == len(theirs)
 
 
+def nx_matching_size(h) -> int:
+    return len(nx.max_weight_matching(graph_to_nx(h), maxcardinality=True))
+
+
+def test_gadget_matching_matches_networkx():
+    # gadgets of orders up to a few hundred, where blossoms nest deeply
+    rng = random.Random(41)
+    checked = 0
+    while checked < 30:
+        g = random_graph(rng, rng.randint(8, 20), rng.uniform(0.15, 0.5))
+        if any(g.degree(v) < 2 for v in range(g.n)):
+            continue
+        h = build_gadget(g).graph
+        assert len(max_matching(h).edges) == nx_matching_size(h)
+        checked += 1
+
+
+@pytest.mark.parametrize("text", ["G:n=1,k=1", "Ghat:n=1,k=1"])
+def test_family_gadget_matching_matches_networkx(text):
+    h = build_gadget(build(FamilySpec.parse(text)).graph).graph
+    m = max_matching(h)
+    assert len(m.edges) == nx_matching_size(h)
+    assert not m.covers(h.n)  # neither construction has a 2-factor
+
+
 def test_matching_covers():
     assert max_matching(cycle(4)).covers(4)
     assert not max_matching(cycle(5)).covers(5)

@@ -9,11 +9,15 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
   ``hunt-shared`` corpus, as ``bench/workloads.py`` draws it for seed 3
   and the default ``Sizes`` (800 graphs of orders 8-11);
 - ``two_factor_<spec>_s``: ``find_two_factor`` on Ghat(2,2) and Ghat(3,3),
-  orders 62 and 87, and ``gadget_matching_<spec>_s``: ``max_matching`` on
-  their gadgets alone, orders 1020 and 2022.
+  orders 62 and 87; ``build_gadget_<spec>_s``: ``build_gadget`` alone on
+  them; and ``gadget_matching_<spec>_s``: ``max_matching`` on their gadgets
+  alone, orders 1020 and 2022;
+- ``two_factor_hunt_s``: ``find_two_factor`` on each graph of the same
+  ``hunt-shared`` corpus.
 
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
-2-factor answer with its edges and each gadget matching. Equal digests
+2-factor answer with its edges, each gadget's edge set and each gadget
+matching. Equal digests
 under two labels show that the two trees gave the same outputs. Results
 and the provenance of ``benchkit.provenance`` are merged into
 BENCH_exact_kernels.json under ``--label``:
@@ -69,11 +73,19 @@ def main(argv=None) -> int:
                        "orders": workloads.order_mix(corpus)}
     record("alpha_hunt", lambda: [alpha(g) for g in corpus])
 
+    def two_factor(r):
+        return r.exists and sorted(r.factor.edges)
+
+    record("two_factor_hunt",
+           lambda: [find_two_factor(g) for g in corpus],
+           lambda results: [two_factor(r) for r in results])
+
     for text in TWO_FACTOR_SPECS:
         g = graph(text)
-        gadget = build_gadget(g).graph
         result = record(f"two_factor_{text}", lambda: find_two_factor(g),
-                        lambda r: r.exists and sorted(r.factor.edges))
+                        two_factor)
+        gadget = record(f"build_gadget_{text}", lambda: build_gadget(g),
+                        lambda gd: gd.graph.edges).graph
         entry[f"two_factor_{text}"] = result.exists
         entry[f"gadget_order_{text}"] = gadget.n
         record(f"gadget_matching_{text}", lambda: max_matching(gadget),

@@ -15,7 +15,6 @@ from .graphs import (
     disjoint_union,
     edgeless,
     encode_graph6,
-    from_edge_list,
     induced,
     join,
     path,

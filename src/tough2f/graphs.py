@@ -94,10 +94,6 @@ class Graph:
 
 # Construction ----------------------------------------------------------------
 
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(n, pairs)
-
-
 def complete(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -148,6 +144,7 @@ def add_matching(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
     used = set()
     pairs = list(pairs)
     for u, v in pairs:
+        vertex_mask(g, (u, v))
         if g.has_edge(u, v):
             raise GraphError(f"pair ({u},{v}) is already an edge")
         if u in used or v in used or u == v:
@@ -159,6 +156,7 @@ def add_matching(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
 def subdivide(g: Graph, edge: tuple[int, int], times: int) -> Graph:
     """Replace ``edge`` by a path through ``times`` fresh internal vertices."""
     u, v = edge
+    vertex_mask(g, edge)
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not in graph")
     if times < 0:

@@ -1,15 +1,18 @@
 """2-factor existence via the Tutte gadget reduction to perfect matching.
 
 A 2-factor (spanning 2-regular subgraph) of G corresponds bijectively, on
-host edges, to a perfect matching of the gadget graph: each host vertex v
-contributes d(v) edge-slot vertices and d(v)-2 core vertices, joined
-completely bipartitely; each host edge becomes a single gadget edge between
-the slots it occupies at its two endpoints. Maximum matching is computed by
-an unweighted Edmonds blossom search with a greedy initial matching
-(Edmonds, "Paths, trees, and flowers", 1965). Its blossom bases are kept in
-a union-find, a contraction touches only the two tree paths it closes, and
-the vertices it makes outer are enqueued in increasing index order, so the
-matching found is the one a full rescan of the bases would find.
+host edges, to a perfect matching of the gadget graph (Tutte, 1954). The
+gadget has one block per host vertex v, in index order: d(v) edge-slot
+vertices, one per edge at v in ``g.edges`` order, then d(v)-2 core
+vertices, joined completely bipartitely to the slots; each host edge joins
+the slots it occupies at its two endpoints, which are partners. The gadget
+exists only as the sorted neighbour lists that the blossom search reads.
+Maximum matching is computed by an unweighted Edmonds blossom search with a
+greedy initial matching (Edmonds, "Paths, trees, and flowers", 1965). Its
+blossom bases are kept in a union-find, a contraction touches only the two
+tree paths it closes, and the vertices it makes outer are enqueued in
+increasing index order, so the matching found is the one a full rescan of
+the bases would find.
 
 ``brute_force_two_factor`` is the independent oracle: exhaustive per-vertex
 choice of 2 incident edges.
@@ -17,9 +20,10 @@ choice of 2 incident edges.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .barriers import EXHAUSTIVE_BARRIER_CAP, Barrier, find_barrier
 from .graphs import CertificateError, Graph, GraphError
@@ -34,13 +38,16 @@ class Matching:
         return 2 * len(self.edges) == n
 
 
-@dataclass(frozen=True)
-class GadgetGraph:
-    graph: Graph
-    # gadget edge (sorted pair) -> host edge, for the host-edge images only
-    edge_map: dict
-    # per gadget vertex: (host vertex, "slot" | "core")
-    vertex_origin: tuple
+class GadgetGraph(NamedTuple):
+    """The gadget's sorted neighbour lists, and per gadget vertex the host
+    edge that it images: a slot's edge, or None for a core."""
+    adj: list
+    host_edge: list
+
+    @property
+    def graph(self) -> Graph:
+        return Graph(len(self.adj), [(x, y) for x, ys in enumerate(self.adj)
+                                     for y in ys if x < y])
 
 
 def build_gadget(g: Graph) -> GadgetGraph:
@@ -48,32 +55,26 @@ def build_gadget(g: Graph) -> GadgetGraph:
     for v, d in enumerate(degrees):
         if d < 2:
             raise GraphError(f"vertex {v} has degree {d} < 2; no gadget exists")
-    slot_of = {}  # (v, index of incident edge at v) -> gadget vertex
-    origin = []
-    edges = []
-    idx = 0
-    incident_count = [0] * g.n
-    for v in range(g.n):
-        slots = []
-        for i in range(degrees[v]):
-            slot_of[(v, i)] = idx
-            origin.append((v, "slot"))
-            slots.append(idx)
-            idx += 1
-        for _ in range(degrees[v] - 2):
-            origin.append((v, "core"))
-            edges.extend((s, idx) for s in slots)
-            idx += 1
-    edge_map = {}
+    slot = []   # per host vertex: its next unused slot
+    cores = []  # per host vertex: its cores
+    adj: list[list[int]] = []
+    for d in degrees:
+        start = len(adj)
+        slot.append(start)
+        cores.append(list(range(start + d, start + 2 * d - 2)))
+        adj.extend([None] * d)
+        adj.extend(list(range(start, start + d)) for _ in range(d - 2))
+    host_edge = [None] * len(adj)
+    # g.edges is sorted with u < v, so u's block lies below v's: the
+    # partner goes last in the list of u's slot and first in v's
     for u, v in g.edges:
-        a = slot_of[(u, incident_count[u])]
-        b = slot_of[(v, incident_count[v])]
-        incident_count[u] += 1
-        incident_count[v] += 1
-        key = (a, b) if a < b else (b, a)
-        edges.append(key)
-        edge_map[key] = (u, v)
-    return GadgetGraph(Graph(idx, edges), edge_map, tuple(origin))
+        a, b = slot[u], slot[v]
+        slot[u] += 1
+        slot[v] += 1
+        adj[a] = cores[u] + [b]
+        adj[b] = [a] + cores[v]
+        host_edge[a] = host_edge[b] = (u, v)
+    return GadgetGraph(adj, host_edge)
 
 
 # Edmonds blossom maximum matching ------------------------------------------------
@@ -233,13 +234,15 @@ class TwoFactorResult:
 
 
 def verify_two_factor(g: Graph, f: TwoFactor) -> bool:
-    degree = [0] * g.n
-    for u, v in f.edges:
-        if not g.has_edge(u, v):
-            raise GraphError(f"factor edge ({u},{v}) not in host graph")
-        degree[u] += 1
-        degree[v] += 1
-    return g.n > 0 and all(d == 2 for d in degree)
+    """Whether ``f`` lists each of its edges once, in either orientation, and
+    meets every vertex twice. A pair that is no edge of ``g`` (out of range,
+    a loop or a non-edge) raises ``GraphError``."""
+    pairs = {(u, v) if u < v else (v, u) for u, v in f.edges}
+    if stray := sorted(pairs.difference(g.edges)):
+        raise GraphError(f"factor edges {stray} not in host graph")
+    degree = Counter(v for pair in pairs for v in pair)
+    return (g.n > 0 and len(pairs) == len(f.edges)
+            and all(degree[v] == 2 for v in range(g.n)))
 
 
 def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
@@ -256,13 +259,13 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
 
     if g.n == 0 or any(g.degree(v) < 2 for v in range(g.n)):
         return negative()
-    gadget = build_gadget(g)
-    matching = max_matching(gadget.graph)
-    if not matching.covers(gadget.graph.n):
+    adj, host_edge = build_gadget(g)
+    mate = _blossom_matching(len(adj), adj)
+    if -1 in mate:
         return negative()
-    host_edges = frozenset(gadget.edge_map[e] for e in matching.edges
-                           if e in gadget.edge_map)
-    factor = TwoFactor(host_edges)
+    # a slot is matched to a core or to its partner, which images its edge
+    factor = TwoFactor(frozenset(e for x, e in enumerate(host_edge)
+                                 if e is not None and host_edge[mate[x]] == e))
     if not verify_two_factor(g, factor):
         raise CertificateError("the matched edges do not form a 2-factor")
     return TwoFactorResult(factor)

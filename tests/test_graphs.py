@@ -104,6 +104,8 @@ def test_add_matching():
         add_matching(edgeless(4), [(0, 1), (1, 2)])  # not disjoint
     with pytest.raises(GraphError):
         add_matching(edgeless(4), [(2, 2)])
+    with pytest.raises(GraphError):
+        add_matching(complete(3), [(5, 0)])  # out of range
 
 
 def test_subdivide():
@@ -116,6 +118,8 @@ def test_subdivide():
         subdivide(path(3), (0, 2), 1)
     with pytest.raises(GraphError):
         subdivide(path(3), (0, 1), -1)
+    with pytest.raises(GraphError):
+        subdivide(complete(3), (7, 0), 1)  # out of range
 
 
 def test_induced_and_delete():

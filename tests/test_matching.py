@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from tough2f import (
+    Graph,
     GraphError,
     TwoFactor,
     brute_force_two_factor,
@@ -31,15 +32,31 @@ def petersen():
 
 # Gadget ------------------------------------------------------------------------
 
+def gadget_edges(gadget) -> set:
+    return {(x, y) for x, ys in enumerate(gadget.adj) for y in ys if x < y}
+
+
+def host_edge_images(gadget) -> dict:
+    """host edge -> the adjacent slot pairs that image it"""
+    images = {}
+    for x, y in gadget_edges(gadget):
+        e = gadget.host_edge[x]
+        if e is not None and gadget.host_edge[y] == e:
+            images.setdefault(e, []).append((x, y))
+    return images
+
+
 def test_gadget_sizes():
     # order is 4|E| - 2|V|: d(v) slots plus d(v)-2 cores per vertex
     for g in (cycle(4), complete(4), petersen()):
         gadget = build_gadget(g)
-        assert gadget.graph.n == 4 * len(g.edges) - 2 * g.n
-        assert len(gadget.edge_map) == len(g.edges)
-        assert set(gadget.edge_map.values()) == set(g.edges)
-        slots = sum(1 for _, kind in gadget.vertex_origin if kind == "slot")
-        assert slots == 2 * len(g.edges)
+        assert len(gadget.adj) == 4 * len(g.edges) - 2 * g.n
+        slots = [x for x, e in enumerate(gadget.host_edge) if e is not None]
+        assert len(slots) == 2 * len(g.edges)
+        images = host_edge_images(gadget)
+        assert sorted(images) == list(g.edges)
+        assert all(len(pairs) == 1 for pairs in images.values())
+        assert sorted(x for [pair] in images.values() for x in pair) == slots
 
 
 def test_gadget_requires_min_degree_two():
@@ -51,9 +68,48 @@ def test_gadget_cycle_is_host_copy():
     # degree-2 vertices contribute no cores, so the gadget of C4 has exactly
     # the four host-edge images
     gadget = build_gadget(cycle(4))
-    assert gadget.graph.n == 8
-    assert len(gadget.graph.edges) == 4
-    assert set(gadget.graph.edges) == set(gadget.edge_map)
+    assert len(gadget.adj) == 8
+    edges = gadget_edges(gadget)
+    assert len(edges) == 4
+    assert edges == {pair for pairs in host_edge_images(gadget).values()
+                     for pair in pairs}
+
+
+def reference_gadget(g) -> Graph:
+    """The gadget built edge by edge from its block layout: per host vertex,
+    its slots in ``g.edges`` order, then its cores."""
+    slots, edges, n = {}, [], 0
+    for v in range(g.n):
+        d = g.degree(v)
+        slots[v] = [n + i for i in range(d)]
+        edges += [(s, n + d + c) for s in slots[v] for c in range(d - 2)]
+        n += 2 * d - 2
+    for u, v in g.edges:
+        edges.append((slots[u].pop(0), slots[v].pop(0)))
+    return Graph(n, edges)
+
+
+def test_gadget_lists_are_sorted():
+    # the blossom search reads the lists as built, so they must be the
+    # strictly increasing, symmetric lists of the gadget's edge set
+    rng = random.Random(43)
+    hosts = [build(FamilySpec.parse("Ghat:n=2,k=2")).graph]
+    while len(hosts) < 51:
+        g = random_graph(rng, rng.randint(5, 16), rng.uniform(0.2, 0.7))
+        if g.n and all(g.degree(v) >= 2 for v in range(g.n)):
+            hosts.append(g)
+    for g in hosts:
+        gadget = build_gadget(g)
+        for x, ys in enumerate(gadget.adj):
+            assert all(a < b for a, b in zip(ys, ys[1:]))
+            assert all(x in gadget.adj[y] for y in ys)
+        h = gadget.graph
+        assert h == reference_gadget(g)
+        lists: list = [[] for _ in range(h.n)]
+        for u, v in h.edges:  # as max_matching builds them
+            lists[u].append(v)
+            lists[v].append(u)
+        assert gadget.adj == lists
 
 
 # Maximum matching ---------------------------------------------------------------
@@ -123,6 +179,16 @@ def test_verify_two_factor():
     assert not verify_two_factor(c5, TwoFactor(frozenset(c5.edges[:3])))
     with pytest.raises(GraphError):
         verify_two_factor(c5, TwoFactor(frozenset({(0, 2)})))
+    # an edge listed in both orientations is still one edge
+    two_k2 = Graph(4, [(0, 1), (2, 3)])
+    assert not verify_two_factor(
+        two_k2, TwoFactor(frozenset({(0, 1), (1, 0), (2, 3), (3, 2)})))
+    # out of range: a negative index must not wrap round to vertex 3
+    with pytest.raises(GraphError):
+        verify_two_factor(
+            cycle(4), TwoFactor(frozenset({(0, 1), (1, 2), (2, 3), (-1, 0)})))
+    with pytest.raises(GraphError):
+        verify_two_factor(c5, TwoFactor(frozenset({(1, 1)})))  # a loop
 
 
 def test_find_two_factor_positive():
@@ -134,7 +200,6 @@ def test_find_two_factor_positive():
 
 
 def test_find_two_factor_negative():
-    from tough2f import Graph
     k23 = Graph(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
     for g in (path(4), k23, build(FamilySpec.parse("H:n=1")).graph):
         assert not find_two_factor(g).exists

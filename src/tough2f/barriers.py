@@ -54,6 +54,7 @@ class BarrierDecomposition:
     classes: dict          # s -> list of component indices with e(H,B) = s
     odd_count: int         # o(A,B)
     per_u: dict            # u in B -> PerVertex
+    big_odd_weight: int    # sum_{t>=1} t |C_{2t+1}|
 
 
 def _deficiency_masks(g: Graph, a_mask: int, b_mask: int) -> int:
@@ -95,6 +96,8 @@ def decompose(g: Graph, a, b) -> BarrierDecomposition:
     for i, info in enumerate(comps):
         classes.setdefault(info.edges_to_b, []).append(i)
     odd_count = sum(1 for info in comps if info.odd)
+    big_odd_weight = sum((info.edges_to_b - 1) // 2
+                         for info in comps if info.odd)
     per_u = {}
     for u in iter_bits(b_mask):
         per_comp = []
@@ -107,46 +110,20 @@ def decompose(g: Graph, a, b) -> BarrierDecomposition:
                 if info.edges_to_b >= 3:
                     o += 1
         per_u[u] = PerVertex(tuple(per_comp), o, h)
-    return BarrierDecomposition(comps, classes, odd_count, per_u)
+    return BarrierDecomposition(comps, classes, odd_count, per_u,
+                                big_odd_weight)
 
 
 # Exhaustive search ----------------------------------------------------------------
 
-def _check_cap(g: Graph) -> None:
-    if g.n > EXHAUSTIVE_BARRIER_CAP:
-        raise GraphError(
-            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
-
-
-def _barriers(g: Graph):
-    """Yield (a_mask, b_mask, deficiency) for every barrier of ``g``.
-
-    All 3^n pairs of disjoint vertex subsets are tried: A in increasing mask
-    order and, for each A, B in decreasing mask order. ``find_barrier`` takes
-    the first hit, which in this order comes early.
-    """
-    _check_cap(g)
-    full = g.full_mask
-    for a_mask in range(full + 1):
-        rest = full & ~a_mask
-        b_mask = rest
-        while True:
-            d = _deficiency_masks(g, a_mask, b_mask)
-            if d <= -2:
-                yield a_mask, b_mask, d
-            if b_mask == 0:
-                break
-            b_mask = (b_mask - 1) & rest
-
-
 def _barriers_by_union(g: Graph):
-    """Yield (a_mask, b_mask, deficiency) for every barrier of ``g``, grouped
-    by the union U = A u B.
+    """Yield (a_mask, b_mask, deficiency) for every barrier of ``g``, each
+    once, grouped by the union U = A u B in increasing mask order.
 
-    The set of barriers is the one ``_barriers`` yields; only the order
-    differs. Nothing is pruned. For each U the components H_i of G - U are
-    found once, and each v in U gets w(v) = |N(v) - U| and a parity mask
-    p(v) whose bit i is set when e(v, H_i) is odd. Since
+    All 3^n pairs of disjoint vertex subsets are covered and nothing is
+    pruned. For each U the components H_i of G - U are found once, and each
+    v in U gets w(v) = |N(v) - U| and a parity mask p(v) whose bit i is set
+    when e(v, H_i) is odd. Since
     d_{G-A}(v) = |N(v) n B| + w(v) for v in B, and e(H_i, B) is odd exactly
     when bit i of the XOR of p over B is set,
 
@@ -156,7 +133,9 @@ def _barriers_by_union(g: Graph):
     B then walks the subsets of U in Gray-code order, one vertex entering
     or leaving at each step, and the sum and the XOR are updated in O(1).
     """
-    _check_cap(g)
+    if g.n > EXHAUSTIVE_BARRIER_CAP:
+        raise GraphError(
+            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
     adj = g.adj
     full = g.full_mask
     for u_mask in range(1, full + 1):  # B = U = empty is no barrier
@@ -193,8 +172,9 @@ def _as_barrier(a_mask: int, b_mask: int, d: int) -> Barrier:
 
 
 def find_barrier(g: Graph) -> Barrier | None:
-    """Some (A,B) with deficiency <= -2, or None (iff G has a 2-factor)."""
-    hit = next(_barriers(g), None)
+    """The first barrier ``_barriers_by_union`` yields, or None (iff G has
+    a 2-factor)."""
+    hit = next(_barriers_by_union(g), None)
     return None if hit is None else _as_barrier(*hit)
 
 
@@ -258,11 +238,8 @@ def check_biased_properties(g: Graph, barrier: Barrier) -> BiasedBarrierReport:
         (adj[v] & b_mask).bit_count() <= 1
         for info in dec.components if info.odd
         for v in info.vertices)
-    big_odd_weight = sum((s - 1) // 2 * len(idxs)
-                         for s, idxs in dec.classes.items()
-                         if s % 2 == 1 and s >= 3)
-    counting = len(barrier.b) >= len(barrier.a) + big_odd_weight + 1
-    big_odd_nonempty = big_odd_weight > 0
+    counting = len(barrier.b) >= len(barrier.a) + dec.big_odd_weight + 1
+    big_odd_nonempty = dec.big_odd_weight > 0
     applicable = g.n >= 3 and is_t_tough(g, 1)
     return BiasedBarrierReport(
         b_independent, even_isolated, edges_simple, odd_vertices_simple,
@@ -306,8 +283,6 @@ def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
     b_mask = vertex_mask(g, barrier.b)
     big_odd = [i for i, info in enumerate(dec.components)
                if info.odd and info.edges_to_b >= 3]
-    big_odd_weight = sum((dec.components[i].edges_to_b - 1) // 2
-                         for i in big_odd)
     h_max = max((pv.h for pv in dec.per_u.values()), default=0)
     if h_max <= 1 and not big_odd:
         raise GraphError(
@@ -374,7 +349,7 @@ def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
 
     # counting identities from the construction
     if w_mask.bit_count() != (a_mask.bit_count() + ell_prime
-                              + 2 * big_odd_weight):
+                              + 2 * dec.big_odd_weight):
         raise CertificateError("|W| differs from |A| + ell' + sum 2t|C_2t+1|")
     comp_count = len(component_masks(adj, g.full_mask & ~w_mask))
     if comp_count < len(barrier.b) - ell_prime + h_sum:

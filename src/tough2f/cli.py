@@ -56,7 +56,7 @@ def _cmd_invariants(args) -> int:
             "tau_witness": None if tough.witness is None else sorted(tough.witness),
             "alpha": invariants.independence_number(g)[0],
             "kappa": invariants.connectivity(g),
-            "delta": invariants.min_degree(g) if g.n else None,
+            "delta": invariants.min_degree(g),
         })
     return EXIT_OK
 

@@ -241,7 +241,7 @@ def verify_two_factor(g: Graph, f: TwoFactor) -> bool:
     if stray := sorted(pairs.difference(g.edges)):
         raise GraphError(f"factor edges {stray} not in host graph")
     degree = Counter(v for pair in pairs for v in pair)
-    return (g.n > 0 and len(pairs) == len(f.edges)
+    return (len(pairs) == len(f.edges)
             and all(degree[v] == 2 for v in range(g.n)))
 
 
@@ -257,7 +257,7 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
             barrier = find_barrier(g)
         return TwoFactorResult(None, barrier)
 
-    if g.n == 0 or any(g.degree(v) < 2 for v in range(g.n)):
+    if any(g.degree(v) < 2 for v in range(g.n)):
         return negative()
     adj, host_edge = build_gadget(g)
     mate = _blossom_matching(len(adj), adj)
@@ -279,8 +279,6 @@ def brute_force_two_factor(g: Graph) -> TwoFactor | None:
     """Ground-truth 2-factor search by per-vertex 2-subset composition."""
     if g.n > BRUTE_FORCE_ORDER_CAP and len(g.edges) > BRUTE_FORCE_EDGE_CAP:
         raise GraphError("instance too large for the brute-force oracle")
-    if g.n == 0:
-        return None
     n = g.n
     nbrs = [sorted(g.neighbors(v)) for v in range(n)]
     chosen_deg = [0] * n

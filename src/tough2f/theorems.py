@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import barriers, families, forbidden, graphs, invariants, matching
 from .graphs import Graph, GraphError, decode_graph6
@@ -34,7 +35,6 @@ class GraphFacts:
     def __init__(self, graph: Graph, name: str = ""):
         self.graph = graph
         self.name = name or f"order-{graph.n}"
-        self._cache: dict = {}
         self._tau_lo = None  # largest threshold asked with tau >= it
         self._tau_hi = None  # smallest threshold asked with tau < it
         self._free: dict = {}  # pattern -> whether the host is free of it
@@ -43,23 +43,17 @@ class GraphFacts:
     def order(self) -> int:
         return self.graph.n
 
-    @property
+    @cached_property
     def min_degree(self) -> int:
-        if "delta" not in self._cache:
-            self._cache["delta"] = invariants.min_degree(self.graph)
-        return self._cache["delta"]
+        return invariants.min_degree(self.graph)
 
-    @property
+    @cached_property
     def alpha(self) -> int:
-        if "alpha" not in self._cache:
-            self._cache["alpha"] = invariants.independence_number(self.graph)[0]
-        return self._cache["alpha"]
+        return invariants.independence_number(self.graph)[0]
 
-    @property
+    @cached_property
     def kappa(self) -> int:
-        if "kappa" not in self._cache:
-            self._cache["kappa"] = invariants.connectivity(self.graph)
-        return self._cache["kappa"]
+        return invariants.connectivity(self.graph)
 
     def tough_at(self, t) -> bool:
         if t > 0:  # is_t_tough rejects any other threshold
@@ -90,11 +84,9 @@ class GraphFacts:
         self._free[pattern] = free
         return free
 
-    @property
+    @cached_property
     def has_two_factor(self) -> bool:
-        if "two_factor" not in self._cache:
-            self._cache["two_factor"] = matching.find_two_factor(self.graph).exists
-        return self._cache["two_factor"]
+        return matching.find_two_factor(self.graph).exists
 
 
 @dataclass
@@ -321,6 +313,8 @@ def check_lemma_inequality(x, y, t: int, a) -> bool:
 
 def run_lemma_inequality_trials(samples: int, seed: int = 0) -> int:
     """Random valid tuples; returns the number of violations (expected 0)."""
+    if samples < 0:
+        raise ValueError(f"negative sample count {samples}")
     rng = random.Random(seed)
     violations = 0
     for _ in range(samples):

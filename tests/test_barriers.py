@@ -94,13 +94,23 @@ def test_decompose_h1():
 # Barrier search -----------------------------------------------------------------
 
 def test_find_barrier_matches_two_factor():
-    for g, expect_barrier in [
+    cases = [
         (cycle(5), False),
         (complete(4), False),
         (path(4), True),
         (star(3), True),
         (build(FamilySpec.parse("H:n=1")).graph, True),
-    ]:
+    ]
+    rng = random.Random(53)
+    seeded = 0
+    while seeded < 30:
+        g = random_graph(rng, rng.randint(8, 12), rng.uniform(0.15, 0.5))
+        if g.is_connected():
+            cases.append((g, not find_two_factor(g).exists))
+            seeded += 1
+    # the seeded graphs include some with and some without a 2-factor
+    assert 0 < sum(expect for _, expect in cases[-30:]) < 30
+    for g, expect_barrier in cases:
         b = find_barrier(g)
         assert (b is not None) == expect_barrier
         if b is not None:

@@ -212,6 +212,12 @@ def test_lemma4(capsys):
     assert payloads[0] == {"samples": 500, "violations": 0}
 
 
+def test_lemma4_rejects_negative_samples(capsys):
+    code, payloads = run(capsys, ["lemma4", "--samples", "-5"])
+    assert code == EXIT_INPUT_ERROR
+    assert payloads == []
+
+
 def test_missing_file(capsys):
     assert main(["invariants", "/nonexistent/corpus.g6"]) == EXIT_INPUT_ERROR
     capsys.readouterr()

@@ -14,6 +14,9 @@ from tough2f import (
     complete,
     cycle,
     disjoint_union,
+    edgeless,
+    find_barrier,
+    find_biased_barrier,
     find_two_factor,
     max_matching,
     path,
@@ -213,6 +216,19 @@ def test_find_two_factor_certify_attaches_barrier():
     assert deficiency(h1, result.barrier.a, result.barrier.b) <= -2
     # positive answers carry no barrier
     assert find_two_factor(cycle(4), certify=True).barrier is None
+
+
+def test_order_zero_has_the_empty_two_factor():
+    # Tutte's criterion: no pair of subsets of the empty vertex set is a
+    # barrier, so the empty graph has the empty 2-factor
+    g = edgeless(0)
+    result = find_two_factor(g, certify=True)
+    assert result.exists and result.factor.edges == frozenset()
+    assert result.barrier is None
+    assert verify_two_factor(g, result.factor)
+    assert brute_force_two_factor(g) == result.factor
+    assert find_barrier(g) is None
+    assert find_biased_barrier(g) is None
 
 
 def test_brute_force_two_factor():

@@ -51,7 +51,6 @@ class PerVertex:
 @dataclass
 class BarrierDecomposition:
     components: list
-    classes: dict          # s -> list of component indices with e(H,B) = s
     odd_count: int         # o(A,B)
     per_u: dict            # u in B -> PerVertex
     big_odd_weight: int    # sum_{t>=1} t |C_{2t+1}|
@@ -92,9 +91,6 @@ def decompose(g: Graph, a, b) -> BarrierDecomposition:
     for comp in component_masks(adj, rest):
         e_hb = sum((adj[v] & b_mask).bit_count() for v in iter_bits(comp))
         comps.append(ComponentInfo(tuple(iter_bits(comp)), e_hb))
-    classes: dict[int, list[int]] = {}
-    for i, info in enumerate(comps):
-        classes.setdefault(info.edges_to_b, []).append(i)
     odd_count = sum(1 for info in comps if info.odd)
     big_odd_weight = sum((info.edges_to_b - 1) // 2
                          for info in comps if info.odd)
@@ -110,8 +106,7 @@ def decompose(g: Graph, a, b) -> BarrierDecomposition:
                 if info.edges_to_b >= 3:
                     o += 1
         per_u[u] = PerVertex(tuple(per_comp), o, h)
-    return BarrierDecomposition(comps, classes, odd_count, per_u,
-                                big_odd_weight)
+    return BarrierDecomposition(comps, odd_count, per_u, big_odd_weight)
 
 
 # Exhaustive search ----------------------------------------------------------------

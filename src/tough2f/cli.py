@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
-from . import barriers, families, forbidden, graphs, invariants, matching, theorems
-from .graphs import Graph, GraphError
+# the handlers import the modules they use, so that a run loads only those
+from . import graphs, theorems
+from .graphs import GraphError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -47,7 +47,10 @@ def _emit(payload):
 
 
 def _cmd_invariants(args) -> int:
+    from . import invariants
     for name, g in _load_graphs(args.input, args.format):
+        if g.n == 0:
+            raise GraphError("invariants of the order-0 graph are undefined")
         tough = invariants.toughness(g)
         _emit({
             "graph": name,
@@ -62,6 +65,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_two_factor(args) -> int:
+    from . import matching
     for name, g in _load_graphs(args.input, args.format):
         result = matching.find_two_factor(g, certify=True)
         payload = {"graph": name, "has_two_factor": result.exists}
@@ -73,11 +77,14 @@ def _cmd_two_factor(args) -> int:
     return EXIT_OK
 
 
-def _barrier_payload(b: barriers.Barrier):
+def _barrier_payload(b) -> dict:
     return {"A": sorted(b.a), "B": sorted(b.b), "deficiency": b.deficiency}
 
 
 def _cmd_barrier(args) -> int:
+    from dataclasses import asdict
+
+    from . import barriers
     for name, g in _load_graphs(args.input, args.format):
         finder = barriers.find_biased_barrier if args.biased else barriers.find_barrier
         b = finder(g)
@@ -102,6 +109,7 @@ def _cmd_barrier(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import barriers
     for name, g in _load_graphs(args.input, args.format):
         b = barriers.find_biased_barrier(g)
         if b is None:
@@ -130,6 +138,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_forbidden(args) -> int:
+    from . import forbidden
     pattern = forbidden.ForestPattern.parse(args.pattern)
     for name, g in _load_graphs(args.input, args.format):
         embedding = forbidden.find_induced(g, pattern)
@@ -143,6 +152,7 @@ def _cmd_forbidden(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from . import families
     spec = families.FamilySpec.parse(args.spec)
     inst = families.build(spec)
     exp = families.expected(spec)
@@ -166,7 +176,7 @@ def _cmd_family(args) -> int:
     failed = False
     if args.verify:
         claims = theorems.verify_family(spec, inst)
-        payload["claims"] = [asdict(c) for c in claims]
+        payload["claims"] = [c._asdict() for c in claims]
         failed = any(not c.passed for c in claims)
     _emit(payload)
     return EXIT_VIOLATION if failed else EXIT_OK

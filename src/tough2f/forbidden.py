@@ -14,24 +14,28 @@ from another's (see ``theorems.GraphFacts``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .graphs import Graph, GraphError, disjoint_union, edgeless, path
 
 _COMPONENT_RE = re.compile(r"^(\d*)P(\d+)$")
 
 
-@dataclass(frozen=True)
-class ForestPattern:
+class _PatternFields(NamedTuple):
+    """The fields of ``ForestPattern``, which checks and sorts them."""
     paths: tuple  # path orders >= 2, sorted descending
     isolated: int  # number of P_1 components
 
-    def __post_init__(self):
-        if any(p < 2 for p in self.paths) or self.isolated < 0:
+
+class ForestPattern(_PatternFields):
+    __slots__ = ()
+
+    def __new__(cls, paths, isolated):
+        paths = tuple(sorted(paths, reverse=True))
+        if any(p < 2 for p in paths) or isolated < 0:
             raise GraphError("invalid forest pattern")
-        object.__setattr__(self, "paths",
-                           tuple(sorted(self.paths, reverse=True)))
+        return super().__new__(cls, paths, isolated)
 
     @property
     def order(self) -> int:

@@ -15,8 +15,8 @@ neighbours of v. So it scales further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import Graph, GraphError, component_masks, iter_bits
 from .rationals import INF
@@ -180,8 +180,7 @@ def connectivity(g: Graph) -> int:
 
 # Toughness -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ToughnessResult:
+class ToughnessResult(NamedTuple):
     """Exact toughness with a witnessing cut set.
 
     ``witness`` is None for complete graphs (value ``INF``) and the empty

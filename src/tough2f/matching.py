@@ -21,16 +21,16 @@ choice of 2 incident edges.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .barriers import EXHAUSTIVE_BARRIER_CAP, Barrier, find_barrier
 from .graphs import CertificateError, Graph, GraphError
 
+if TYPE_CHECKING:
+    from .barriers import Barrier
 
-@dataclass(frozen=True)
-class Matching:
+
+class Matching(NamedTuple):
     """Pairwise vertex-disjoint edge set of a host graph."""
     edges: frozenset
 
@@ -217,14 +217,12 @@ def max_matching(h: Graph) -> Matching:
 
 # 2-factors ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoFactor:
+class TwoFactor(NamedTuple):
     """Edge set of a spanning 2-regular subgraph of the host graph."""
     edges: frozenset
 
 
-@dataclass(frozen=True)
-class TwoFactorResult:
+class TwoFactorResult(NamedTuple):
     factor: TwoFactor | None
     barrier: Barrier | None = None  # attached on request
 
@@ -253,8 +251,10 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     """
     def negative() -> TwoFactorResult:
         barrier = None
-        if certify and g.n <= EXHAUSTIVE_BARRIER_CAP:
-            barrier = find_barrier(g)
+        if certify:
+            from .barriers import EXHAUSTIVE_BARRIER_CAP, find_barrier
+            if g.n <= EXHAUSTIVE_BARRIER_CAP:
+                barrier = find_barrier(g)
         return TwoFactorResult(None, barrier)
 
     if any(g.degree(v) < 2 for v in range(g.n)):

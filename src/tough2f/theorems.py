@@ -12,12 +12,15 @@ implies a 2-factor) used as a harness self-test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import barriers, families, forbidden, graphs, invariants, matching
+from . import forbidden, graphs, invariants, matching
 from .graphs import Graph, GraphError, decode_graph6
+
+if TYPE_CHECKING:
+    from . import families
 
 
 class GraphFacts:
@@ -89,8 +92,7 @@ class GraphFacts:
         return matching.find_two_factor(self.graph).exists
 
 
-@dataclass
-class TheoremSpec:
+class TheoremSpec(NamedTuple):
     theorem_id: str
     params: dict
     # ordered (clause name, predicate over GraphFacts)
@@ -221,8 +223,7 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
     raise GraphError(f"unknown theorem id {theorem_id!r}")
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     graph_name: str
     clause_results: dict          # clause name -> bool, or None if skipped
     hypotheses_hold: bool
@@ -248,14 +249,13 @@ def check_theorem(spec: TheoremSpec, facts) -> CheckReport:
     return CheckReport(facts.name, clause_results, True, conclusion, verdict)
 
 
-@dataclass
-class HuntReport:
+class HuntReport(NamedTuple):
     theorem: str
     total: int = 0
     confirms: int = 0
     vacuous: int = 0
     malformed: int = 0
-    counterexamples: list = field(default_factory=list)
+    counterexamples: list | tuple = ()  # hunt gives a sorted list
 
     @property
     def clean(self) -> bool:
@@ -268,27 +268,27 @@ def hunt(corpus, spec: TheoremSpec) -> HuntReport:
     ``corpus`` items may be graph6 strings, Graph values, or GraphFacts
     (reusable across hunts). Malformed graph6 lines are counted and skipped.
     """
-    report = HuntReport(spec.describe())
+    total = confirms = vacuous = malformed = 0
+    counterexamples = []
     for item in corpus:
+        total += 1
         if isinstance(item, str):
-            report.total += 1
             try:
                 facts = GraphFacts(decode_graph6(item), name=item.strip())
             except GraphError:
-                report.malformed += 1
+                malformed += 1
                 continue
         else:
-            report.total += 1
             facts = item if isinstance(item, GraphFacts) else GraphFacts(item)
-        result = check_theorem(spec, facts)
-        if result.verdict == "confirms":
-            report.confirms += 1
-        elif result.verdict == "vacuous":
-            report.vacuous += 1
+        verdict = check_theorem(spec, facts).verdict
+        if verdict == "confirms":
+            confirms += 1
+        elif verdict == "vacuous":
+            vacuous += 1
         else:
-            report.counterexamples.append(facts.name)
-    report.counterexamples.sort()
-    return report
+            counterexamples.append(facts.name)
+    return HuntReport(spec.describe(), total, confirms, vacuous, malformed,
+                      sorted(counterexamples))
 
 
 # Ratio inequality ------------------------------------------------------------------
@@ -330,8 +330,7 @@ def run_lemma_inequality_trials(samples: int, seed: int = 0) -> int:
 
 # Family verification ----------------------------------------------------------------
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -349,6 +348,7 @@ def verify_family(spec: families.FamilySpec,
     order >= 28 constructions) are verified one-sidedly through the
     distinguished cut W.
     """
+    from . import barriers, families
     if inst is None:
         inst = families.build(spec)
     elif inst.spec != spec:

@@ -73,7 +73,6 @@ def test_decompose_star():
     dec = decompose(star(3), (), (0,))
     assert len(dec.components) == 3
     assert all(info.edges_to_b == 1 and info.odd for info in dec.components)
-    assert dec.classes == {1: [0, 1, 2]}
     assert dec.odd_count == 3
     assert dec.per_u[0].h == 3 and dec.per_u[0].o == 0
 
@@ -85,7 +84,6 @@ def test_decompose_h1():
     assert len(dec.components) == 1
     assert dec.components[0].edges_to_b == 3
     assert dec.odd_count == 1
-    assert dec.classes == {3: [0]}
     for u in inst.sets["independent"]:
         assert dec.per_u[u].o == 1 and dec.per_u[u].h == 1
         assert dec.per_u[u].edges_per_component == (1,)

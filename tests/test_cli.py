@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tough2f import cycle, encode_graph6, path, write_edge_list
+from tough2f import cycle, encode_graph6, invariants, path, write_edge_list
 from tough2f.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from tough2f.families import FamilySpec, build
 from tough2f.graphs import Graph
@@ -42,6 +42,20 @@ def test_invariants(tmp_path, capsys):
     assert payload["kappa"] == 2
     assert payload["delta"] == 2
     assert len(payload["tau_witness"]) == 2
+
+
+def test_invariants_rejects_order_zero_before_computing(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("toughness", "independence_number", "connectivity"):
+        def counted(g, real=getattr(invariants, name), name=name):
+            calls.append(name)
+            return real(g)
+        monkeypatch.setattr(invariants, name, counted)
+    source = write(tmp_path, "?")  # graph6 of the order-0 graph
+    assert main(["invariants", source]) == EXIT_INPUT_ERROR
+    assert calls == []
+    assert capsys.readouterr().out == ""
 
 
 def test_invariants_multiple_lines(tmp_path, capsys):

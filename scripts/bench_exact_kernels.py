@@ -10,14 +10,14 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
   and the default ``Sizes`` (800 graphs of orders 8-11);
 - ``two_factor_<spec>_s``: ``find_two_factor`` on Ghat(2,2) and Ghat(3,3),
   orders 62 and 87; ``build_gadget_<spec>_s``: ``build_gadget`` alone on
-  them; and ``gadget_matching_<spec>_s``: ``max_matching`` on their gadgets
-  alone, orders 1020 and 2022;
+  them; and ``gadget_matching_<spec>_s``: ``max_matching`` on their gadgets'
+  neighbour lists alone, orders 1020 and 2022;
 - ``two_factor_hunt_s``: ``find_two_factor`` on each graph of the same
   ``hunt-shared`` corpus.
 
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
-2-factor answer with its edges, each gadget's edge set and each gadget
-matching. Equal digests
+2-factor answer with its edges, each gadget's edges and each gadget
+matching, as sorted pairs. Equal digests
 under two labels show that the two trees gave the same outputs. Results
 and the provenance of ``benchkit.provenance`` are merged into
 BENCH_exact_kernels.json under ``--label``:
@@ -49,6 +49,9 @@ def main(argv=None) -> int:
 
     def graph(text):
         return build(FamilySpec.parse(text)).graph
+
+    def pairs(adj):
+        return [(x, y) for x, ys in enumerate(adj) for y in ys if x < y]
 
     def alpha(g):
         value, witness = independence_number(g)
@@ -84,12 +87,14 @@ def main(argv=None) -> int:
         g = graph(text)
         result = record(f"two_factor_{text}", lambda: find_two_factor(g),
                         two_factor)
-        gadget = record(f"build_gadget_{text}", lambda: build_gadget(g),
-                        lambda gd: gd.graph.edges).graph
+        # a tuple, as Graph.edges was, so the digest compares with
+        # the runs recorded before max_matching took neighbour lists
+        adj = record(f"build_gadget_{text}", lambda: build_gadget(g),
+                     lambda gd: tuple(pairs(gd.adj))).adj
         entry[f"two_factor_{text}"] = result.exists
-        entry[f"gadget_order_{text}"] = gadget.n
-        record(f"gadget_matching_{text}", lambda: max_matching(gadget),
-               lambda m: sorted(m.edges))
+        entry[f"gadget_order_{text}"] = len(adj)
+        record(f"gadget_matching_{text}", lambda: max_matching(adj),
+               lambda mate: [(v, w) for v, w in enumerate(mate) if v < w])
 
     entry["answers_sha256"] = hashlib.sha256(
         repr(answers).encode()).hexdigest()

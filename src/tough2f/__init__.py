@@ -19,7 +19,7 @@ _EXPORTS = {
         "ToughnessResult", "connectivity", "independence_number",
         "is_t_tough", "min_degree", "toughness"),
     "matching": (
-        "Matching", "TwoFactor", "TwoFactorResult", "brute_force_two_factor",
+        "TwoFactor", "TwoFactorResult", "brute_force_two_factor",
         "build_gadget", "find_two_factor", "max_matching",
         "verify_two_factor"),
     "barriers": (

@@ -13,8 +13,8 @@ exists. A biased barrier maximizes |A| and, subject to that, minimizes |B|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (CertificateError, Graph, GraphError, component_masks,
                      iter_bits, vertex_mask)
@@ -23,15 +23,13 @@ from .invariants import is_t_tough
 EXHAUSTIVE_BARRIER_CAP = 14  # the (A,B) search space is 3^n
 
 
-@dataclass(frozen=True)
-class Barrier:
+class Barrier(NamedTuple):
     a: frozenset
     b: frozenset
     deficiency: int
 
 
-@dataclass
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     vertices: tuple
     edges_to_b: int
 
@@ -40,16 +38,14 @@ class ComponentInfo:
         return self.edges_to_b % 2 == 1
 
 
-@dataclass
-class PerVertex:
+class PerVertex(NamedTuple):
     """Per-u annotations for u in B."""
     edges_per_component: tuple  # e(u, H) for each component, in order
     o: int  # odd components H with e(H,B) >= 3 and e(u,H) = 1
     h: int  # odd components H (any e(H,B) >= 1) with e(u,H) = 1
 
 
-@dataclass
-class BarrierDecomposition:
+class BarrierDecomposition(NamedTuple):
     components: list
     odd_count: int         # o(A,B)
     per_u: dict            # u in B -> PerVertex
@@ -194,8 +190,7 @@ def find_biased_barrier(g: Graph) -> Barrier | None:
 
 # Biased barrier structure ----------------------------------------------------------
 
-@dataclass
-class BiasedBarrierReport:
+class BiasedBarrierReport(NamedTuple):
     b_independent: bool
     even_components_isolated: bool        # even H have e(H,B) = 0
     b_edges_into_odd_simple: bool         # e(v,H) <= 1 for v in B, H odd
@@ -243,8 +238,7 @@ def check_biased_properties(g: Graph, barrier: Barrier) -> BiasedBarrierReport:
 
 # Cut-set witness construction --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ToughnessWitness:
+class ToughnessWitness(NamedTuple):
     w: frozenset
     ell: int
     ell_prime: int

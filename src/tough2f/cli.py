@@ -82,8 +82,6 @@ def _barrier_payload(b) -> dict:
 
 
 def _cmd_barrier(args) -> int:
-    from dataclasses import asdict
-
     from . import barriers
     for name, g in _load_graphs(args.input, args.format):
         finder = barriers.find_biased_barrier if args.biased else barriers.find_barrier
@@ -101,7 +99,7 @@ def _cmd_barrier(args) -> int:
                 str(u): {"o": pv.o, "h": pv.h} for u, pv in dec.per_u.items()}
             if args.biased:
                 report = barriers.check_biased_properties(g, b)
-                props = asdict(report)
+                props = report._asdict()
                 del props["one_tough_applicable"]
                 payload["biased_properties"] = props
         _emit(payload)

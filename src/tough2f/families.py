@@ -22,8 +22,8 @@ claimed ratio 2 - (n+3)/(3(2n+1)+1) is not attained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import graphs
 from .forbidden import ForestPattern
@@ -32,35 +32,39 @@ from .graphs import Graph, GraphError
 FAMILY_IDS = ("H", "R", "Gprime", "G", "Gstar", "Ghat")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _SpecFields(NamedTuple):
+    """The fields of ``FamilySpec``, which checks them and sorts ``params``."""
     family: str
     params: tuple  # sorted (name, value) pairs
 
-    def __post_init__(self):
-        if self.family not in FAMILY_IDS:
-            raise GraphError(f"unknown family {self.family!r}")
-        names = [name for name, _ in self.params]
-        if len(set(names)) != len(names):
-            raise GraphError(f"repeated parameter in family {self.family}")
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
-        p = self.as_dict
-        if self.family == "H":
+
+class FamilySpec(_SpecFields):
+    __slots__ = ()
+
+    def __new__(cls, family, params):
+        if family not in FAMILY_IDS:
+            raise GraphError(f"unknown family {family!r}")
+        params = tuple(sorted(params))
+        p = dict(params)
+        if len(p) != len(params):
+            raise GraphError(f"repeated parameter in family {family}")
+        if family == "H":
             if set(p) != {"n"} or p["n"] < 1:
                 raise GraphError("family H takes n >= 1")
-        elif self.family == "R":
+        elif family == "R":
             if set(p) != {"m", "a", "b", "c"} or min(p.values()) < 1:
                 raise GraphError("family R takes m,a,b,c >= 1")
-        elif self.family == "Gprime":
+        elif family == "Gprime":
             if set(p) != {"n", "k"} or p["k"] < 1 or p["n"] < p["k"] - 1:
                 raise GraphError("family Gprime needs n >= k-1 >= 0")
-        elif self.family == "G":
+        elif family == "G":
             # the claimed toughness needs the K_n apex, so n >= 1
             if set(p) != {"n", "k"} or p["k"] < 1 or p["n"] < max(1, p["k"] - 1):
                 raise GraphError("family G needs k >= 1 and n >= max(1, k-1)")
         else:  # Gstar, Ghat
             if set(p) != {"n", "k"} or p["k"] < 1 or p["n"] < p["k"]:
-                raise GraphError(f"family {self.family} needs n >= k >= 1")
+                raise GraphError(f"family {family} needs n >= k >= 1")
+        return super().__new__(cls, family, params)
 
     @property
     def as_dict(self) -> dict:
@@ -81,18 +85,16 @@ class FamilySpec:
         return f"{self.family}:" + ",".join(f"{k}={v}" for k, v in self.params)
 
 
-@dataclass
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     spec: FamilySpec
     graph: Graph
     # named vertex sets: "apex", "A", "B", "W", side sets, etc.
-    sets: dict = field(default_factory=dict)
+    sets: dict
     # the perfect matching M as host vertex pairs (pre-subdivision pairing)
     matching: tuple = ()
 
 
-@dataclass
-class ExpectedInvariants:
+class ExpectedInvariants(NamedTuple):
     toughness: Fraction | None = None
     alpha: int | None = None
     min_degree: int | None = None
@@ -256,8 +258,7 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
 
 # Arithmetic comparison of hypotheses -------------------------------------------------
 
-@dataclass
-class GapCheckReport:
+class GapCheckReport(NamedTuple):
     m_bound: Fraction
     degree_exceeds_gap: bool       # delta > (2 - tau) * alpha
     dense_threshold_fails: bool    # delta < (3t-2-t^2)/(7t-7-t^2) * order

@@ -304,4 +304,6 @@ def read_edge_list(text: str) -> Graph:
         raise GraphError(f"malformed edge-list input: {exc}") from exc
     if len(pairs) != m:
         raise GraphError(f"edge-list declares {m} edges, found {len(pairs)}")
+    if len({(a, b) if a < b else (b, a) for a, b in pairs}) != m:
+        raise GraphError("edge-list repeats an edge")
     return Graph(n, pairs)

@@ -7,12 +7,13 @@ vertices, one per edge at v in ``g.edges`` order, then d(v)-2 core
 vertices, joined completely bipartitely to the slots; each host edge joins
 the slots it occupies at its two endpoints, which are partners. The gadget
 exists only as the sorted neighbour lists that the blossom search reads.
-Maximum matching is computed by an unweighted Edmonds blossom search with a
-greedy initial matching (Edmonds, "Paths, trees, and flowers", 1965). Its
-blossom bases are kept in a union-find, a contraction touches only the two
-tree paths it closes, and the vertices it makes outer are enqueued in
-increasing index order, so the matching found is the one a full rescan of
-the bases would find.
+``max_matching(adj)`` computes a maximum matching of such lists, as a mate
+array, by an unweighted Edmonds blossom search with a greedy initial
+matching (Edmonds, "Paths, trees, and flowers", 1965). Its blossom bases
+are kept in a union-find, a contraction touches only the two tree paths it
+closes, and the vertices it makes outer are enqueued in increasing index
+order, so the matching found is the one a full rescan of the bases would
+find.
 
 ``brute_force_two_factor`` is the independent oracle: exhaustive per-vertex
 choice of 2 incident edges.
@@ -30,24 +31,11 @@ if TYPE_CHECKING:
     from .barriers import Barrier
 
 
-class Matching(NamedTuple):
-    """Pairwise vertex-disjoint edge set of a host graph."""
-    edges: frozenset
-
-    def covers(self, n: int) -> bool:
-        return 2 * len(self.edges) == n
-
-
 class GadgetGraph(NamedTuple):
     """The gadget's sorted neighbour lists, and per gadget vertex the host
     edge that it images: a slot's edge, or None for a core."""
     adj: list
     host_edge: list
-
-    @property
-    def graph(self) -> Graph:
-        return Graph(len(self.adj), [(x, y) for x, ys in enumerate(self.adj)
-                                     for y in ys if x < y])
 
 
 def build_gadget(g: Graph) -> GadgetGraph:
@@ -79,7 +67,7 @@ def build_gadget(g: Graph) -> GadgetGraph:
 
 # Edmonds blossom maximum matching ------------------------------------------------
 
-def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
+def max_matching(adj: list[list[int]]) -> list[int]:
     """mate array of a maximum matching (-1 for exposed vertices).
 
     ``adj`` lists each vertex's neighbours in increasing order. A greedy
@@ -94,6 +82,7 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
     resets only the vertices that the previous one touched. When a search
     fails, ``used`` marks exactly the outer vertices of its tree.
     """
+    n = len(adj)
     mate = [-1] * n
     for v in range(n):
         if mate[v] == -1:
@@ -203,18 +192,6 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
     return mate
 
 
-def max_matching(h: Graph) -> Matching:
-    # h.edges is sorted, so each neighbour list comes out sorted
-    adj: list[list[int]] = [[] for _ in range(h.n)]
-    for u, v in h.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    mate = _blossom_matching(h.n, adj)
-    edges = frozenset((v, mate[v]) for v in range(h.n)
-                      if mate[v] > v)
-    return Matching(edges)
-
-
 # 2-factors ------------------------------------------------------------------------
 
 class TwoFactor(NamedTuple):
@@ -260,7 +237,7 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     if any(g.degree(v) < 2 for v in range(g.n)):
         return negative()
     adj, host_edge = build_gadget(g)
-    mate = _blossom_matching(len(adj), adj)
+    mate = max_matching(adj)
     if -1 in mate:
         return negative()
     # a slot is matched to a core or to its partner, which images its edge

@@ -27,6 +27,17 @@ def graph_to_nx(g: Graph):
     return out
 
 
+def neighbour_lists(g: Graph) -> list:
+    """Each vertex's neighbours in increasing order, the form that
+    ``max_matching`` reads."""
+    return [list(g.neighbors(v)) for v in range(g.n)]
+
+
+def mate_pairs(mate) -> list:
+    """The sorted matched pairs (v, mate[v]), v < mate[v], of a mate array."""
+    return [(v, w) for v, w in enumerate(mate) if v < w]
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]

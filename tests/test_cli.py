@@ -243,6 +243,13 @@ def test_malformed_graph6(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_edge_list_repeated_edge_is_input_error(tmp_path, capsys):
+    source = write(tmp_path, "3 3\n0 1\n1 0\n1 2", "input.txt")
+    code, payloads = run(capsys, ["two-factor", source, "--format", "edges"])
+    assert code == EXIT_INPUT_ERROR
+    assert payloads == []
+
+
 def test_empty_input(tmp_path, capsys):
     source = write(tmp_path, "")
     assert main(["invariants", source]) == EXIT_INPUT_ERROR

@@ -21,6 +21,17 @@ def test_spec_parse_and_str():
         FamilySpec("Ghat", (("n", 2), ("k", 1)))
 
 
+def test_spec_from_keywords_is_checked_and_sorted():
+    spec = FamilySpec(family="Ghat", params=[("n", 2), ("k", 1)])
+    assert spec.params == (("k", 1), ("n", 2))
+    assert spec == FamilySpec.parse("Ghat:n=2,k=1")
+    assert spec == ("Ghat", (("k", 1), ("n", 2)))
+    assert hash(spec) == hash(FamilySpec.parse("Ghat:k=1,n=2"))
+    for params in ([("n", 1), ("k", 2)], [("n", 1), ("n", 2)], []):
+        with pytest.raises(GraphError):
+            FamilySpec(family="Ghat", params=params)
+
+
 def test_spec_validation():
     for text in ("X:n=1", "H:n=0", "H:k=1", "R:m=1,a=0,b=1,c=1",
                  "Gprime:n=0,k=2", "G:n=1,k=0", "Ghat:n=1,k=2",

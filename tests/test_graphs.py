@@ -219,3 +219,7 @@ def test_edge_list_errors():
         read_edge_list("3 2\n0 1\n")  # declares 2 edges, found 1
     with pytest.raises(GraphError):
         read_edge_list("3 1\na b\n")
+    # a repeated pair, in either orientation, is not a second edge
+    for text in ("3 3\n0 1\n1 0\n1 2\n", "3 2\n0 1\n0 1\n"):
+        with pytest.raises(GraphError, match="repeats an edge"):
+            read_edge_list(text)

@@ -5,12 +5,13 @@ for family instances:
 
 - ``two_factor``: whether ``find_two_factor`` finds a 2-factor, and its
   sorted edges;
-- ``matching`` and ``gadget_matching``: the sorted edges of
-  ``max_matching`` on the graph and on its Tutte gadget (when every degree
-  is at least 2), which pin the blossom search's mate array;
+- ``matching`` and ``gadget_matching``: the sorted matched pairs of
+  ``max_matching`` on the graph's neighbour lists and on its Tutte gadget
+  (when every degree is at least 2), which pin the blossom search's mate
+  array;
 - ``alpha``: ``independence_number``'s value and sorted witness;
 - ``gadgets``: for seeded random hosts of orders 10-24, the sha256 of the
-  sorted edges of ``max_matching`` on the host's gadget (orders up to a
+  sorted matched pairs of ``max_matching`` on the host's gadget (orders up to a
   few hundred, where blossoms nest and a changed contraction order shows
   up as a different maximum matching of the same size).
 
@@ -33,7 +34,7 @@ from tough2f.graphs import decode_graph6, encode_graph6
 from tough2f.invariants import independence_number
 from tough2f.matching import build_gadget, find_two_factor, max_matching
 
-from conftest import random_graph
+from conftest import mate_pairs, neighbour_lists, random_graph
 
 GOLDEN = Path(__file__).with_name("kernel_golden.json")
 
@@ -67,7 +68,7 @@ def gadget_hosts() -> list:
 
 
 def gadget_digest(g) -> str:
-    edges = sorted(max_matching(build_gadget(g).graph).edges)
+    edges = mate_pairs(max_matching(build_gadget(g).adj))
     return hashlib.sha256(repr(edges).encode()).hexdigest()
 
 
@@ -80,12 +81,12 @@ def record(g, alpha: bool = True) -> dict:
     out = {
         "two_factor": [result.exists,
                        pairs(result.factor.edges) if result.exists else None],
-        "matching": pairs(max_matching(g).edges),
+        "matching": pairs(mate_pairs(max_matching(neighbour_lists(g)))),
         "gadget_matching": None,
     }
     if all(g.degree(v) >= 2 for v in range(g.n)):
         out["gadget_matching"] = pairs(
-            max_matching(build_gadget(g).graph).edges)
+            mate_pairs(max_matching(build_gadget(g).adj)))
     if alpha:
         value, witness = independence_number(g)
         out["alpha"] = [value, sorted(witness)]

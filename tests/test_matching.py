@@ -22,10 +22,11 @@ from tough2f import (
     path,
     verify_two_factor,
 )
+from tough2f import matching
 from tough2f.families import FamilySpec, build
 from tough2f.matching import BRUTE_FORCE_EDGE_CAP, BRUTE_FORCE_ORDER_CAP
 
-from conftest import graph_to_nx, random_graph
+from conftest import graph_to_nx, mate_pairs, neighbour_lists, random_graph
 
 
 def petersen():
@@ -37,6 +38,10 @@ def petersen():
 
 def gadget_edges(gadget) -> set:
     return {(x, y) for x, ys in enumerate(gadget.adj) for y in ys if x < y}
+
+
+def gadget_graph(gadget) -> Graph:
+    return Graph(len(gadget.adj), gadget_edges(gadget))
 
 
 def host_edge_images(gadget) -> dict:
@@ -106,34 +111,33 @@ def test_gadget_lists_are_sorted():
         for x, ys in enumerate(gadget.adj):
             assert all(a < b for a, b in zip(ys, ys[1:]))
             assert all(x in gadget.adj[y] for y in ys)
-        h = gadget.graph
-        assert h == reference_gadget(g)
-        lists: list = [[] for _ in range(h.n)]
-        for u, v in h.edges:  # as max_matching builds them
-            lists[u].append(v)
-            lists[v].append(u)
-        assert gadget.adj == lists
+        assert gadget.adj == neighbour_lists(reference_gadget(g))
 
 
 # Maximum matching ---------------------------------------------------------------
 
+def matched(g: Graph) -> list:
+    return mate_pairs(max_matching(neighbour_lists(g)))
+
+
 def test_max_matching_known_sizes():
-    assert len(max_matching(cycle(4)).edges) == 2
-    assert len(max_matching(cycle(5)).edges) == 2
-    assert len(max_matching(complete(4)).edges) == 2
-    assert len(max_matching(path(4)).edges) == 2
-    assert len(max_matching(petersen()).edges) == 5
-    assert max_matching(path(1)).edges == frozenset()
+    assert len(matched(cycle(4))) == 2
+    assert len(matched(cycle(5))) == 2
+    assert len(matched(complete(4))) == 2
+    assert len(matched(path(4))) == 2
+    assert len(matched(petersen())) == 5
+    assert max_matching(neighbour_lists(path(1))) == [-1]
+    assert max_matching([]) == []
 
 
 def test_max_matching_is_valid():
     rng = random.Random(23)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
-        m = max_matching(g)
-        used = [v for e in m.edges for v in e]
-        assert len(used) == len(set(used))
-        assert all(g.has_edge(u, v) for u, v in m.edges)
+        mate = max_matching(neighbour_lists(g))
+        assert len(mate) == g.n
+        assert all(w == -1 or mate[w] == v for v, w in enumerate(mate))
+        assert all(g.has_edge(u, v) for u, v in mate_pairs(mate))
 
 
 def test_max_matching_matches_networkx():
@@ -141,7 +145,7 @@ def test_max_matching_matches_networkx():
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9))
         theirs = nx.max_weight_matching(graph_to_nx(g), maxcardinality=True)
-        assert len(max_matching(g).edges) == len(theirs)
+        assert len(matched(g)) == len(theirs)
 
 
 def nx_matching_size(h) -> int:
@@ -156,22 +160,38 @@ def test_gadget_matching_matches_networkx():
         g = random_graph(rng, rng.randint(8, 20), rng.uniform(0.15, 0.5))
         if any(g.degree(v) < 2 for v in range(g.n)):
             continue
-        h = build_gadget(g).graph
-        assert len(max_matching(h).edges) == nx_matching_size(h)
+        gadget = build_gadget(g)
+        assert len(mate_pairs(max_matching(gadget.adj))) == \
+            nx_matching_size(gadget_graph(gadget))
         checked += 1
 
 
 @pytest.mark.parametrize("text", ["G:n=1,k=1", "Ghat:n=1,k=1"])
 def test_family_gadget_matching_matches_networkx(text):
-    h = build_gadget(build(FamilySpec.parse(text)).graph).graph
-    m = max_matching(h)
-    assert len(m.edges) == nx_matching_size(h)
-    assert not m.covers(h.n)  # neither construction has a 2-factor
+    gadget = build_gadget(build(FamilySpec.parse(text)).graph)
+    mate = max_matching(gadget.adj)
+    assert len(mate_pairs(mate)) == nx_matching_size(gadget_graph(gadget))
+    assert -1 in mate  # neither construction has a 2-factor
 
 
 def test_matching_covers():
-    assert max_matching(cycle(4)).covers(4)
-    assert not max_matching(cycle(5)).covers(5)
+    assert -1 not in max_matching(neighbour_lists(cycle(4)))
+    assert -1 in max_matching(neighbour_lists(cycle(5)))
+
+
+def test_find_two_factor_matches_each_gadget_once(monkeypatch):
+    calls = {"build_gadget": 0, "max_matching": 0}
+    for name in calls:
+        def counted(arg, real=getattr(matching, name), name=name):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(matching, name, counted)
+    k23 = Graph(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
+    for g in (cycle(5), petersen(), path(4), k23,
+              build(FamilySpec.parse("H:n=1")).graph):
+        find_two_factor(g)
+    # path(4) has a vertex of degree 1, so no gadget is built for it
+    assert calls == {"build_gadget": 4, "max_matching": 4}
 
 
 # 2-factors ----------------------------------------------------------------------

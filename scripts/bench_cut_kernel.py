@@ -1,6 +1,6 @@
-"""Time the toughness cut kernel and record the figures in BENCH_cut_kernel.json.
+"""Time the toughness kernels and record the figures in BENCH_cut_kernel.json.
 
-Three measurements, each made on the tough2f tree given by ``--src``:
+The measurements, each made on the tough2f tree given by ``--src``:
 
 - ``hunt_is_t_tough_s``: seconds for the ``is_t_tough`` threshold queries
   that one pass of the benchmark's ``hunt-shared`` workload makes, as
@@ -8,17 +8,24 @@ Three measurements, each made on the tough2f tree given by ``--src``:
   The queries are recorded while the pass runs once, untimed, and then
   replayed: the median of 5 replays.
 - ``toughness_H3_s``: ``toughness`` on H(3), order 17.
+- ``toughness_H4_s``: ``toughness`` on H(4), order 22 (one run).
 - ``is_t_tough_H4_1_s``: ``is_t_tough(H(4), 1)``, order 22.
+- ``toughness_G11_s`` and ``toughness_Ghat22_s``: ``toughness`` on G(1,1)
+  (order 28) and Ghat(2,2) (order 62). The cut walk does not finish on
+  them in hours, so they are measured only on a tree that has the clique
+  kernel (``tough2f.separator``), and are null otherwise.
 
-The run also counts the ``component_masks`` calls the kernel makes over the
-hunt queries, one per cut mask it looks at, split by the query's answer
-(``hunt_masks_yes``, ``hunt_masks_no``). Results and the provenance of
+The run also counts the ``component_masks`` calls the invariants module
+makes over the hunt queries, split by the query's answer
+(``hunt_masks_yes``, ``hunt_masks_no``), and the hunt queries that the
+dispatch sends to the clique kernel (``hunt_kernel_queries``; null on a
+tree without it). Results and the provenance of
 ``benchkit.provenance`` are merged into BENCH_cut_kernel.json under
 ``--label``, so a parent tree and a changed tree can be recorded side by
 side:
 
-    python3 scripts/bench_cut_kernel.py --src ../parent/src --label parent
-    python3 scripts/bench_cut_kernel.py --label change
+    python3 scripts/bench_cut_kernel.py --src ../parent/src --label clique-kernel-parent
+    python3 scripts/bench_cut_kernel.py --label clique-kernel-change
 """
 
 from __future__ import annotations
@@ -63,9 +70,24 @@ def main(argv=None) -> int:
         masks += 1
         return component_masks(adj, avail)
 
+    try:
+        from tough2f import separator
+    except ImportError:  # a tree from before the clique kernel
+        separator = None
+    kernel_queries = None if separator is None else 0
+    if separator is not None:
+        kernel = separator.clique_toughness
+
+        def counting_kernel(g, clique):
+            nonlocal kernel_queries
+            kernel_queries += 1
+            return kernel(g, clique)
+
     answers = []
     masks_by_answer = {True: 0, False: 0}
     invariants.component_masks = counting
+    if separator is not None:
+        separator.clique_toughness = counting_kernel
     try:
         for g, t in queries:
             before = masks
@@ -73,16 +95,31 @@ def main(argv=None) -> int:
             masks_by_answer[answers[-1]] += masks - before
     finally:
         invariants.component_masks = component_masks
+        if separator is not None:
+            separator.clique_toughness = kernel
 
     def replay():
         for g, t in queries:
             is_t_tough(g, t)
 
     hunt_s, hunt_all, _ = timed(replay, REPEATS)
-    h3 = build(FamilySpec.parse("H:n=3")).graph
+
+    def tough(text: str, repeats: int) -> tuple:
+        g = build(FamilySpec.parse(text)).graph
+        return timed(lambda: invariants.toughness(g), repeats)
+
+    h3_s, h3_all, tau = tough("H:n=3", 3)
     h4 = build(FamilySpec.parse("H:n=4")).graph
-    h3_s, h3_all, tau = timed(lambda: invariants.toughness(h3), 3)
     h4_s, h4_all, h4_tough = timed(lambda: is_t_tough(h4, 1), 1)
+    tau_h4_s, _, tau_h4 = tough("H:n=4", 1)
+    beyond_walk = {}
+    for name, text in (("G11", "G:n=1,k=1"), ("Ghat22", "Ghat:n=2,k=2")):
+        value = seconds = None
+        if separator is not None:
+            seconds, _, result = tough(text, 3)
+            value, seconds = str(result.value), round(seconds, 4)
+        beyond_walk[f"toughness_{name}"] = value
+        beyond_walk[f"toughness_{name}_s"] = seconds
     digest = hashlib.sha256(repr([(g.n, g.edges, str(t), a) for (g, t), a
                                   in zip(queries, answers)]).encode())
 
@@ -97,11 +134,15 @@ def main(argv=None) -> int:
         "hunt_masks_no": masks_by_answer[False],
         "hunt_is_t_tough_s": round(hunt_s, 4),
         "hunt_is_t_tough_repeats_s": [round(s, 4) for s in hunt_all],
+        "hunt_kernel_queries": kernel_queries,
         "toughness_H3": [str(tau.value), sorted(tau.witness)],
         "toughness_H3_s": round(h3_s, 4),
         "toughness_H3_repeats_s": [round(s, 4) for s in h3_all],
         "is_t_tough_H4_1": h4_tough,
-        "is_t_tough_H4_1_s": round(h4_s, 3),
+        "is_t_tough_H4_1_s": round(h4_s, 4),
+        "toughness_H4": [str(tau_h4.value), sorted(tau_h4.witness)],
+        "toughness_H4_s": round(tau_h4_s, 4),
+        **beyond_walk,
     }
     save(OUT, args.label, entry)
     return 0

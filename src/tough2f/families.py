@@ -66,6 +66,11 @@ class FamilySpec(_SpecFields):
                 raise GraphError(f"family {family} needs n >= k >= 1")
         return super().__new__(cls, family, params)
 
+    @classmethod
+    def _make(cls, iterable) -> "FamilySpec":
+        # _replace builds through _make, so both run the checks above
+        return cls(*iterable)
+
     @property
     def as_dict(self) -> dict:
         return dict(self.params)

@@ -37,6 +37,11 @@ class ForestPattern(_PatternFields):
             raise GraphError("invalid forest pattern")
         return super().__new__(cls, paths, isolated)
 
+    @classmethod
+    def _make(cls, iterable) -> "ForestPattern":
+        # _replace builds through _make, so both run the checks above
+        return cls(*iterable)
+
     @property
     def order(self) -> int:
         return sum(self.paths) + self.isolated

@@ -2,13 +2,21 @@
 connectivity and toughness.
 
 Toughness and the independence number are NP-hard in general; the searches
-here are exact and exhaustive with pruning. Toughness is practical up to
-roughly order 24. The independence search also prunes on a greedy clique
-cover, which bounds alpha from above, and returns the same alpha and
-witness as without it; it takes well under a second on random graphs of
-order 80 and on the paper's constructions. Connectivity uses unit-capacity
-vertex-split maximum flow (Menger), run only on the pairs that
-Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
+here are exact and exhaustive with pruning. Toughness walks the cut sets,
+which is practical up to roughly order 24. A graph that a clique X splits
+into small pieces goes instead to a kernel that optimises each piece of
+G - X alone and merges the results (``separator.clique_toughness``), with
+the same value and witness. Its work bound is 2^|Y| * sum over pieces P of
+2^(|P| + |private(P)|), where Y holds the X-vertices next to two or more
+pieces and private(P) those next to P alone. X is grown greedily by
+degree, and the kernel runs when the bound is below 2^n by the factor
+2^CLIQUE_KERNEL_MARGIN_BITS. It takes milliseconds on H(n) and G(1,1) and
+0.1 s on Ghat(2,2), order 62. The independence search also prunes on a
+greedy clique cover, which bounds alpha from above, and returns the same
+alpha and witness as without it; it takes well under a second on random
+graphs of order 80 and on the paper's constructions. Connectivity uses
+unit-capacity vertex-split maximum flow (Menger), run only on the pairs
+that Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
 minimum degree against each non-neighbour, and each non-adjacent pair of
 neighbours of v. So it scales further.
 """
@@ -190,6 +198,18 @@ class ToughnessResult(NamedTuple):
     witness: frozenset | None
 
 
+def _reversed_adj(g: Graph) -> list[int]:
+    """g's adjacency masks relabelled by v -> n-1-v. Among vertex sets of one
+    size, the lexicographically first is the one whose relabelled mask is
+    the largest."""
+    n = g.n
+    radj = [0] * n
+    for u, v in g.edges:
+        radj[n - 1 - u] |= 1 << (n - 1 - v)
+        radj[n - 1 - v] |= 1 << (n - 1 - u)
+    return radj
+
+
 def _cut_records(g: Graph, num: int, den: int):
     """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
     (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
@@ -212,10 +232,7 @@ def _cut_records(g: Graph, num: int, den: int):
     non-complete graph.
     """
     n, full = g.n, g.full_mask
-    radj = [0] * n
-    for u, v in g.edges:
-        radj[n - 1 - u] |= 1 << (n - 1 - v)
-        radj[n - 1 - v] |= 1 << (n - 1 - u)
+    radj = _reversed_adj(g)
     alpha = 0  # alpha(G), once computed
 
     def beyond_alpha(c_min: int) -> bool:
@@ -248,13 +265,82 @@ def _cut_records(g: Graph, num: int, den: int):
             rest = (((ripple ^ rest) >> 2) // low) | ripple
 
 
+# Clique separators ----------------------------------------------------------------
+
+# toughness and is_t_tough use the clique kernel (``separator``) only when
+# its cost bound is below 2^n by this many bits. The hunt graphs of the
+# benchmark's seeds 1-3 (orders 8-11) fall at least 2^2.3 short, and on
+# such graphs the cut walk, with its early stops, is faster; H(3) clears
+# the margin by 2^1.2, H(4) by 2^4.8 and G(1,1) by 2^8.4.
+CLIQUE_KERNEL_MARGIN_BITS = 8
+
+
+def _greedy_clique(g: Graph) -> int:
+    """A clique grown by descending degree, ties to the lower vertex."""
+    adj = g.adj
+    clique, common = 0, g.full_mask
+    for v in sorted(range(g.n), key=lambda v: -adj[v].bit_count()):
+        if common >> v & 1:
+            clique |= 1 << v
+            common &= adj[v]
+    return clique
+
+
+def _clique_split(g: Graph, clique: int) -> tuple:
+    """(shared, pieces, cost) of g cut along a clique X, as masks.
+
+    ``pieces`` pairs each component P of G - X with A(P) = N(P) & X;
+    ``shared`` holds the X-vertices in two or more A(P), and an X-vertex of
+    one A(P) is private to that piece. ``cost`` is the clique kernel's work
+    bound, 2^|shared| * sum over P of 2^(|private(P)| + |P|).
+    """
+    adj = g.adj
+    pieces = []
+    seen = shared = 0
+    for piece in component_masks(adj, g.full_mask & ~clique):
+        touch = 0
+        for v in iter_bits(piece):
+            touch |= adj[v]
+        touch &= clique
+        shared |= seen & touch
+        seen |= touch
+        pieces.append((piece, touch))
+    cost = sum(1 << ((touch & ~shared).bit_count() + piece.bit_count())
+               for piece, touch in pieces) << shared.bit_count()
+    return shared, pieces, cost
+
+
+def _kernel_toughness(g: Graph) -> ToughnessResult | None:
+    """toughness(g) of a connected non-complete graph from the clique
+    kernel, when the greedy clique makes it cheap enough; else None.
+
+    The kernel's module is imported only here, so a run that never takes
+    this branch does not load it.
+    """
+    # a vertex v of piece P has its neighbours in P and A(P), so the cost
+    # bound is at least 2^(|P| + |A(P)|) >= 2^(deg(v) + 1)
+    if min(map(int.bit_count, g.adj)) + 1 + CLIQUE_KERNEL_MARGIN_BITS >= g.n:
+        return None
+    clique = _greedy_clique(g)
+    _, _, cost = _clique_split(g, clique)
+    if cost << CLIQUE_KERNEL_MARGIN_BITS >= 1 << g.n:
+        return None
+    from .separator import clique_toughness
+    return clique_toughness(g, clique)
+
+
 def toughness(g: Graph) -> ToughnessResult:
     """min |S| / c(G - S) over all cut sets, as a reduced rational. The
-    witness is the first minimum-ratio cut in (|S|, lexicographic) order."""
+    witness is the first minimum-ratio cut in (|S|, lexicographic) order,
+    from the clique kernel where it is cheap and from the cut walk
+    elsewhere."""
     if g.is_complete():
         return ToughnessResult(INF, None)
     if not g.is_connected():
         return ToughnessResult(Fraction(0), frozenset())
+    result = _kernel_toughness(g)
+    if result is not None:
+        return result
     record = None
     for record in _cut_records(g, 1, 0):
         pass
@@ -265,7 +351,8 @@ def toughness(g: Graph) -> ToughnessResult:
 
 
 def is_t_tough(g: Graph, t) -> bool:
-    """tau(G) >= t, terminating as soon as any cut certifies tau < t."""
+    """tau(G) >= t. The cut walk ends as soon as a cut certifies tau < t;
+    where the clique kernel is cheap, it computes tau instead."""
     if t == INF:
         return g.is_complete()
     t = Fraction(t)
@@ -275,4 +362,7 @@ def is_t_tough(g: Graph, t) -> bool:
         return True
     if not g.is_connected():
         return False
+    result = _kernel_toughness(g)
+    if result is not None:
+        return result.value >= t
     return next(_cut_records(g, t.numerator, t.denominator), None) is None

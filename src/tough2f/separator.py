@@ -1,0 +1,119 @@
+"""Exact toughness through a clique separator.
+
+Let X be a clique of G. The pieces are the components P of G - X, and
+A(P) = N(P) & X. For a cut S, R = X - S is a clique, so it lies in one
+component of G - S, which absorbs every component of a P - S that sees R.
+
+- If R is empty, c(G - S) sums c(P - S) over the pieces.
+- Otherwise c(G - S) is 1 plus the components of each P - S that see no
+  vertex of R. For piece P that count depends only on P's own cut, on
+  which of its private X-vertices (those in A(P) alone) it keeps, and on
+  which of the shared X-vertices (those in two or more A(P)) are kept.
+
+So for each kept subset of the shared vertices, every piece is optimised
+alone into a frontier keyed by (count, keeps a private vertex), and the
+frontiers are merged by min-plus convolution. A vertex of X in no A(P) is
+kept at no cost: in S it would add to |S| and never to c(G - S). The work
+is at most 2^|shared| * sum over P of 2^(|private(P)| + |P|) component
+counts.
+
+``invariants.toughness`` and ``invariants.is_t_tough`` call this module
+when that bound is small against 2^n; see ``CLIQUE_KERNEL_MARGIN_BITS``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .graphs import Graph, component_masks, iter_bits
+from .invariants import ToughnessResult, _clique_split, _reversed_adj
+
+
+def _submasks(mask: int):
+    """Every submask of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _min_plus(a: dict, b: dict) -> dict:
+    """Merge two frontiers {(count, kept): (|S|, -mask)}: counts add, the
+    kept flags or, the cuts join, and each key keeps its least entry."""
+    out = {}
+    for (count_a, kept_a), (size_a, neg_a) in a.items():
+        for (count_b, kept_b), (size_b, neg_b) in b.items():
+            key = (count_a + count_b, kept_a or kept_b)
+            entry = (size_a + size_b, neg_a + neg_b)
+            old = out.get(key)
+            if old is None or entry < old:
+                out[key] = entry
+    return out
+
+
+def clique_toughness(g: Graph, clique: int) -> ToughnessResult:
+    """toughness(g) of a connected non-complete graph through the clique
+    given as a mask, with the same value and witness.
+
+    Masks are in the labels of ``invariants._reversed_adj``, so each entry
+    (|S|, -mask) is least for the (|S|, lexicographic)-first cut, and both
+    parts add over disjoint parts of S. Over all keys, the least
+    (|S|/c, |S|, -mask) is the cut walk's last record.
+    """
+    n = g.n
+    radj = _reversed_adj(g)
+
+    def relabel(mask: int) -> int:
+        out = 0
+        for v in iter_bits(mask):
+            out |= 1 << (n - 1 - v)
+        return out
+
+    shared, pieces, _ = _clique_split(g, clique)
+    clique, shared = relabel(clique), relabel(shared)
+    free = clique
+    frontiers = []
+    for piece, touch in pieces:
+        piece, touch = relabel(piece), relabel(touch)
+        free &= ~touch
+        private, touch_shared = touch & ~shared, touch & shared
+        # for each kept subset of the piece's shared vertices, its frontier
+        fronts = {kept: {} for kept in _submasks(touch_shared)}
+        for cut in _submasks(piece):
+            reach = []
+            for comp in component_masks(radj, piece & ~cut):
+                seen = 0
+                for v in iter_bits(comp):
+                    seen |= radj[v]
+                reach.append(seen & clique)
+            size = cut.bit_count()
+            for kept_private in _submasks(private):
+                removed = private ^ kept_private
+                entry = (size + removed.bit_count(), -(cut | removed))
+                flag = kept_private != 0
+                for kept_shared, best in fronts.items():
+                    kept = kept_private | kept_shared
+                    key = (sum(not r & kept for r in reach), flag)
+                    old = best.get(key)
+                    if old is None or entry < old:
+                        best[key] = entry
+        frontiers.append((touch_shared, fronts))
+
+    best = None
+    for removed_shared in _submasks(shared):
+        kept_shared = shared ^ removed_shared
+        total = {(0, bool(kept_shared or free)):
+                 (removed_shared.bit_count(), -removed_shared)}
+        for touch_shared, fronts in frontiers:
+            total = _min_plus(total, fronts[kept_shared & touch_shared])
+        for (count, kept), (size, neg) in total.items():
+            count += kept  # the component holding the kept vertices
+            if count >= 2:
+                candidate = (Fraction(size, count), size, neg)
+                if best is None or candidate < best:
+                    best = candidate
+    value, _, neg = best
+    return ToughnessResult(value,
+                           frozenset(n - 1 - v for v in iter_bits(-neg)))

@@ -1,13 +1,14 @@
 """End-to-end command-line behaviour: JSON payloads and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from tough2f import cycle, encode_graph6, invariants, path, write_edge_list
 from tough2f.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from tough2f.families import FamilySpec, build
-from tough2f.graphs import Graph
+from tough2f.graphs import Graph, count_components
 
 
 def star4_g6():
@@ -42,6 +43,19 @@ def test_invariants(tmp_path, capsys):
     assert payload["kappa"] == 2
     assert payload["delta"] == 2
     assert len(payload["tau_witness"]) == 2
+
+
+def test_invariants_h4(tmp_path, capsys):
+    # order 22: in reach through the clique kernel
+    g = build(FamilySpec.parse("H:n=4")).graph
+    source = write(tmp_path, encode_graph6(g))
+    code, payloads = run(capsys, ["invariants", source])
+    assert code == EXIT_OK
+    (payload,) = payloads
+    assert payload["order"] == 22
+    assert payload["tau"] == "4/3"
+    witness = payload["tau_witness"]
+    assert Fraction(len(witness), count_components(g, witness)) == Fraction(4, 3)
 
 
 def test_invariants_rejects_order_zero_before_computing(

@@ -32,6 +32,18 @@ def test_spec_from_keywords_is_checked_and_sorted():
             FamilySpec(family="Ghat", params=params)
 
 
+def test_spec_replace_and_make_are_checked():
+    spec = FamilySpec.parse("H:n=1")
+    with pytest.raises(GraphError):
+        spec._replace(params=(("n", 0),))
+    with pytest.raises(GraphError):
+        FamilySpec._make(["Q", ()])
+    assert spec._replace(params=[("n", 2)]) == FamilySpec.parse("H:n=2")
+    made = FamilySpec._make(["R", [("c", 3), ("m", 1), ("b", 1), ("a", 2)]])
+    assert made == FamilySpec.parse("R:m=1,a=2,b=1,c=3")
+    assert type(made) is FamilySpec
+
+
 def test_spec_validation():
     for text in ("X:n=1", "H:n=0", "H:k=1", "R:m=1,a=0,b=1,c=1",
                  "Gprime:n=0,k=2", "G:n=1,k=0", "Ghat:n=1,k=2",

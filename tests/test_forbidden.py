@@ -44,6 +44,17 @@ def test_parse_errors():
         ForestPattern((2,), -1)
 
 
+def test_replace_and_make_are_checked():
+    pattern = ForestPattern((2,), 1)
+    with pytest.raises(GraphError):
+        pattern._replace(paths=(1,))
+    with pytest.raises(GraphError):
+        ForestPattern._make([(3,), -1])
+    assert pattern._replace(paths=[2, 4]) == ForestPattern((4, 2), 1)
+    assert type(ForestPattern._make([(2, 3), 0])) is ForestPattern
+    assert ForestPattern._make([(2, 3), 0]).paths == (3, 2)
+
+
 def test_paths_sorted_descending():
     assert ForestPattern((2, 5, 3), 0).paths == (5, 3, 2)
 

@@ -53,7 +53,19 @@ def test_cli_import_leaves_out_unused_modules():
     added = modules_added_by("import tough2f.cli")
     assert {"tough2f.cli", "tough2f.theorems", "tough2f.matching"} <= added
     assert not added & {"tough2f.barriers", "tough2f.families",
-                        "dataclasses"}
+                        "tough2f.separator", "dataclasses"}
+
+
+def test_clique_kernel_module_loads_only_when_used():
+    walk = modules_added_by("from tough2f import toughness, cycle\n"
+                            "toughness(cycle(12))")
+    assert "tough2f.invariants" in walk
+    assert "tough2f.separator" not in walk
+    kernel = modules_added_by("from tough2f import toughness, build\n"
+                              "from tough2f.families import FamilySpec\n"
+                              "h3 = build(FamilySpec.parse('H:n=3')).graph\n"
+                              "toughness(h3)")
+    assert "tough2f.separator" in kernel
 
 
 def test_record_modules_leave_out_dataclasses():

@@ -23,8 +23,9 @@ from tough2f import (
     path,
     toughness,
 )
+from tough2f import invariants, separator
 from tough2f.families import build, FamilySpec
-from tough2f.graphs import complement, count_components
+from tough2f.graphs import complement, count_components, vertex_mask
 
 from conftest import graph_to_nx, random_graph
 
@@ -262,3 +263,122 @@ def test_is_t_tough_agrees_with_toughness():
         tau = toughness(g).value
         for t in thresholds:
             assert is_t_tough(g, t) == (tau >= t)
+
+
+# The clique-separator kernel, called directly --------------------------------
+
+def clique_kernel(g: Graph, clique=None):
+    """The kernel's answer through ``clique``, by default the greedy one."""
+    if clique is None:
+        clique = invariants._greedy_clique(g)
+    return separator.clique_toughness(g, clique)
+
+
+def walk_toughness(g: Graph):
+    """(tau, witness) from the last record of the cut walk."""
+    *_, (size, comps, cut) = invariants._cut_records(g, 1, 0)
+    return Fraction(size, comps), cut
+
+
+def planted_separator(rng: random.Random, order_cap: int, cliques=(1, 4)):
+    """(graph, clique) of a random graph cut by a planted clique, of a size
+    in the ``cliques`` range, into 2-4 pieces, under shuffled labels."""
+    while True:
+        k, count = rng.randint(*cliques), rng.randint(2, 4)
+        sizes = [rng.randint(1, 3) for _ in range(count)]
+        n = k + sum(sizes)
+        if n <= order_cap:
+            break
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    start = k
+    for size in sizes:
+        piece = range(start, start + size)
+        inner = random_graph(rng, size, rng.uniform(0.3, 1.0))
+        edges += [(start + u, start + v) for u, v in inner.edges]
+        for w in piece[1:]:  # keep the piece connected
+            edges.append((rng.randrange(start, w), w))
+        touch = [x for x in range(k) if rng.random() < 0.5]
+        touch = touch or [rng.randrange(k)]
+        edges += [(x, rng.choice(piece)) for x in touch]
+        edges += [(x, w) for x in touch for w in piece if rng.random() < 0.3]
+        start += size
+    label = list(range(n))
+    rng.shuffle(label)
+    g = Graph(n, [(label[u], label[v]) for u, v in edges])
+    return g, vertex_mask(g, [label[x] for x in range(k)])
+
+
+def test_clique_kernel_matches_oracle_on_atlas(atlas_connected):
+    for g in atlas_connected:
+        if not g.is_complete():
+            result = clique_kernel(g)
+            expected = brute_toughness(g)
+            assert (result.value, result.witness) == expected, g.edges
+
+
+def test_clique_kernel_matches_walk_on_order8(connected_order8):
+    # toughness walks the cut sets on every order-8 graph
+    for g in connected_order8:
+        if not g.is_complete():
+            assert invariants._kernel_toughness(g) is None
+            assert clique_kernel(g) == toughness(g), g.edges
+
+
+def test_clique_kernel_matches_oracle_on_random_graphs():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 150:
+        g = random_graph(rng, rng.randint(4, 11), rng.uniform(0.2, 0.8))
+        if g.is_complete() or not g.is_connected():
+            continue
+        checked += 1
+        result = clique_kernel(g)
+        assert (result.value, result.witness) == brute_toughness(g), g.edges
+
+
+def test_clique_kernel_matches_oracle_on_planted_separators():
+    rng = random.Random(43)
+    for _ in range(200):
+        g, clique = planted_separator(rng, 11)
+        if g.is_complete():
+            continue
+        expected = brute_toughness(g)
+        for x in (clique, None):
+            result = clique_kernel(g, x)
+            assert (result.value, result.witness) == expected, (g.edges, x)
+
+
+def test_toughness_of_h3_is_the_walks_last_record():
+    g = build(FamilySpec.parse("H:n=3")).graph
+    assert invariants._kernel_toughness(g) is not None  # the kernel serves it
+    result = toughness(g)
+    assert (result.value, result.witness) == walk_toughness(g)
+    assert result.value == Fraction(9, 7)
+
+
+def test_is_t_tough_on_kernel_graphs(monkeypatch):
+    # graphs the dispatch sends to the kernel, against the walk's tau
+    rng = random.Random(47)
+    graphs = [build(FamilySpec.parse("H:n=3")).graph]
+    for _ in range(3000):
+        g, _ = planted_separator(rng, 16, cliques=(6, 10))
+        if not g.is_complete() and invariants._kernel_toughness(g) is not None:
+            graphs.append(g)
+            if len(graphs) == 9:
+                break
+    assert len(graphs) == 9
+    grid = [Fraction(p, q) for q in range(1, 8) for p in range(1, 3 * q + 1)]
+    calls = []
+
+    def counted(g, clique, real=separator.clique_toughness):
+        calls.append(g)
+        return real(g, clique)
+
+    monkeypatch.setattr(separator, "clique_toughness", counted)
+    for g in graphs:
+        tau, witness = walk_toughness(g)
+        result = toughness(g)
+        assert (result.value, result.witness) == (tau, witness), g.edges
+        for t in grid + [tau]:
+            assert is_t_tough(g, t) == (tau >= t), (g.edges, t)
+    assert len(calls) == len(graphs) * (len(grid) + 2)

@@ -78,10 +78,10 @@ def main(argv=None) -> int:
     if separator is not None:
         kernel = separator.clique_toughness
 
-        def counting_kernel(g, clique):
+        def counting_kernel(*args):  # any version of the kernel's entry
             nonlocal kernel_queries
             kernel_queries += 1
-            return kernel(g, clique)
+            return kernel(*args)
 
     answers = []
     masks_by_answer = {True: 0, False: 0}

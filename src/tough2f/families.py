@@ -48,6 +48,8 @@ class FamilySpec(_SpecFields):
         p = dict(params)
         if len(p) != len(params):
             raise GraphError(f"repeated parameter in family {family}")
+        if any(type(v) is not int for v in p.values()):
+            raise GraphError(f"family {family} takes integer parameters")
         if family == "H":
             if set(p) != {"n"} or p["n"] < 1:
                 raise GraphError("family H takes n >= 1")

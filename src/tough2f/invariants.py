@@ -2,23 +2,24 @@
 connectivity and toughness.
 
 Toughness and the independence number are NP-hard in general; the searches
-here are exact and exhaustive with pruning. Toughness walks the cut sets,
-which is practical up to roughly order 24. A graph that a clique X splits
-into small pieces goes instead to a kernel that optimises each piece of
-G - X alone and merges the results (``separator.clique_toughness``), with
-the same value and witness. Its work bound is 2^|Y| * sum over pieces P of
-2^(|P| + |private(P)|), where Y holds the X-vertices next to two or more
-pieces and private(P) those next to P alone. X is grown greedily by
-degree, and the kernel runs when the bound is below 2^n by the factor
-2^CLIQUE_KERNEL_MARGIN_BITS. It takes milliseconds on H(n) and G(1,1) and
-0.1 s on Ghat(2,2), order 62. The independence search also prunes on a
-greedy clique cover, which bounds alpha from above, and returns the same
-alpha and witness as without it; it takes well under a second on random
-graphs of order 80 and on the paper's constructions. Connectivity uses
-unit-capacity vertex-split maximum flow (Menger), run only on the pairs
-that Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
-minimum degree against each non-neighbour, and each non-adjacent pair of
-neighbours of v. So it scales further.
+here are exact and exhaustive with pruning. Toughness has one dispatch,
+``_toughness_records``: it walks the cut sets, which is practical up to
+roughly order 24, unless a clique X splits the graph into small pieces.
+Then a kernel (``separator``) optimises each piece of G - X alone and
+merges the results, with the same value and witness. Its work bound is
+2^|Y| * sum over pieces P of 2^(|P| + |private(P)|), where Y holds the
+X-vertices next to two or more pieces and private(P) those next to P
+alone. X is grown greedily by degree, and the kernel runs when the bound
+is below 2^n by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
+milliseconds on H(n) and G(1,1) and 0.1 s on Ghat(2,2), order 62. The
+independence search also prunes on a greedy clique cover, which bounds
+alpha from above, and returns the same alpha and witness as without it;
+it takes well under a second on random graphs of order 80 and on the
+paper's constructions. Connectivity uses unit-capacity vertex-split
+maximum flow (Menger), run only on the pairs that Esfahanian-Hakimi
+selection keeps (Networks 14, 1984): a vertex v of minimum degree against
+each non-neighbour, and each non-adjacent pair of neighbours of v. So it
+scales further.
 """
 
 from __future__ import annotations
@@ -210,11 +211,11 @@ def _reversed_adj(g: Graph) -> list[int]:
     return radj
 
 
-def _cut_records(g: Graph, num: int, den: int):
+def _cut_records(g: Graph, radj: list[int], num: int, den: int):
     """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
     (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
     and below the ratio of every cut yielded before it. den = 0 means no
-    bound.
+    bound. S is a mask in the labels of ``radj = _reversed_adj(g)``.
 
     Cuts are walked through the vertices they leave. Gosper's hack steps
     through those masks in increasing order on the graph relabelled by
@@ -232,7 +233,6 @@ def _cut_records(g: Graph, num: int, den: int):
     non-complete graph.
     """
     n, full = g.n, g.full_mask
-    radj = _reversed_adj(g)
     alpha = 0  # alpha(G), once computed
 
     def beyond_alpha(c_min: int) -> bool:
@@ -254,8 +254,7 @@ def _cut_records(g: Graph, num: int, den: int):
         while rest <= full:
             count = len(component_masks(radj, rest))
             if count >= c_min:
-                yield size, count, frozenset(
-                    n - 1 - b for b in iter_bits(full & ~rest))
+                yield size, count, full & ~rest
                 num, den = size, count
                 c_min = count + 1
                 if beyond_alpha(c_min):
@@ -267,37 +266,25 @@ def _cut_records(g: Graph, num: int, den: int):
 
 # Clique separators ----------------------------------------------------------------
 
-# toughness and is_t_tough use the clique kernel (``separator``) only when
-# its cost bound is below 2^n by this many bits. The hunt graphs of the
-# benchmark's seeds 1-3 (orders 8-11) fall at least 2^2.3 short, and on
+# The toughness records come from the clique kernel (``separator``) only
+# when its cost bound is below 2^n by this many bits. The hunt graphs of
+# the benchmark's seeds 1-3 (orders 8-11) fall at least 2^2.3 short, and on
 # such graphs the cut walk, with its early stops, is faster; H(3) clears
 # the margin by 2^1.2, H(4) by 2^4.8 and G(1,1) by 2^8.4.
 CLIQUE_KERNEL_MARGIN_BITS = 8
 
 
-def _greedy_clique(g: Graph) -> int:
-    """A clique grown by descending degree, ties to the lower vertex."""
-    adj = g.adj
-    clique, common = 0, g.full_mask
-    for v in sorted(range(g.n), key=lambda v: -adj[v].bit_count()):
-        if common >> v & 1:
-            clique |= 1 << v
-            common &= adj[v]
-    return clique
-
-
-def _clique_split(g: Graph, clique: int) -> tuple:
-    """(shared, pieces, cost) of g cut along a clique X, as masks.
+def _clique_split(adj: list[int], clique: int) -> tuple:
+    """(shared, pieces, cost) of the graph ``adj`` cut along a clique X.
 
     ``pieces`` pairs each component P of G - X with A(P) = N(P) & X;
     ``shared`` holds the X-vertices in two or more A(P), and an X-vertex of
     one A(P) is private to that piece. ``cost`` is the clique kernel's work
     bound, 2^|shared| * sum over P of 2^(|private(P)| + |P|).
     """
-    adj = g.adj
     pieces = []
     seen = shared = 0
-    for piece in component_masks(adj, g.full_mask & ~clique):
+    for piece in component_masks(adj, ((1 << len(adj)) - 1) & ~clique):
         touch = 0
         for v in iter_bits(piece):
             touch |= adj[v]
@@ -310,23 +297,43 @@ def _clique_split(g: Graph, clique: int) -> tuple:
     return shared, pieces, cost
 
 
-def _kernel_toughness(g: Graph) -> ToughnessResult | None:
-    """toughness(g) of a connected non-complete graph from the clique
-    kernel, when the greedy clique makes it cheap enough; else None.
-
-    The kernel's module is imported only here, so a run that never takes
-    this branch does not load it.
-    """
+def _kernel_split(radj: list[int]) -> tuple | None:
+    """(clique, shared, pieces) of the reversed-label adjacency of a
+    connected non-complete graph if the clique kernel is cheap on it, else
+    None. The clique is grown by descending degree, ties to the lower
+    vertex of the graph, which is the higher one in ``radj``."""
+    n = len(radj)
     # a vertex v of piece P has its neighbours in P and A(P), so the cost
     # bound is at least 2^(|P| + |A(P)|) >= 2^(deg(v) + 1)
-    if min(map(int.bit_count, g.adj)) + 1 + CLIQUE_KERNEL_MARGIN_BITS >= g.n:
+    if min(map(int.bit_count, radj)) + 1 + CLIQUE_KERNEL_MARGIN_BITS >= n:
         return None
-    clique = _greedy_clique(g)
-    _, _, cost = _clique_split(g, clique)
-    if cost << CLIQUE_KERNEL_MARGIN_BITS >= 1 << g.n:
+    clique, common = 0, (1 << n) - 1
+    for v in sorted(reversed(range(n)), key=lambda v: -radj[v].bit_count()):
+        if common >> v & 1:
+            clique |= 1 << v
+            common &= radj[v]
+    shared, pieces, cost = _clique_split(radj, clique)
+    if cost << CLIQUE_KERNEL_MARGIN_BITS >= 1 << n:
         return None
-    from .separator import clique_toughness
-    return clique_toughness(g, clique)
+    return clique, shared, pieces
+
+
+def _toughness_records(g: Graph, num: int, den: int):
+    """The records of ``_cut_records`` for a connected non-complete graph,
+    each cut as a vertex set. Where the clique kernel is cheap, it gives
+    the last record alone, if its ratio is below num/den; its module is
+    imported only then."""
+    n = g.n
+    radj = _reversed_adj(g)
+    split = _kernel_split(radj)
+    if split is None:
+        records = _cut_records(g, radj, num, den)
+    else:
+        from .separator import clique_toughness
+        size, count, cut = clique_toughness(radj, *split)
+        records = [(size, count, cut)] if size * den < num * count else []
+    for size, count, cut in records:
+        yield size, count, frozenset(n - 1 - v for v in iter_bits(cut))
 
 
 def toughness(g: Graph) -> ToughnessResult:
@@ -338,15 +345,7 @@ def toughness(g: Graph) -> ToughnessResult:
         return ToughnessResult(INF, None)
     if not g.is_connected():
         return ToughnessResult(Fraction(0), frozenset())
-    result = _kernel_toughness(g)
-    if result is not None:
-        return result
-    record = None
-    for record in _cut_records(g, 1, 0):
-        pass
-    if record is None:
-        raise RuntimeError("a connected non-complete graph has a cut set")
-    size, comps, cut = record
+    *_, (size, comps, cut) = _toughness_records(g, 1, 0)
     return ToughnessResult(Fraction(size, comps), cut)
 
 
@@ -362,7 +361,5 @@ def is_t_tough(g: Graph, t) -> bool:
         return True
     if not g.is_connected():
         return False
-    result = _kernel_toughness(g)
-    if result is not None:
-        return result.value >= t
-    return next(_cut_records(g, t.numerator, t.denominator), None) is None
+    return next(_toughness_records(g, t.numerator, t.denominator),
+                None) is None

@@ -17,16 +17,16 @@ kept at no cost: in S it would add to |S| and never to c(G - S). The work
 is at most 2^|shared| * sum over P of 2^(|private(P)| + |P|) component
 counts.
 
-``invariants.toughness`` and ``invariants.is_t_tough`` call this module
-when that bound is small against 2^n; see ``CLIQUE_KERNEL_MARGIN_BITS``.
+``invariants._toughness_records`` picks X, splits the graph along it and
+calls this kernel, on masks in its reversed labels, when that bound is
+small against 2^n; see ``CLIQUE_KERNEL_MARGIN_BITS``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import Graph, component_masks, iter_bits
-from .invariants import ToughnessResult, _clique_split, _reversed_adj
+from .graphs import component_masks, iter_bits
 
 
 def _submasks(mask: int):
@@ -53,30 +53,19 @@ def _min_plus(a: dict, b: dict) -> dict:
     return out
 
 
-def clique_toughness(g: Graph, clique: int) -> ToughnessResult:
-    """toughness(g) of a connected non-complete graph through the clique
-    given as a mask, with the same value and witness.
+def clique_toughness(radj: list[int], clique: int, shared: int,
+                     pieces: list) -> tuple:
+    """The cut walk's last record (|S|, c(G - S), S) of a connected
+    non-complete graph, from a clique and its ``invariants._clique_split``.
 
-    Masks are in the labels of ``invariants._reversed_adj``, so each entry
+    Masks are in the reversed labels of ``radj``, so each entry
     (|S|, -mask) is least for the (|S|, lexicographic)-first cut, and both
     parts add over disjoint parts of S. Over all keys, the least
-    (|S|/c, |S|, -mask) is the cut walk's last record.
+    (|S|/c, |S|, -mask) is the walk's last record.
     """
-    n = g.n
-    radj = _reversed_adj(g)
-
-    def relabel(mask: int) -> int:
-        out = 0
-        for v in iter_bits(mask):
-            out |= 1 << (n - 1 - v)
-        return out
-
-    shared, pieces, _ = _clique_split(g, clique)
-    clique, shared = relabel(clique), relabel(shared)
     free = clique
     frontiers = []
     for piece, touch in pieces:
-        piece, touch = relabel(piece), relabel(touch)
         free &= ~touch
         private, touch_shared = touch & ~shared, touch & shared
         # for each kept subset of the piece's shared vertices, its frontier
@@ -111,9 +100,8 @@ def clique_toughness(g: Graph, clique: int) -> ToughnessResult:
         for (count, kept), (size, neg) in total.items():
             count += kept  # the component holding the kept vertices
             if count >= 2:
-                candidate = (Fraction(size, count), size, neg)
+                candidate = (Fraction(size, count), size, neg, count)
                 if best is None or candidate < best:
                     best = candidate
-    value, _, neg = best
-    return ToughnessResult(value,
-                           frozenset(n - 1 - v for v in iter_bits(-neg)))
+    _, size, neg, count = best
+    return size, count, -neg

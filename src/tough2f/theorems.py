@@ -122,10 +122,18 @@ def _connected_clauses(level: int):
     )
 
 
-def _param(params: dict, key: str, theorem_id: str):
+def _param(params: dict, key: str, theorem_id: str, kind=int):
+    """params[key] as an int, or as a Fraction for kind=Fraction."""
     if key not in params:
         raise GraphError(f"{theorem_id} requires parameter {key!r}")
-    return params[key]
+    value = params[key]
+    try:
+        if kind is int and type(value) is not int:  # a float, Fraction, bool
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # inf, nan
+        raise GraphError(f"{theorem_id} takes a finite {kind.__name__} "
+                         f"{key}, not {value!r}") from exc
 
 
 def make_theorem(theorem_id: str, **params) -> TheoremSpec:
@@ -136,7 +144,7 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
                          + ", ".join(map(repr, stray)))
     at_least_three = ("order >= 3", lambda f: f.order >= 3)
     if theorem_id == "THM1i":
-        t = Fraction(_param(params, "t", theorem_id))
+        t = _param(params, "t", theorem_id, Fraction)
         if not 1 <= t < 2:
             raise GraphError("THM1i needs rational t with 1 <= t < 2")
         clauses = (
@@ -147,7 +155,7 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
         )
         return TheoremSpec(theorem_id, {"t": str(t)}, clauses)
     if theorem_id == "THM1ii":
-        t = Fraction(_param(params, "t", theorem_id))
+        t = _param(params, "t", theorem_id, Fraction)
         if not Fraction(3, 2) <= t < 2:
             raise GraphError("THM1ii needs rational t with 3/2 <= t < 2")
         denom = 7 * t - 7 - t * t
@@ -162,7 +170,7 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
         )
         return TheoremSpec(theorem_id, {"t": str(t)}, clauses)
     if theorem_id == "THM2":
-        eps = Fraction(_param(params, "eps", theorem_id))
+        eps = _param(params, "eps", theorem_id, Fraction)
         if not 0 < eps <= 1:
             raise GraphError("THM2 needs rational eps with 0 < eps <= 1")
         clauses = (
@@ -172,11 +180,11 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
         )
         return TheoremSpec(theorem_id, {"eps": str(eps)}, clauses)
     if theorem_id in ("THM3i", "THM3ii", "THM4i", "THM4ii"):
-        k = int(_param(params, "k", theorem_id))
+        k = _param(params, "k", theorem_id)
         if k < 1:
             raise GraphError("k must be a positive integer")
         if theorem_id == "THM3i":
-            ell = int(_param(params, "ell", theorem_id))
+            ell = _param(params, "ell", theorem_id)
             if ell not in (1, 2):
                 raise GraphError("THM3i needs ell in {1, 2}")
             pattern = forbidden.ForestPattern((2 * ell,), k)
@@ -187,7 +195,7 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
             level, tough = k + 1, Fraction(1)
             shown = {"k": k}
         elif theorem_id == "THM4i":
-            ell = int(_param(params, "ell", theorem_id))
+            ell = _param(params, "ell", theorem_id)
             if ell not in (2, 3):
                 raise GraphError("THM4i needs ell in {2, 3}")
             pattern = forbidden.ForestPattern((2 * ell + 1,), k)

@@ -44,6 +44,15 @@ def test_spec_replace_and_make_are_checked():
     assert type(made) is FamilySpec
 
 
+def test_spec_values_are_integers():
+    for value in (1.5, 2.0, Fraction(2), True, "2", None):
+        with pytest.raises(GraphError):
+            FamilySpec("H", (("n", value),))
+    with pytest.raises(GraphError):
+        FamilySpec("R", (("m", 1), ("a", 2), ("b", 1), ("c", 3.0)))
+    assert str(FamilySpec("H", (("n", 2),))) == "H:n=2"
+
+
 def test_spec_validation():
     for text in ("X:n=1", "H:n=0", "H:k=1", "R:m=1,a=0,b=1,c=1",
                  "Gprime:n=0,k=2", "G:n=1,k=0", "Ghat:n=1,k=2",

@@ -1,5 +1,6 @@
 """What importing the package loads, and the names it re-exports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -66,6 +67,43 @@ def test_clique_kernel_module_loads_only_when_used():
                               "h3 = build(FamilySpec.parse('H:n=3')).graph\n"
                               "toughness(h3)")
     assert "tough2f.separator" in kernel
+
+
+def package_imports() -> dict:
+    """Each module of the package -> the modules of the package that it
+    imports, at any level of its source (``tough2f`` for the package)."""
+    names = {path.stem for path in (SRC / "tough2f").glob("*.py")}
+    graph = {}
+    for name in names:
+        tree = ast.parse((SRC / "tough2f" / f"{name}.py").read_text())
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    graph[name].add(node.module.split(".")[0])
+                else:  # from . import a, b
+                    graph[name] |= {alias.name if alias.name in names
+                                    else "__init__" for alias in node.names}
+    return graph
+
+
+def test_package_imports_have_no_cycle():
+    graph = package_imports()
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, " -> ".join(path[path.index(name):] + [name])
+        if name in done:
+            return
+        path.append(name)
+        for target in sorted(graph[name]):
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    assert graph["separator"] == {"graphs"}
 
 
 def test_record_modules_leave_out_dataclasses():

@@ -1,6 +1,7 @@
 """Exact invariants against independent brute-force oracles and known values."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from tough2f import (
 )
 from tough2f import invariants, separator
 from tough2f.families import build, FamilySpec
-from tough2f.graphs import complement, count_components, vertex_mask
+from tough2f.graphs import complement, count_components, iter_bits
 
 from conftest import graph_to_nx, random_graph
 
@@ -267,17 +268,53 @@ def test_is_t_tough_agrees_with_toughness():
 
 # The clique-separator kernel, called directly --------------------------------
 
+def greedy_clique(g: Graph) -> list:
+    """A clique grown by descending degree, ties to the lower vertex."""
+    clique, common = [], set(range(g.n))
+    for v in sorted(range(g.n), key=g.degree, reverse=True):
+        if v in common:
+            clique.append(v)
+            common &= set(g.neighbors(v))
+    return clique
+
+
 def clique_kernel(g: Graph, clique=None):
-    """The kernel's answer through ``clique``, by default the greedy one."""
+    """The kernel's (tau, witness) through ``clique``, a list of vertices,
+    by default the greedy one."""
+    n = g.n
+    radj = invariants._reversed_adj(g)
     if clique is None:
-        clique = invariants._greedy_clique(g)
-    return separator.clique_toughness(g, clique)
+        clique = greedy_clique(g)
+    mask = sum(1 << (n - 1 - v) for v in clique)
+    shared, pieces, _ = invariants._clique_split(radj, mask)
+    size, comps, cut = separator.clique_toughness(radj, mask, shared, pieces)
+    return Fraction(size, comps), frozenset(n - 1 - v for v in iter_bits(cut))
+
+
+def takes_kernel(g: Graph) -> bool:
+    """Whether the dispatch sends g to the clique kernel."""
+    return invariants._kernel_split(invariants._reversed_adj(g)) is not None
 
 
 def walk_toughness(g: Graph):
     """(tau, witness) from the last record of the cut walk."""
-    *_, (size, comps, cut) = invariants._cut_records(g, 1, 0)
-    return Fraction(size, comps), cut
+    n = g.n
+    radj = invariants._reversed_adj(g)
+    *_, (size, comps, cut) = invariants._cut_records(g, radj, 1, 0)
+    return Fraction(size, comps), frozenset(n - 1 - v for v in iter_bits(cut))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The argument tuples of every clique-kernel call made in the test."""
+    calls = []
+
+    def counted(*args, real=separator.clique_toughness):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(separator, "clique_toughness", counted)
+    return calls
 
 
 def planted_separator(rng: random.Random, order_cap: int, cliques=(1, 4)):
@@ -305,22 +342,20 @@ def planted_separator(rng: random.Random, order_cap: int, cliques=(1, 4)):
     label = list(range(n))
     rng.shuffle(label)
     g = Graph(n, [(label[u], label[v]) for u, v in edges])
-    return g, vertex_mask(g, [label[x] for x in range(k)])
+    return g, [label[x] for x in range(k)]
 
 
 def test_clique_kernel_matches_oracle_on_atlas(atlas_connected):
     for g in atlas_connected:
         if not g.is_complete():
-            result = clique_kernel(g)
-            expected = brute_toughness(g)
-            assert (result.value, result.witness) == expected, g.edges
+            assert clique_kernel(g) == brute_toughness(g), g.edges
 
 
 def test_clique_kernel_matches_walk_on_order8(connected_order8):
     # toughness walks the cut sets on every order-8 graph
     for g in connected_order8:
         if not g.is_complete():
-            assert invariants._kernel_toughness(g) is None
+            assert not takes_kernel(g)
             assert clique_kernel(g) == toughness(g), g.edges
 
 
@@ -332,8 +367,7 @@ def test_clique_kernel_matches_oracle_on_random_graphs():
         if g.is_complete() or not g.is_connected():
             continue
         checked += 1
-        result = clique_kernel(g)
-        assert (result.value, result.witness) == brute_toughness(g), g.edges
+        assert clique_kernel(g) == brute_toughness(g), g.edges
 
 
 def test_clique_kernel_matches_oracle_on_planted_separators():
@@ -344,41 +378,53 @@ def test_clique_kernel_matches_oracle_on_planted_separators():
             continue
         expected = brute_toughness(g)
         for x in (clique, None):
-            result = clique_kernel(g, x)
-            assert (result.value, result.witness) == expected, (g.edges, x)
+            assert clique_kernel(g, x) == expected, (g.edges, x)
 
 
-def test_toughness_of_h3_is_the_walks_last_record():
+def test_toughness_of_h3_is_the_walks_last_record(kernel_calls):
     g = build(FamilySpec.parse("H:n=3")).graph
-    assert invariants._kernel_toughness(g) is not None  # the kernel serves it
+    assert takes_kernel(g)
     result = toughness(g)
-    assert (result.value, result.witness) == walk_toughness(g)
+    assert len(kernel_calls) == 1  # the kernel served it
+    assert result == walk_toughness(g)
     assert result.value == Fraction(9, 7)
 
 
-def test_is_t_tough_on_kernel_graphs(monkeypatch):
+def test_is_t_tough_on_kernel_graphs(kernel_calls):
     # graphs the dispatch sends to the kernel, against the walk's tau
     rng = random.Random(47)
     graphs = [build(FamilySpec.parse("H:n=3")).graph]
     for _ in range(3000):
         g, _ = planted_separator(rng, 16, cliques=(6, 10))
-        if not g.is_complete() and invariants._kernel_toughness(g) is not None:
+        if not g.is_complete() and takes_kernel(g):
             graphs.append(g)
             if len(graphs) == 9:
                 break
     assert len(graphs) == 9
     grid = [Fraction(p, q) for q in range(1, 8) for p in range(1, 3 * q + 1)]
-    calls = []
-
-    def counted(g, clique, real=separator.clique_toughness):
-        calls.append(g)
-        return real(g, clique)
-
-    monkeypatch.setattr(separator, "clique_toughness", counted)
     for g in graphs:
         tau, witness = walk_toughness(g)
-        result = toughness(g)
-        assert (result.value, result.witness) == (tau, witness), g.edges
+        assert toughness(g) == (tau, witness), g.edges
         for t in grid + [tau]:
             assert is_t_tough(g, t) == (tau >= t), (g.edges, t)
-    assert len(calls) == len(graphs) * (len(grid) + 2)
+    assert len(kernel_calls) == len(graphs) * (len(grid) + 2)
+
+
+def test_each_kernel_query_splits_once(monkeypatch, kernel_calls):
+    # count the split wherever a module of the package binds it
+    splits = []
+
+    def counted(*args, real=invariants._clique_split):
+        splits.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tough2f.") and hasattr(module, "_clique_split"):
+            monkeypatch.setattr(module, "_clique_split", counted)
+    for text in ("H:n=3", "H:n=4", "G:n=1,k=1"):
+        g = build(FamilySpec.parse(text)).graph
+        toughness(g)
+        is_t_tough(g, 1)
+        is_t_tough(g, Fraction(3, 2))
+    assert len(kernel_calls) == 9
+    assert len(splits) == len(kernel_calls)

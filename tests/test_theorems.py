@@ -1,6 +1,7 @@
 """Theorem registry, corpus hunting, the ratio inequality, and whole-family
 verification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -75,6 +76,15 @@ def test_registry_rejects_bad_params():
         make_theorem("THM3ii", k=0)
     with pytest.raises(GraphError):
         make_theorem("NOSUCH")
+    # integer parameters are not truncated, and rationals must be finite
+    for tid, params in (("THM3ii", {"k": 1.5}), ("THM3ii", {"k": True}),
+                        ("THM4i", {"ell": 2.7, "k": 1}),
+                        ("THM3i", {"ell": 1, "k": Fraction(3, 2)}),
+                        ("THM2", {"eps": math.inf}),
+                        ("THM2", {"eps": math.nan}),
+                        ("THM1i", {"t": "one"}), ("THM1ii", {"t": None})):
+        with pytest.raises(GraphError):
+            make_theorem(tid, **params)
 
 
 def test_registry_rejects_stray_params():

@@ -1,4 +1,4 @@
-"""Time the exhaustive barrier searches and record the figures in BENCH_barriers.json.
+"""Time the barrier searches and record the figures in BENCH_barriers.json.
 
 Measurements, each made on the tough2f tree given by ``--src`` (median of
 ``REPEATS`` runs, every run kept), for both ``find_barrier`` and
@@ -10,8 +10,9 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
   ``certify`` workload, as ``bench/workloads.py`` draws them for seeds 1
   and 11 and the default ``Sizes`` (24 graphs of orders 8-11 each);
 - ``<finder>_hunt_two_factor_s``: over the first ``HUNT_GRAPHS`` graphs of
-  the ``hunt-shared`` corpus for seed 3 that have a 2-factor, where both
-  searches walk all 3^n pairs and find nothing.
+  the ``hunt-shared`` corpus for seed 3 that have a 2-factor, where
+  ``find_barrier`` walks all 3^n pairs and finds nothing, and
+  ``find_biased_barrier`` stops at the empty A.
 
 ``answers_sha256`` hashes whether each graph has a barrier and each biased
 barrier, so equal digests under two labels show the two trees agree.

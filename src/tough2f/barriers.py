@@ -1,4 +1,4 @@
-"""Tutte pairs: deficiency, odd-component bookkeeping, exhaustive barrier and
+"""Tutte pairs: deficiency, odd-component bookkeeping, barrier and
 biased-barrier search, biased-barrier structure checks, and the cut-set
 witness construction that turns a biased barrier into a toughness upper bound.
 
@@ -9,13 +9,20 @@ Notation, for disjoint A, B subseteq V(G):
 where o(A,B) counts the components H of G-(A u B) with e(H,B) odd. A pair
 with deficiency <= -2 is a barrier; the graph has no 2-factor iff a barrier
 exists. A biased barrier maximizes |A| and, subject to that, minimizes |B|.
+
+``find_barrier`` walks all 3^n pairs. ``find_biased_barrier`` is a branch
+and bound over A on two lemmas, proved in its docstring: no barrier
+(A', B) has A' >= A when the 2-matching deficiency of G - A is below
+2|A| + 2, and every barrier has |B| >= |A| + 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
+from .gadget import two_matching_deficiency
 from .graphs import (CertificateError, Graph, GraphError, component_masks,
                      iter_bits, vertex_mask)
 from .invariants import is_t_tough
@@ -173,19 +180,74 @@ def find_biased_barrier(g: Graph) -> Barrier | None:
     """The barrier maximizing |A|, then minimizing |B|, ties broken by the
     smallest lexicographic (sorted A, sorted B) index encoding.
 
-    Every barrier of the 3^n pairs is generated by ``_barriers_by_union``
-    (deficiency = 2|U| - 4|B| + 2e(B) + sum_{v in B} w(v) - popcount of the
-    XOR of the parity masks over B) and the minimum is taken by the key
-    above. Nothing is pruned: in particular the independence of B, a
-    theorem about biased barriers, is not used, so structure checks against
-    the result stay non-circular.
-    """
-    def key(hit):
-        a, b = tuple(iter_bits(hit[0])), tuple(iter_bits(hit[1]))
-        return -len(a), len(b), a, b
+    A branch and bound over A, on two lemmas. Write def_2(H) =
+    2|V(H)| - 2 nu_2(H), nu_2(H) the most edges of a subgraph of H with
+    every degree at most 2 (``gadget.two_matching_deficiency``).
 
-    best = min(_barriers_by_union(g), key=key, default=None)
-    return None if best is None else _as_barrier(*best)
+    1. If def_2(G - A) < 2|A| + 2, no barrier (A', B) has A' >= A.
+       Proof: deficiency_G(A', B) = deficiency_{G-A}(A' - A, B) + 2|A|,
+       and no pair (S, T) of a graph H has deficiency below -def_2(H),
+       the weak half of Tutte's f-factor theorem (Tutte 1952, Lovasz
+       1970): for F in H with degrees <= 2, S meets at most 2|S| edges
+       of F, and by parity each odd component has a vertex of F-degree
+       below 2, an F-edge into S or an edge to T outside F.
+    2. deficiency(A, B) >= 2|A| - 2|B|, so a barrier has |B| >= |A| + 1.
+       Proof: an odd component sends an edge to B, which the degree sum
+       over B counts, so o(A, B) <= sum_{v in B} d_{G-A}(v).
+
+    The search keeps, size by size, the A that lemma 1 does not drop: a
+    candidate is a kept A plus a vertex above its largest, and it is kept
+    when every A' - {u} was kept (else lemma 1 has dropped a subset of it)
+    and def_2(G - A') >= 2|A'| + 2. The kept A are then taken from the
+    largest size down, in lexicographic order within a size; for each, B
+    runs through the subsets of V - A by increasing size from |A| + 1
+    (lemma 2), below the best |B| so far, and in lexicographic order
+    within a size, so the first hit at a size is the smallest B. The
+    independence of B, a theorem about biased barriers, is not used, so
+    structure checks against the result stay non-circular. An empty A
+    dropped means G has a 2-factor (None); an empty A kept with no barrier
+    found contradicts Tutte's theorem and raises CertificateError.
+    """
+    if g.n > EXHAUSTIVE_BARRIER_CAP:
+        raise GraphError(
+            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
+    n, full = g.n, g.full_mask
+
+    def kept(a_mask: int, size: int) -> bool:
+        # def_2(G - A) <= 2(n - |A|) settles the deep levels without a matching
+        return (2 * size + 2 <= 2 * (n - size)
+                and two_matching_deficiency(g, full & ~a_mask) >= 2 * size + 2)
+
+    def next_level(level: list, size: int):
+        seen = set(level)
+        for a_mask in level:
+            for v in range(a_mask.bit_length(), n):
+                child = a_mask | 1 << v
+                if all(child ^ 1 << u in seen for u in iter_bits(a_mask)) \
+                        and kept(child, size):
+                    yield child
+
+    if not kept(0, 0):
+        return None
+    levels = [[0]]  # the kept A masks of each size, in lexicographic order
+    while levels[-1]:
+        levels.append(list(next_level(levels[-1], len(levels))))
+    best = None
+    for size in range(len(levels) - 1, -1, -1):
+        for a_mask in levels[size]:
+            rest = [1 << v for v in iter_bits(full & ~a_mask)]
+            stop = len(rest) + 1 if best is None else best[1].bit_count()
+            for b_size in range(size + 1, stop):
+                b_mask = next((b for b in map(sum, combinations(rest, b_size))
+                               if _deficiency_masks(g, a_mask, b) <= -2),
+                              None)
+                if b_mask is not None:
+                    best = a_mask, b_mask
+                    break
+        if best is not None:
+            return _as_barrier(*best, _deficiency_masks(g, *best))
+    raise CertificateError(
+        "G has no 2-factor but no barrier was found, against Tutte's theorem")
 
 
 # Biased barrier structure ----------------------------------------------------------

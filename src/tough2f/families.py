@@ -44,12 +44,18 @@ class FamilySpec(_SpecFields):
     def __new__(cls, family, params):
         if family not in FAMILY_IDS:
             raise GraphError(f"unknown family {family!r}")
+        try:
+            params = tuple((name, value) for name, value in params)
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"family {family} takes (name, integer) pairs") from None
+        if any(type(name) is not str or type(value) is not int
+               for name, value in params):
+            raise GraphError(f"family {family} takes (name, integer) pairs")
         params = tuple(sorted(params))
         p = dict(params)
         if len(p) != len(params):
             raise GraphError(f"repeated parameter in family {family}")
-        if any(type(v) is not int for v in p.values()):
-            raise GraphError(f"family {family} takes integer parameters")
         if family == "H":
             if set(p) != {"n"} or p["n"] < 1:
                 raise GraphError("family H takes n >= 1")

@@ -2,18 +2,8 @@
 
 A 2-factor (spanning 2-regular subgraph) of G corresponds bijectively, on
 host edges, to a perfect matching of the gadget graph (Tutte, 1954). The
-gadget has one block per host vertex v, in index order: d(v) edge-slot
-vertices, one per edge at v in ``g.edges`` order, then d(v)-2 core
-vertices, joined completely bipartitely to the slots; each host edge joins
-the slots it occupies at its two endpoints, which are partners. The gadget
-exists only as the sorted neighbour lists that the blossom search reads.
-``max_matching(adj)`` computes a maximum matching of such lists, as a mate
-array, by an unweighted Edmonds blossom search with a greedy initial
-matching (Edmonds, "Paths, trees, and flowers", 1965). Its blossom bases
-are kept in a union-find, a contraction touches only the two tree paths it
-closes, and the vertices it makes outer are enqueued in increasing index
-order, so the matching found is the one a full rescan of the bases would
-find.
+gadget (``build_gadget``) and the blossom search (``max_matching``) live in
+``gadget``, which the barrier search shares; they are re-exported here.
 
 ``brute_force_two_factor`` is the independent oracle: exhaustive per-vertex
 choice of 2 incident edges.
@@ -21,175 +11,15 @@ choice of 2 incident edges.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
+from .gadget import build_gadget, max_matching
 from .graphs import CertificateError, Graph, GraphError
 
 if TYPE_CHECKING:
     from .barriers import Barrier
-
-
-class GadgetGraph(NamedTuple):
-    """The gadget's sorted neighbour lists, and per gadget vertex the host
-    edge that it images: a slot's edge, or None for a core."""
-    adj: list
-    host_edge: list
-
-
-def build_gadget(g: Graph) -> GadgetGraph:
-    degrees = [g.degree(v) for v in range(g.n)]
-    for v, d in enumerate(degrees):
-        if d < 2:
-            raise GraphError(f"vertex {v} has degree {d} < 2; no gadget exists")
-    slot = []   # per host vertex: its next unused slot
-    cores = []  # per host vertex: its cores
-    adj: list[list[int]] = []
-    for d in degrees:
-        start = len(adj)
-        slot.append(start)
-        cores.append(list(range(start + d, start + 2 * d - 2)))
-        adj.extend([None] * d)
-        adj.extend(list(range(start, start + d)) for _ in range(d - 2))
-    host_edge = [None] * len(adj)
-    # g.edges is sorted with u < v, so u's block lies below v's: the
-    # partner goes last in the list of u's slot and first in v's
-    for u, v in g.edges:
-        a, b = slot[u], slot[v]
-        slot[u] += 1
-        slot[v] += 1
-        adj[a] = cores[u] + [b]
-        adj[b] = [a] + cores[v]
-        host_edge[a] = host_edge[b] = (u, v)
-    return GadgetGraph(adj, host_edge)
-
-
-# Edmonds blossom maximum matching ------------------------------------------------
-
-def max_matching(adj: list[list[int]]) -> list[int]:
-    """mate array of a maximum matching (-1 for exposed vertices).
-
-    ``adj`` lists each vertex's neighbours in increasing order. A greedy
-    matching is grown by one single-root search per exposed vertex. The
-    blossom bases live in a union-find (``link``; a root is its blossom's
-    base). A contraction walks only the two tree paths up to the stem,
-    collects the bases on them, and links those bases to the stem only after
-    both walks, so each walk sees the bases as they were. The inner vertices
-    it makes outer are enqueued in increasing index order, the order a scan
-    over all vertices would give, so the mate array is the one that such a
-    scan finds. Each search
-    resets only the vertices that the previous one touched. When a search
-    fails, ``used`` marks exactly the outer vertices of its tree.
-    """
-    n = len(adj)
-    mate = [-1] * n
-    for v in range(n):
-        if mate[v] == -1:
-            for u in adj[v]:
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
-
-    parent = [-1] * n
-    link = list(range(n))
-    used = [False] * n
-    stamp = [0] * n
-    clock = 0
-    tree: list[int] = []    # vertices given a parent by the current search
-    linked: list[int] = []  # bases linked to a stem by the current search
-    outer: list[int] = []   # vertices marked used by the current search
-
-    def find(v: int) -> int:
-        root = v
-        while link[root] != root:
-            root = link[root]
-        while link[v] != root:
-            link[v], v = root, link[v]
-        return root
-
-    def lca(a: int, b: int) -> int:
-        nonlocal clock
-        clock += 1
-        while True:
-            a = find(a)
-            stamp[a] = clock
-            if mate[a] == -1:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = find(b)
-            if stamp[b] == clock:
-                return b
-            b = parent[mate[b]]
-
-    def mark_path(v: int, stem: int, child: int, bases: list[int]):
-        while (b := find(v)) != stem:
-            bases.append(b)
-            bases.append(find(mate[v]))
-            parent[v] = child
-            tree.append(v)
-            child = mate[v]
-            v = parent[child]
-
-    def find_augmenting_path(root: int) -> bool:
-        for v in tree:
-            parent[v] = -1
-        for v in linked:
-            link[v] = v
-        for v in outer:
-            used[v] = False
-        tree.clear()
-        linked.clear()
-        outer.clear()
-        used[root] = True
-        outer.append(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            v_base = find(v)
-            for to in adj[v]:
-                if mate[v] == to or v_base == (
-                        to if link[to] == to else find(to)):
-                    continue
-                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                    stem = v_base = lca(v, to)
-                    bases: list[int] = []
-                    mark_path(v, stem, to, bases)
-                    mark_path(to, stem, v, bases)
-                    # a vertex outside ``used`` is its own blossom's only
-                    # member, so the unused bases are all that turn outer
-                    for b in sorted(set(bases)):
-                        if b != stem:
-                            link[b] = stem
-                            linked.append(b)
-                        if not used[b]:
-                            used[b] = True
-                            outer.append(b)
-                            queue.append(b)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    tree.append(to)
-                    if mate[to] == -1:
-                        # augment along the alternating path back to root
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            nxt = mate[pv]
-                            mate[u] = pv
-                            mate[pv] = u
-                            u = nxt
-                        return True
-                    used[mate[to]] = True
-                    outer.append(mate[to])
-                    queue.append(mate[to])
-        return False
-
-    for v in range(n):
-        if mate[v] == -1:
-            find_augmenting_path(v)
-    return mate
 
 
 # 2-factors ------------------------------------------------------------------------

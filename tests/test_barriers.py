@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from tough2f import (
+    CertificateError,
     Graph,
     GraphError,
     check_biased_properties,
@@ -23,10 +24,12 @@ from tough2f import (
     path,
     toughness,
 )
-from tough2f.barriers import (EXHAUSTIVE_BARRIER_CAP, Barrier,
+from tough2f import barriers
+from tough2f.barriers import (EXHAUSTIVE_BARRIER_CAP, Barrier, _as_barrier,
                                _barriers_by_union, _deficiency_masks)
 from tough2f.families import FamilySpec, build
-from tough2f.graphs import count_components
+from tough2f.gadget import two_matching_deficiency
+from tough2f.graphs import count_components, iter_bits
 
 from conftest import nx_to_graph, random_graph
 
@@ -180,6 +183,73 @@ def test_biased_barrier_maximizes_a_then_minimizes_b():
                 if best is None or key < best:
                     best = key
         assert best == (-len(biased.a), len(biased.b))
+
+
+def union_walk_minimum(g: Graph) -> Barrier | None:
+    """The biased barrier as the minimum over every barrier of the union
+    walk, by (-|A|, |B|, sorted A, sorted B)."""
+    def key(hit):
+        a, b = tuple(iter_bits(hit[0])), tuple(iter_bits(hit[1]))
+        return -len(a), len(b), a, b
+
+    best = min(_barriers_by_union(g), key=key, default=None)
+    return None if best is None else _as_barrier(*best)
+
+
+def small_graphs(max_order: int) -> list:
+    """The atlas up to ``max_order``, the null graph included."""
+    return [nx_to_graph(h) for h in nx.graph_atlas_g()
+            if h.number_of_nodes() <= max_order]
+
+
+def test_biased_barrier_is_union_walk_minimum():
+    graphs = small_graphs(7)
+    rng = random.Random(59)
+    graphs += [random_graph(rng, rng.randint(8, 11), rng.uniform(0.15, 0.6))
+               for _ in range(60)]
+    graphs += [build(FamilySpec.parse(text)).graph
+               for text in ("H:n=1", "H:n=2")]
+    found = [find_biased_barrier(g) for g in graphs]
+    assert found == [union_walk_minimum(g) for g in graphs]
+    # the random graphs include some with and some without a 2-factor
+    assert 0 < sum(b is not None for b in found[-62:-2]) < 60
+
+
+def test_two_matching_deficiency_is_largest_pair_deficit():
+    # the prune rests on the weak direction (no pair's -deficiency exceeds
+    # the 2-matching deficiency); equality is Tutte's f-factor theorem
+    for g in small_graphs(6):
+        deficits = [-_deficiency_masks(g, a_mask, b_mask)
+                    for a_mask in range(g.full_mask + 1)
+                    for b_mask in range(g.full_mask + 1)
+                    if not a_mask & b_mask]
+        assert two_matching_deficiency(g, g.full_mask) == max(deficits)
+
+
+def test_biased_barrier_does_not_walk_all_pairs(monkeypatch):
+    def walk(g):
+        raise AssertionError("the union walk ran")
+
+    monkeypatch.setattr(barriers, "_barriers_by_union", walk)
+    h2 = build(FamilySpec.parse("H:n=2")).graph
+    assert find_biased_barrier(h2) == Barrier(
+        frozenset({0, 1}), frozenset({2, 3, 4, 5, 6}), -2)
+    assert find_biased_barrier(cycle(9)) is None
+
+
+def test_biased_barrier_with_a_bound_that_admits_every_a(monkeypatch):
+    graphs = [g for g in small_graphs(6) if not find_two_factor(g).exists]
+    want = [union_walk_minimum(g) for g in graphs]
+    monkeypatch.setattr(barriers, "two_matching_deficiency",
+                        lambda g, mask: 2 * g.n + 2)
+    assert [find_biased_barrier(g) for g in graphs] == want
+
+
+def test_biased_barrier_raises_when_the_bound_claims_a_barrier(monkeypatch):
+    monkeypatch.setattr(barriers, "two_matching_deficiency",
+                        lambda g, mask: 2 * g.n + 2)
+    with pytest.raises(CertificateError):
+        find_biased_barrier(cycle(5))
 
 
 # Biased-barrier structure -------------------------------------------------------

@@ -53,6 +53,13 @@ def test_spec_values_are_integers():
     assert str(FamilySpec("H", (("n", 2),))) == "H:n=2"
 
 
+def test_spec_params_are_name_value_pairs():
+    # these raised TypeError or ValueError from sorting or dict() before
+    for params in ((("n", 1), ("n", "a")), (("n",),), 5):
+        with pytest.raises(GraphError):
+            FamilySpec("H", params)
+
+
 def test_spec_validation():
     for text in ("X:n=1", "H:n=0", "H:k=1", "R:m=1,a=0,b=1,c=1",
                  "Gprime:n=0,k=2", "G:n=1,k=0", "Ghat:n=1,k=2",

@@ -10,10 +10,12 @@ where o(A,B) counts the components H of G-(A u B) with e(H,B) odd. A pair
 with deficiency <= -2 is a barrier; the graph has no 2-factor iff a barrier
 exists. A biased barrier maximizes |A| and, subject to that, minimizes |B|.
 
-``find_barrier`` walks all 3^n pairs. ``find_biased_barrier`` is a branch
-and bound over A on two lemmas, proved in its docstring: no barrier
-(A', B) has A' >= A when the 2-matching deficiency of G - A is below
-2|A| + 2, and every barrier has |B| >= |A| + 1.
+``matching`` holds ``Barrier`` and the deficiency evaluator, and reads a
+barrier off a failed matching. ``find_barrier`` walks all 3^n pairs.
+``find_biased_barrier`` is a branch and bound over A on two lemmas,
+proved in its docstring: no barrier (A', B) has A' >= A when the
+2-matching deficiency of G - A is below 2|A| + 2, and every barrier has
+|B| >= |A| + 1.
 """
 
 from __future__ import annotations
@@ -22,18 +24,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .gadget import two_matching_deficiency
 from .graphs import (CertificateError, Graph, GraphError, component_masks,
                      iter_bits, vertex_mask)
 from .invariants import is_t_tough
+from .matching import (Barrier, _as_barrier, _deficiency_masks,
+                       two_matching_deficiency)
 
 EXHAUSTIVE_BARRIER_CAP = 14  # the (A,B) search space is 3^n
-
-
-class Barrier(NamedTuple):
-    a: frozenset
-    b: frozenset
-    deficiency: int
 
 
 class ComponentInfo(NamedTuple):
@@ -57,22 +54,6 @@ class BarrierDecomposition(NamedTuple):
     odd_count: int         # o(A,B)
     per_u: dict            # u in B -> PerVertex
     big_odd_weight: int    # sum_{t>=1} t |C_{2t+1}|
-
-
-def _deficiency_masks(g: Graph, a_mask: int, b_mask: int) -> int:
-    adj = g.adj
-    rest = g.full_mask & ~a_mask & ~b_mask
-    degree_sum = 0
-    for v in iter_bits(b_mask):
-        degree_sum += (adj[v] & ~a_mask).bit_count()
-    odd = 0
-    for comp in component_masks(adj, rest):
-        e_hb = 0
-        for v in iter_bits(comp):
-            e_hb += (adj[v] & b_mask).bit_count()
-        odd += e_hb & 1
-    return (2 * a_mask.bit_count() - 2 * b_mask.bit_count()
-            + degree_sum - odd)
 
 
 def deficiency(g: Graph, a, b) -> int:
@@ -164,11 +145,6 @@ def _barriers_by_union(g: Graph):
                 yield u_mask ^ b_mask, b_mask, d
 
 
-def _as_barrier(a_mask: int, b_mask: int, d: int) -> Barrier:
-    return Barrier(frozenset(iter_bits(a_mask)),
-                   frozenset(iter_bits(b_mask)), d)
-
-
 def find_barrier(g: Graph) -> Barrier | None:
     """The first barrier ``_barriers_by_union`` yields, or None (iff G has
     a 2-factor)."""
@@ -182,7 +158,7 @@ def find_biased_barrier(g: Graph) -> Barrier | None:
 
     A branch and bound over A, on two lemmas. Write def_2(H) =
     2|V(H)| - 2 nu_2(H), nu_2(H) the most edges of a subgraph of H with
-    every degree at most 2 (``gadget.two_matching_deficiency``).
+    every degree at most 2 (``matching.two_matching_deficiency``).
 
     1. If def_2(G - A) < 2|A| + 2, no barrier (A', B) has A' >= A.
        Proof: deficiency_G(A', B) = deficiency_{G-A}(A' - A, B) + 2|A|,

@@ -1,9 +1,30 @@
 """2-factor existence via the Tutte gadget reduction to perfect matching.
 
-A 2-factor (spanning 2-regular subgraph) of G corresponds bijectively, on
-host edges, to a perfect matching of the gadget graph (Tutte, 1954). The
-gadget (``build_gadget``) and the blossom search (``max_matching``) live in
-``gadget``, which the barrier search shares; they are re-exported here.
+The gadget of the subgraph H that a vertex mask induces has one block per
+vertex v of H, in index order: d(v) edge-slot vertices, one per neighbour
+of v in H in increasing order, then max(d(v) - 2, 0) core vertices, joined
+completely bipartitely to the slots. Each edge of H joins the slots it
+occupies at its two endpoints, which are partners. The gadget exists only
+as the sorted neighbour lists that the blossom search reads.
+
+Let nu_2(H) be the most edges of a subgraph F of H with every degree at
+most 2. Then a maximum matching M of the gadget has |M| = nu_2(H) + #cores:
+F's partner pairs plus one free slot per core give a matching that large,
+and an unmatched core has all its slots matched, so trading one of their
+partner pairs for the core turns M, core by core, into F plus the cores.
+``two_matching_deficiency`` returns 2|V(H)| - 2 nu_2(H), which is 0 exactly
+when H has a 2-factor; when every degree is at least 2, F is a 2-factor
+exactly when M is perfect (Tutte, 1954), which ``find_two_factor`` decides.
+
+``max_matching(adj)`` computes a maximum matching of such lists, as a mate
+array, by an unweighted Edmonds blossom search with a greedy initial
+matching (Edmonds, "Paths, trees, and flowers", 1965). A contraction
+enqueues the vertices it makes outer in increasing index order, so the
+matching found is the one a full rescan of the blossom bases would find.
+
+A certified negative answer carries a Tutte barrier (``Barrier``; the
+``barriers`` module states the deficiency), read off the failed matching
+by a rule (``_tutte_pair``) that is checked on every answer, not proved.
 
 ``brute_force_two_factor`` is the independent oracle: exhaustive per-vertex
 choice of 2 incident edges.
@@ -11,15 +32,218 @@ choice of 2 incident edges.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .gadget import build_gadget, max_matching
-from .graphs import CertificateError, Graph, GraphError
+from .graphs import (CertificateError, Graph, GraphError, component_masks,
+                     iter_bits)
 
-if TYPE_CHECKING:
-    from .barriers import Barrier
+
+# The gadget ------------------------------------------------------------------------
+
+class GadgetGraph(NamedTuple):
+    """The gadget's sorted neighbour lists, and per gadget vertex the host
+    edge that it images: a slot's edge, or None for a core."""
+    adj: list
+    host_edge: list
+
+
+def _layout(adj: list, mask: int, edges) -> GadgetGraph:
+    """The gadget of the subgraph that ``mask`` induces, given the host's
+    neighbour masks ``adj`` and the subgraph's edges (u, v), u < v, in
+    sorted order. A vertex outside ``mask`` gets an empty block."""
+    slot = []   # per host vertex: its next unused slot
+    cores = []  # per host vertex: its cores
+    lists: list = []
+    for v, nbrs in enumerate(adj):
+        d = (nbrs & mask).bit_count() if mask >> v & 1 else 0
+        start = len(lists)
+        slot.append(start)
+        cores.append(list(range(start + d, start + 2 * d - 2)))
+        lists.extend([None] * d)
+        lists.extend(list(range(start, start + d)) for _ in range(d - 2))
+    host_edge = [None] * len(lists)
+    # the edges are sorted with u < v, so each vertex takes its slots in
+    # increasing order of neighbour, and u's block lies below v's: the
+    # partner goes last in the list of u's slot and first in v's
+    for u, v in edges:
+        a, b = slot[u], slot[v]
+        slot[u] += 1
+        slot[v] += 1
+        lists[a] = cores[u] + [b]
+        lists[b] = [a] + cores[v]
+        host_edge[a] = host_edge[b] = (u, v)
+    return GadgetGraph(lists, host_edge)
+
+
+def build_gadget(g: Graph) -> GadgetGraph:
+    for v in range(g.n):
+        if g.degree(v) < 2:
+            raise GraphError(
+                f"vertex {v} has degree {g.degree(v)} < 2; no gadget exists")
+    return _layout(g.adj, g.full_mask, g.edges)
+
+
+def two_matching_deficiency(g: Graph, mask: int) -> int:
+    """2|V(H)| - 2 nu_2(H) for the subgraph H of ``g`` that ``mask``
+    induces, from one maximum matching of its gadget."""
+    edges = [(u, v) for u, v in g.edges if mask >> u & mask >> v & 1]
+    gadget_adj, host_edge = _layout(g.adj, mask, edges)
+    mate = max_matching(gadget_adj)
+    matched = (len(mate) - mate.count(-1)) // 2
+    return 2 * mask.bit_count() - 2 * (matched - host_edge.count(None))
+
+
+# Edmonds blossom maximum matching ------------------------------------------------
+
+def _searches(adj: list[list[int]], mate: list[int]):
+    """``(search, outer)``: ``search(root)`` grows an alternating tree from
+    the exposed ``root``, and augments ``mate`` and returns True if it meets
+    another exposed vertex. Blossom bases are the roots of the union-find
+    ``link``; a contraction links the bases on both its tree paths only
+    after walking both. Each search resets only what the last one touched;
+    after a failed one, ``outer`` lists the outer vertices of its tree."""
+    n = len(adj)
+    parent = [-1] * n
+    link = list(range(n))
+    used = [False] * n
+    stamp = [0] * n
+    clock = 0
+    tree: list[int] = []    # vertices given a parent by the current search
+    linked: list[int] = []  # bases linked to a stem by the current search
+    outer: list[int] = []   # vertices marked used by the current search
+
+    def find(v: int) -> int:
+        root = v
+        while link[root] != root:
+            root = link[root]
+        while link[v] != root:
+            link[v], v = root, link[v]
+        return root
+
+    def lca(a: int, b: int) -> int:
+        nonlocal clock
+        clock += 1
+        while True:
+            a = find(a)
+            stamp[a] = clock
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = find(b)
+            if stamp[b] == clock:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, stem: int, child: int, bases: list[int]):
+        while (b := find(v)) != stem:
+            bases.append(b)
+            bases.append(find(mate[v]))
+            parent[v] = child
+            tree.append(v)
+            child = mate[v]
+            v = parent[child]
+
+    def search(root: int) -> bool:
+        for v in tree:
+            parent[v] = -1
+        for v in linked:
+            link[v] = v
+        for v in outer:
+            used[v] = False
+        tree.clear()
+        linked.clear()
+        outer.clear()
+        used[root] = True
+        outer.append(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            v_base = find(v)
+            for to in adj[v]:
+                if mate[v] == to or v_base == (
+                        to if link[to] == to else find(to)):
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    stem = v_base = lca(v, to)
+                    bases: list[int] = []
+                    mark_path(v, stem, to, bases)
+                    mark_path(to, stem, v, bases)
+                    # a vertex outside ``used`` is its own blossom's only
+                    # member, so the unused bases are all that turn outer
+                    for b in sorted(set(bases)):
+                        if b != stem:
+                            link[b] = stem
+                            linked.append(b)
+                        if not used[b]:
+                            used[b] = True
+                            outer.append(b)
+                            queue.append(b)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    tree.append(to)
+                    if mate[to] == -1:
+                        # augment along the alternating path back to root
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            nxt = mate[pv]
+                            mate[u] = pv
+                            mate[pv] = u
+                            u = nxt
+                        return True
+                    used[mate[to]] = True
+                    outer.append(mate[to])
+                    queue.append(mate[to])
+        return False
+
+    return search, outer
+
+
+def max_matching(adj: list[list[int]]) -> list[int]:
+    """mate array (-1 if exposed) of a maximum matching of the sorted lists
+    ``adj``: a greedy matching grown by one search per exposed vertex."""
+    mate = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
+        if mate[v] == -1:
+            for u in nbrs:
+                if mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+    search, _ = _searches(adj, mate)
+    for v in range(len(adj)):
+        if mate[v] == -1:
+            search(v)
+    return mate
+
+
+def _tutte_pair(g: Graph, adj: list, mate: list) -> tuple[int, int]:
+    """(A, B) masks read off a maximum matching ``mate``, not perfect, of
+    the gadget ``adj`` of ``g``. D, the Gallai-Edmonds set, joins the outer
+    vertices of the failed search from each exposed vertex; X = N(D) - D.
+    v joins A when X holds all its slots, else B when X holds all its
+    cores (d(v) >= 3), or D meets its slots and X none of them (d(v) = 2)."""
+    search, outer = _searches(adj, mate)
+    in_d = set()
+    for root in [x for x, m in enumerate(mate) if m == -1]:
+        search(root)
+        in_d.update(outer)
+    in_x = {y for x in in_d for y in adj[x]} - in_d
+    a_mask = b_mask = start = 0
+    for v in range(g.n):
+        d = g.degree(v)
+        slots = range(start, start + d)
+        cores = range(start + d, start + 2 * d - 2)
+        start += 2 * d - 2
+        if in_x.issuperset(slots):
+            a_mask |= 1 << v
+        elif (in_x.issuperset(cores) if cores else
+              in_x.isdisjoint(slots) and not in_d.isdisjoint(slots)):
+            b_mask |= 1 << v
+    return a_mask, b_mask
 
 
 # 2-factors ------------------------------------------------------------------------
@@ -27,6 +251,12 @@ if TYPE_CHECKING:
 class TwoFactor(NamedTuple):
     """Edge set of a spanning 2-regular subgraph of the host graph."""
     edges: frozenset
+
+
+class Barrier(NamedTuple):
+    a: frozenset
+    b: frozenset
+    deficiency: int
 
 
 class TwoFactorResult(NamedTuple):
@@ -53,29 +283,56 @@ def verify_two_factor(g: Graph, f: TwoFactor) -> bool:
 def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     """Find a 2-factor or report none.
 
-    With ``certify`` set and order within the exhaustive cap, a Tutte
-    barrier is attached to negative answers as an independent certificate.
+    With ``certify`` set, a negative answer carries a barrier at every
+    order: (empty, {v}) for the lowest v of degree below 2, else the pair
+    ``_tutte_pair`` reads off the gadget's matching (checked, not proved:
+    a pair that is no barrier raises CertificateError).
     """
-    def negative() -> TwoFactorResult:
-        barrier = None
-        if certify:
-            from .barriers import EXHAUSTIVE_BARRIER_CAP, find_barrier
-            if g.n <= EXHAUSTIVE_BARRIER_CAP:
-                barrier = find_barrier(g)
-        return TwoFactorResult(None, barrier)
-
-    if any(g.degree(v) < 2 for v in range(g.n)):
-        return negative()
+    low = next((v for v in range(g.n) if g.degree(v) < 2), None)
+    if low is not None:
+        return _negative(g, (0, 1 << low) if certify else None)
     adj, host_edge = build_gadget(g)
     mate = max_matching(adj)
     if -1 in mate:
-        return negative()
+        return _negative(g, _tutte_pair(g, adj, mate) if certify else None)
     # a slot is matched to a core or to its partner, which images its edge
     factor = TwoFactor(frozenset(e for x, e in enumerate(host_edge)
                                  if e is not None and host_edge[mate[x]] == e))
     if not verify_two_factor(g, factor):
         raise CertificateError("the matched edges do not form a 2-factor")
     return TwoFactorResult(factor)
+
+
+def _as_barrier(a_mask: int, b_mask: int, d: int) -> Barrier:
+    return Barrier(frozenset(iter_bits(a_mask)),
+                   frozenset(iter_bits(b_mask)), d)
+
+
+def _deficiency_masks(g: Graph, a_mask: int, b_mask: int) -> int:
+    adj = g.adj
+    rest = g.full_mask & ~a_mask & ~b_mask
+    degree_sum = 0
+    for v in iter_bits(b_mask):
+        degree_sum += (adj[v] & ~a_mask).bit_count()
+    odd = 0
+    for comp in component_masks(adj, rest):
+        e_hb = 0
+        for v in iter_bits(comp):
+            e_hb += (adj[v] & b_mask).bit_count()
+        odd += e_hb & 1
+    return (2 * a_mask.bit_count() - 2 * b_mask.bit_count()
+            + degree_sum - odd)
+
+
+def _negative(g: Graph, pair: tuple[int, int] | None) -> TwoFactorResult:
+    """No 2-factor, with the barrier of the (A, B) masks ``pair`` if given."""
+    if pair is None:
+        return TwoFactorResult(None)
+    d = _deficiency_masks(g, *pair)
+    if d > -2:
+        raise CertificateError(
+            f"the pair read off the matching has deficiency {d} > -2")
+    return TwoFactorResult(None, _as_barrier(*pair, d))
 
 
 BRUTE_FORCE_ORDER_CAP = 10

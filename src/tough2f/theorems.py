@@ -352,9 +352,9 @@ def verify_family(spec: families.FamilySpec,
     """Check every verifiable claimed invariant of a family instance.
 
     ``inst`` is ``build(spec)`` when the caller already holds it; otherwise
-    it is built here. Claims out of exact reach (toughness of the
-    order >= 28 constructions) are verified one-sidedly through the
-    distinguished cut W.
+    it is built here. Above ``EXACT_TOUGHNESS_CAP`` only the cut W checks
+    the claimed toughness, an upper bound on tau, so a false claim passes:
+    Ghat(2,2) claims 27/16, and its exact tau is 32/21.
     """
     from . import barriers, families
     if inst is None:

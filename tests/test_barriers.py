@@ -28,8 +28,8 @@ from tough2f import barriers
 from tough2f.barriers import (EXHAUSTIVE_BARRIER_CAP, Barrier, _as_barrier,
                                _barriers_by_union, _deficiency_masks)
 from tough2f.families import FamilySpec, build
-from tough2f.gadget import two_matching_deficiency
 from tough2f.graphs import count_components, iter_bits
+from tough2f.matching import two_matching_deficiency
 
 from conftest import nx_to_graph, random_graph
 

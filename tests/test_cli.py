@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tough2f import cycle, encode_graph6, invariants, path, write_edge_list
+from tough2f import (cycle, deficiency, encode_graph6, invariants, path,
+                     write_edge_list)
 from tough2f.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from tough2f.families import FamilySpec, build
 from tough2f.graphs import Graph, count_components
@@ -96,12 +97,19 @@ def test_two_factor_positive(tmp_path, capsys):
 
 
 def test_two_factor_negative_carries_barrier(tmp_path, capsys):
-    source = write(tmp_path, h1_g6())
+    # H(1) and G(1,1), orders 7 and 28
+    graphs = [build(FamilySpec.parse(text)).graph
+              for text in ("H:n=1", "G:n=1,k=1")]
+    source = write(tmp_path, "\n".join(map(encode_graph6, graphs)))
     code, payloads = run(capsys, ["two-factor", source])
     assert code == EXIT_OK
-    payload = payloads[0]
-    assert payload["has_two_factor"] is False
-    assert payload["barrier"]["deficiency"] <= -2
+    assert len(payloads) == 2
+    for g, payload in zip(graphs, payloads):
+        assert payload["has_two_factor"] is False
+        barrier = payload["barrier"]
+        assert barrier["deficiency"] <= -2
+        assert deficiency(g, barrier["A"], barrier["B"]) == \
+            barrier["deficiency"]
 
 
 def test_barrier(tmp_path, capsys):

@@ -104,6 +104,9 @@ def test_package_imports_have_no_cycle():
     for name in sorted(graph):
         visit(name)
     assert graph["separator"] == {"graphs"}
+    # the 2-factor search reads its barrier off its own matching
+    assert graph["matching"] == {"graphs"}
+    assert "gadget" not in graph
 
 
 def test_record_modules_leave_out_dataclasses():

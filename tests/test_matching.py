@@ -22,11 +22,13 @@ from tough2f import (
     path,
     verify_two_factor,
 )
-from tough2f import matching
+from tough2f import barriers, matching
+from tough2f.barriers import deficiency
 from tough2f.families import FamilySpec, build
 from tough2f.matching import BRUTE_FORCE_EDGE_CAP, BRUTE_FORCE_ORDER_CAP
 
-from conftest import graph_to_nx, mate_pairs, neighbour_lists, random_graph
+from conftest import (graph_to_nx, mate_pairs, neighbour_lists, nx_to_graph,
+                      random_graph)
 
 
 def petersen():
@@ -187,11 +189,13 @@ def test_find_two_factor_matches_each_gadget_once(monkeypatch):
             return real(arg)
         monkeypatch.setattr(matching, name, counted)
     k23 = Graph(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
-    for g in (cycle(5), petersen(), path(4), k23,
-              build(FamilySpec.parse("H:n=1")).graph):
-        find_two_factor(g)
-    # path(4) has a vertex of degree 1, so no gadget is built for it
-    assert calls == {"build_gadget": 4, "max_matching": 4}
+    for certify in (False, True):
+        for g in (cycle(5), petersen(), path(4), k23,
+                  build(FamilySpec.parse("H:n=1")).graph):
+            find_two_factor(g, certify)
+    # path(4) has a vertex of degree 1, so no gadget is built for it; a
+    # certified negative reads its barrier off the same matching
+    assert calls == {"build_gadget": 8, "max_matching": 8}
 
 
 # 2-factors ----------------------------------------------------------------------
@@ -228,14 +232,61 @@ def test_find_two_factor_negative():
         assert not find_two_factor(g).exists
 
 
+def assert_certified(g, result):
+    """A negative answer carries a barrier that the deficiency formula
+    confirms; a positive one carries none. Above degree 1, the barrier
+    read off the whole Gallai-Edmonds set attains Tutte's f-factor bound
+    -def_2(G) on every graph tested, which one search's tree can miss."""
+    if result.exists:
+        assert result.barrier is None
+        return
+    a, b = result.barrier.a, result.barrier.b
+    assert deficiency(g, a, b) == result.barrier.deficiency <= -2
+    if all(g.degree(v) >= 2 for v in range(g.n)):
+        assert result.barrier.deficiency == -matching.two_matching_deficiency(
+            g, g.full_mask)
+
+
 def test_find_two_factor_certify_attaches_barrier():
-    from tough2f.barriers import deficiency
-    h1 = build(FamilySpec.parse("H:n=1")).graph
-    result = find_two_factor(h1, certify=True)
-    assert not result.exists and result.barrier is not None
-    assert deficiency(h1, result.barrier.a, result.barrier.b) <= -2
+    # at every order: the families above order 14 are out of the
+    # exhaustive barrier search's reach
+    for text in ("H:n=1", "H:n=3", "H:n=4", "G:n=1,k=1", "G:n=2,k=2",
+                 "Ghat:n=1,k=1", "Ghat:n=2,k=2", "Ghat:n=3,k=3"):
+        g = build(FamilySpec.parse(text)).graph
+        result = find_two_factor(g, certify=True)
+        assert not result.exists, text
+        assert_certified(g, result)
     # positive answers carry no barrier
     assert find_two_factor(cycle(4), certify=True).barrier is None
+
+
+def test_certify_barrier_on_every_small_graph(connected_order8):
+    graphs = [nx_to_graph(h) for h in nx.graph_atlas_g()] + connected_order8
+    negatives = 0
+    for g in graphs:
+        result = find_two_factor(g, certify=True)
+        assert_certified(g, result)
+        negatives += not result.exists
+    # 762 of the atlas graphs and 4494 of order 8 have no 2-factor
+    assert negatives == 762 + 4494
+
+
+def test_certify_never_walks_all_pairs(monkeypatch):
+    def walk(g):
+        raise AssertionError("the exhaustive barrier search ran")
+
+    monkeypatch.setattr(barriers, "find_barrier", walk)
+    monkeypatch.setattr(barriers, "_barriers_by_union", walk)
+    graphs = [build(FamilySpec.parse(text)).graph
+              for text in ("H:n=1", "H:n=2")]
+    rng = random.Random(67)
+    graphs += [random_graph(rng, rng.randint(8, 14), rng.uniform(0.2, 0.5))
+               for _ in range(40)]
+    results = [find_two_factor(g, certify=True) for g in graphs]
+    for g, result in zip(graphs, results):
+        assert_certified(g, result)
+    # the random graphs include some with and some without a 2-factor
+    assert 0 < sum(r.exists for r in results[2:]) < 40
 
 
 def test_order_zero_has_the_empty_two_factor():

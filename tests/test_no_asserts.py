@@ -21,16 +21,31 @@ def test_src_has_no_assert_statements():
     assert not found, "use an explicit raise, not assert: " + ", ".join(found)
 
 
-def test_two_factor_check_fires_under_optimize():
+def raises_under_optimize(setup: str, call: str) -> bool:
+    """Whether ``call`` raises CertificateError under ``python -O`` after
+    ``setup`` has run, with ``tough2f.matching`` imported as ``m``."""
     script = (
         "import tough2f.matching as m\n"
-        "from tough2f import CertificateError, cycle\n"
-        "m.verify_two_factor = lambda g, f: False\n"
+        "from tough2f import CertificateError, build, cycle\n"
+        "from tough2f.families import FamilySpec\n"
+        f"{setup}\n"
         "try:\n"
-        "    m.find_two_factor(cycle(5))\n"
+        f"    {call}\n"
         "except CertificateError:\n"
         "    print('raised')\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "raised\n"
+    return out.stdout == "raised\n"
+
+
+def test_two_factor_check_fires_under_optimize():
+    assert raises_under_optimize("m.verify_two_factor = lambda g, f: False",
+                                 "m.find_two_factor(cycle(5))")
+
+
+def test_barrier_check_fires_under_optimize():
+    # a derived pair that is no barrier: (empty, empty) has deficiency 0
+    assert raises_under_optimize(
+        "m._tutte_pair = lambda g, adj, mate: (0, 0)",
+        "m.find_two_factor(build(FamilySpec.parse('H:n=1')).graph, True)")

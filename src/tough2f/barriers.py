@@ -332,7 +332,6 @@ def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
     else:
         alive = [True] * len(dec.components)
         comp_masks = [vertex_mask(g, info.vertices) for info in dec.components]
-        steps = 0
         seen_singleton_step = False
         while True:
             best_u = -1
@@ -345,10 +344,9 @@ def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
                     best_h, best_u = h, u
             if best_h == 0:
                 break
-            steps += 1
-            if steps > len(barrier.b):
-                raise CertificateError("more steps than vertices in B")
             ell += 1
+            if ell > len(barrier.b):
+                raise CertificateError("more steps than vertices in B")
             if best_h >= 2:
                 if seen_singleton_step:
                     raise CertificateError(

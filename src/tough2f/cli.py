@@ -191,14 +191,12 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _theorem_params(args) -> dict:
     params = {}
-    if args.eps is not None:
-        params["eps"] = _parse_fraction(args.eps)
-    if args.t is not None:
-        params["t"] = _parse_fraction(args.t)
-    if args.k is not None:
-        params["k"] = args.k
-    if args.ell is not None:
-        params["ell"] = args.ell
+    for key in ("eps", "t", "k", "ell"):
+        value = getattr(args, key)
+        if isinstance(value, str):  # --eps and --t; --k and --ell are ints
+            value = _parse_fraction(value)
+        if value is not None:
+            params[key] = value
     return params
 
 

@@ -5,7 +5,8 @@ Families:
   H(n)                 apex clique K_n joined to (K-bar_{2n+1} u K_{2n+1}),
                        plus an index-aligned perfect matching across the two
                        order-(2n+1) sides. Order 5n+2. 1-tough, no 2-factor.
-  R(m,a,b,c)           K_{cm} joined to am disjoint copies of K_{bm}.
+  R(m,a,b,c)           K_{cm} joined to am disjoint copies of K_{bm};
+                       complete, so infinitely tough, when am = 1.
   Gprime(n,k)          (2n+1) triangles and a clique K_{3(2n+1)}, a perfect
                        matching M between them, each matching edge
                        subdivided once.
@@ -28,6 +29,7 @@ from typing import NamedTuple
 from . import graphs
 from .forbidden import ForestPattern
 from .graphs import Graph, GraphError
+from .rationals import INF
 
 FAMILY_IDS = ("H", "R", "Gprime", "G", "Gstar", "Ghat")
 
@@ -108,7 +110,7 @@ class FamilyInstance(NamedTuple):
 
 
 class ExpectedInvariants(NamedTuple):
-    toughness: Fraction | None = None
+    toughness: Fraction | float | None = None  # INF for a complete graph
     alpha: int | None = None
     min_degree: int | None = None
     has_two_factor: bool | None = None
@@ -240,7 +242,7 @@ def expected(spec: FamilySpec) -> ExpectedInvariants:
     if spec.family == "R":
         m, a, b, c = p["m"], p["a"], p["b"], p["c"]
         return ExpectedInvariants(
-            toughness=Fraction(c, a),
+            toughness=INF if a * m == 1 else Fraction(c, a),
             alpha=a * m,
             min_degree=(b + c) * m - 1,
         )

@@ -105,24 +105,27 @@ class TheoremSpec(NamedTuple):
         return f"{self.theorem_id}[{inner}]"
 
 
-# theorem id -> the parameters it takes
+# theorem id -> each parameter it takes and the kind it is read as, in the
+# order they are read
 _THEOREM_PARAMS = {
-    "THM1i": ("t",), "THM1ii": ("t",), "THM2": ("eps",),
-    "THM3i": ("ell", "k"), "THM3ii": ("k",), "THM4i": ("ell", "k"),
-    "THM4ii": ("k",), "EJKS2": (), "NIESSEN": (), "FALSE1T": (),
+    "THM1i": {"t": Fraction}, "THM1ii": {"t": Fraction},
+    "THM2": {"eps": Fraction}, "THM3i": {"k": int, "ell": int},
+    "THM3ii": {"k": int}, "THM4i": {"k": int, "ell": int},
+    "THM4ii": {"k": int}, "EJKS2": {}, "NIESSEN": {}, "FALSE1T": {},
 }
 THEOREM_IDS = tuple(_THEOREM_PARAMS)
 
+# (id, ell) -> (m, level, tau): the hypotheses are P_m + kP_1-free,
+# (k + level)-connected, and tau-tough
+_FOREST_THEOREMS = {
+    ("THM3i", 1): (2, 0, Fraction(1)), ("THM3i", 2): (4, 1, Fraction(1)),
+    ("THM3ii", None): (3, 1, Fraction(1)),
+    ("THM4i", 2): (5, 1, Fraction(3, 2)), ("THM4i", 3): (7, 2, Fraction(3, 2)),
+    ("THM4ii", None): (6, 2, Fraction(3, 2)),
+}
 
-def _connected_clauses(level: int):
-    """Clauses for "level-connected": more than `level` vertices and kappa."""
-    return (
-        (f"order > {level}", lambda f, lv=level: f.order > lv),
-        (f"kappa >= {level}", lambda f, lv=level: f.kappa >= lv),
-    )
 
-
-def _param(params: dict, key: str, theorem_id: str, kind=int):
+def _param(params: dict, key: str, theorem_id: str, kind):
     """params[key] as an int, or as a Fraction for kind=Fraction."""
     if key not in params:
         raise GraphError(f"{theorem_id} requires parameter {key!r}")
@@ -137,98 +140,68 @@ def _param(params: dict, key: str, theorem_id: str, kind=int):
 
 
 def make_theorem(theorem_id: str, **params) -> TheoremSpec:
-    # an unknown id has no stray parameters here and is rejected below
-    stray = sorted(set(params) - set(_THEOREM_PARAMS.get(theorem_id, params)))
+    kinds = _THEOREM_PARAMS.get(theorem_id)
+    if kinds is None:
+        raise GraphError(f"unknown theorem id {theorem_id!r}")
+    stray = sorted(set(params) - set(kinds))
     if stray:
         raise GraphError(f"{theorem_id} does not take "
                          + ", ".join(map(repr, stray)))
-    at_least_three = ("order >= 3", lambda f: f.order >= 3)
-    if theorem_id == "THM1i":
-        t = _param(params, "t", theorem_id, Fraction)
-        if not 1 <= t < 2:
-            raise GraphError("THM1i needs rational t with 1 <= t < 2")
-        clauses = (
-            at_least_three,
-            ("delta >= (2-t)n/(1+t)",
-             lambda f: f.min_degree >= Fraction(2 - t, 1 + t) * f.order),
-            (f"tau >= {t}", lambda f: f.tough_at(t)),
-        )
-        return TheoremSpec(theorem_id, {"t": str(t)}, clauses)
-    if theorem_id == "THM1ii":
-        t = _param(params, "t", theorem_id, Fraction)
-        if not Fraction(3, 2) <= t < 2:
-            raise GraphError("THM1ii needs rational t with 3/2 <= t < 2")
-        denom = 7 * t - 7 - t * t
-        if denom <= 0:
-            raise RuntimeError("7t - 7 - t^2 is positive throughout [3/2, 2)")
-        threshold = Fraction(3 * t - 2 - t * t, 1) / denom
-        clauses = (
-            at_least_three,
-            ("delta >= (3t-2-t^2)n/(7t-7-t^2)",
-             lambda f: f.min_degree >= threshold * f.order),
-            (f"tau >= {t}", lambda f: f.tough_at(t)),
-        )
-        return TheoremSpec(theorem_id, {"t": str(t)}, clauses)
-    if theorem_id == "THM2":
-        eps = _param(params, "eps", theorem_id, Fraction)
+    values = {}
+    for key, kind in kinds.items():
+        values[key] = _param(params, key, theorem_id, kind)
+        # in the pass, so that a bad k is reported before a bad ell
+        if key == "k" and values[key] < 1:
+            raise GraphError("k must be a positive integer")
+    shown = {key: str(values[key]) if kind is Fraction else values[key]
+             for key, kind in kinds.items()}
+    clauses = [("order >= 3", lambda f: f.order >= 3)]
+    if theorem_id in ("THM1i", "THM1ii"):
+        t = values["t"]
+        low = 1 if theorem_id == "THM1i" else Fraction(3, 2)
+        if not low <= t < 2:
+            raise GraphError(
+                f"{theorem_id} needs rational t with {low} <= t < 2")
+        if theorem_id == "THM1i":
+            name, threshold = "(2-t)n/(1+t)", (2 - t) / (1 + t)
+        else:
+            denom = 7 * t - 7 - t * t
+            if denom <= 0:
+                raise RuntimeError(
+                    "7t - 7 - t^2 is positive throughout [3/2, 2)")
+            name = "(3t-2-t^2)n/(7t-7-t^2)"
+            threshold = (3 * t - 2 - t * t) / denom
+        clauses.append((f"delta >= {name}",
+                        lambda f: f.min_degree >= threshold * f.order))
+        tough = t
+    elif theorem_id == "THM2":
+        eps = values["eps"]
         if not 0 < eps <= 1:
             raise GraphError("THM2 needs rational eps with 0 < eps <= 1")
-        clauses = (
-            at_least_three,
-            ("delta >= eps*alpha", lambda f: f.min_degree >= eps * f.alpha),
-            (f"tau >= {2 - eps}", lambda f: f.tough_at(2 - eps)),
-        )
-        return TheoremSpec(theorem_id, {"eps": str(eps)}, clauses)
-    if theorem_id in ("THM3i", "THM3ii", "THM4i", "THM4ii"):
-        k = _param(params, "k", theorem_id)
-        if k < 1:
-            raise GraphError("k must be a positive integer")
-        if theorem_id == "THM3i":
-            ell = _param(params, "ell", theorem_id)
-            if ell not in (1, 2):
-                raise GraphError("THM3i needs ell in {1, 2}")
-            pattern = forbidden.ForestPattern((2 * ell,), k)
-            level, tough = k + ell - 1, Fraction(1)
-            shown = {"ell": ell, "k": k}
-        elif theorem_id == "THM3ii":
-            pattern = forbidden.ForestPattern((3,), k)
-            level, tough = k + 1, Fraction(1)
-            shown = {"k": k}
-        elif theorem_id == "THM4i":
-            ell = _param(params, "ell", theorem_id)
-            if ell not in (2, 3):
-                raise GraphError("THM4i needs ell in {2, 3}")
-            pattern = forbidden.ForestPattern((2 * ell + 1,), k)
-            level, tough = k + ell - 1, Fraction(3, 2)
-            shown = {"ell": ell, "k": k}
-        else:
-            pattern = forbidden.ForestPattern((6,), k)
-            level, tough = k + 2, Fraction(3, 2)
-            shown = {"k": k}
-        clauses = (
-            at_least_three,
-            (f"{pattern}-free", lambda f, pat=pattern: f.is_free(pat)),
-            *_connected_clauses(level),
-            (f"tau >= {tough}", lambda f, t=tough: f.tough_at(t)),
-        )
-        return TheoremSpec(theorem_id, shown, clauses)
-    if theorem_id == "EJKS2":
-        return TheoremSpec(theorem_id, {}, (
-            at_least_three,
-            ("tau >= 2", lambda f: f.tough_at(Fraction(2))),
-        ))
-    if theorem_id == "NIESSEN":
-        return TheoremSpec(theorem_id, {}, (
-            at_least_three,
-            ("delta > alpha", lambda f: f.min_degree > f.alpha),
-        ))
-    if theorem_id == "FALSE1T":
-        # deliberately false proposition, kept as a hunt self-test
-        return TheoremSpec(theorem_id, {}, (
-            at_least_three,
-            ("tau >= 1", lambda f: f.tough_at(Fraction(1))),
-        ))
-    raise GraphError(f"unknown theorem id {theorem_id!r}")
+        clauses.append(("delta >= eps*alpha",
+                        lambda f: f.min_degree >= eps * f.alpha))
+        tough = 2 - eps
+    elif "k" in kinds:  # a forbidden-forest theorem
+        row = _FOREST_THEOREMS.get((theorem_id, values.get("ell")))
+        if row is None:
+            ells = [ell for tid, ell in _FOREST_THEOREMS if tid == theorem_id]
+            raise GraphError(f"{theorem_id} needs ell in "
+                             "{" + ", ".join(map(str, ells)) + "}")
+        m, level, tough = row
+        pattern = forbidden.ForestPattern((m,), values["k"])
+        level += values["k"]
+        clauses += [
+            (f"{pattern}-free", lambda f: f.is_free(pattern)),
+            (f"order > {level}", lambda f: f.order > level),
+            (f"kappa >= {level}", lambda f: f.kappa >= level),
+        ]
+    elif theorem_id == "NIESSEN":
+        return TheoremSpec(theorem_id, shown, (
+            *clauses, ("delta > alpha", lambda f: f.min_degree > f.alpha)))
+    else:  # EJKS2, and FALSE1T: a deliberately false hunt self-test
+        tough = Fraction(2 if theorem_id == "EJKS2" else 1)
+    clauses.append((f"tau >= {tough}", lambda f: f.tough_at(tough)))
+    return TheoremSpec(theorem_id, shown, tuple(clauses))
 
 
 class CheckReport(NamedTuple):
@@ -243,15 +216,12 @@ def check_theorem(spec: TheoremSpec, facts) -> CheckReport:
     if isinstance(facts, Graph):
         facts = GraphFacts(facts)
     clause_results: dict = {name: None for name, _ in spec.clauses}
-    hypotheses_hold = True
     for name, predicate in spec.clauses:
         ok = bool(predicate(facts))
         clause_results[name] = ok
         if not ok:
-            hypotheses_hold = False
-            break
-    if not hypotheses_hold:
-        return CheckReport(facts.name, clause_results, False, None, "vacuous")
+            return CheckReport(facts.name, clause_results, False, None,
+                               "vacuous")
     conclusion = facts.has_two_factor
     verdict = "confirms" if conclusion else "COUNTEREXAMPLE"
     return CheckReport(facts.name, clause_results, True, conclusion, verdict)

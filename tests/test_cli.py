@@ -203,6 +203,16 @@ def test_family_verify(capsys):
     assert all(c["passed"] for c in payloads[0]["claims"])
 
 
+def test_family_verify_complete_r(capsys):
+    # R(m,a,b,c) with am = 1 is K_{bm} joined to K_{cm}, a complete graph
+    code = main(["family", "R:m=1,a=1,b=1,c=1", "--verify"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert '"toughness": "inf"' in out
+    (payload,) = [json.loads(line) for line in out.splitlines()]
+    assert all(c["passed"] for c in payload["claims"])
+    assert "toughness_exact" in {c["name"] for c in payload["claims"]}
+
 def test_family_bad_spec(capsys):
     assert main(["family", "H:n=0"]) == EXIT_INPUT_ERROR
     capsys.readouterr()

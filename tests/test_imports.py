@@ -109,6 +109,18 @@ def test_package_imports_have_no_cycle():
     assert "gadget" not in graph
 
 
+def test_runtime_imports_only_the_standard_library():
+    for path in sorted((SRC / "tough2f").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside = set(tops) - sys.stdlib_module_names
+            assert not outside, f"{path.name}:{node.lineno} imports {outside}"
+
 def test_record_modules_leave_out_dataclasses():
     added = modules_added_by("import tough2f.barriers, tough2f.families")
     assert {"tough2f.barriers", "tough2f.families"} <= added

@@ -98,6 +98,131 @@ def test_registry_rejects_stray_params():
         make_theorem("THM3ii", k=1, ell=1)
 
 
+# The registry, pinned: each criterion-5 configuration plus FALSE1T, as
+# (id, params, describe(), spec.params, clause names joined by " | ", and
+# each clause's value on C5, K4, P3 and H(1), evaluated without
+# short-circuit).
+F = Fraction
+REGISTRY_PIN = [
+    ("THM2", {"eps": F(1, 4)}, "THM2[eps=1/4]", {"eps": "1/4"},
+     "order >= 3 | delta >= eps*alpha | tau >= 7/4", "110 111 110 110"),
+    ("THM2", {"eps": F(1, 2)}, "THM2[eps=1/2]", {"eps": "1/2"},
+     "order >= 3 | delta >= eps*alpha | tau >= 3/2", "110 111 110 110"),
+    ("THM2", {"eps": F(1)}, "THM2[eps=1]", {"eps": "1"},
+     "order >= 3 | delta >= eps*alpha | tau >= 1", "111 111 100 101"),
+    ("THM3i", {"ell": 1, "k": 1}, "THM3i[ell=1,k=1]", {"ell": 1, "k": 1},
+     "order >= 3 | P2+P1-free | order > 1 | kappa >= 1 | tau >= 1",
+     "10111 11111 11110 10111"),
+    ("THM3i", {"ell": 1, "k": 2}, "THM3i[ell=1,k=2]", {"ell": 1, "k": 2},
+     "order >= 3 | P2+2P1-free | order > 2 | kappa >= 2 | tau >= 1",
+     "11111 11111 11100 10111"),
+    ("THM3i", {"ell": 2, "k": 1}, "THM3i[ell=2,k=1]", {"ell": 2, "k": 1},
+     "order >= 3 | P4+P1-free | order > 2 | kappa >= 2 | tau >= 1",
+     "11111 11111 11100 10111"),
+    ("THM3i", {"ell": 2, "k": 2}, "THM3i[ell=2,k=2]", {"ell": 2, "k": 2},
+     "order >= 3 | P4+2P1-free | order > 3 | kappa >= 3 | tau >= 1",
+     "11101 11111 11000 11101"),
+    ("THM3ii", {"k": 1}, "THM3ii[k=1]", {"k": 1},
+     "order >= 3 | P3+P1-free | order > 2 | kappa >= 2 | tau >= 1",
+     "11111 11111 11100 10111"),
+    ("THM3ii", {"k": 2}, "THM3ii[k=2]", {"k": 2},
+     "order >= 3 | P3+2P1-free | order > 3 | kappa >= 3 | tau >= 1",
+     "11101 11111 11000 11101"),
+    ("THM4i", {"ell": 2, "k": 1}, "THM4i[ell=2,k=1]", {"ell": 2, "k": 1},
+     "order >= 3 | P5+P1-free | order > 2 | kappa >= 2 | tau >= 3/2",
+     "11110 11111 11100 11110"),
+    ("THM4i", {"ell": 2, "k": 2}, "THM4i[ell=2,k=2]", {"ell": 2, "k": 2},
+     "order >= 3 | P5+2P1-free | order > 3 | kappa >= 3 | tau >= 3/2",
+     "11100 11111 11000 11100"),
+    ("THM4i", {"ell": 3, "k": 1}, "THM4i[ell=3,k=1]", {"ell": 3, "k": 1},
+     "order >= 3 | P7+P1-free | order > 3 | kappa >= 3 | tau >= 3/2",
+     "11100 11111 11000 11100"),
+    ("THM4i", {"ell": 3, "k": 2}, "THM4i[ell=3,k=2]", {"ell": 3, "k": 2},
+     "order >= 3 | P7+2P1-free | order > 4 | kappa >= 4 | tau >= 3/2",
+     "11100 11001 11000 11100"),
+    ("THM4ii", {"k": 1}, "THM4ii[k=1]", {"k": 1},
+     "order >= 3 | P6+P1-free | order > 3 | kappa >= 3 | tau >= 3/2",
+     "11100 11111 11000 11100"),
+    ("THM4ii", {"k": 2}, "THM4ii[k=2]", {"k": 2},
+     "order >= 3 | P6+2P1-free | order > 4 | kappa >= 4 | tau >= 3/2",
+     "11100 11001 11000 11100"),
+    ("THM1i", {"t": F(1)}, "THM1i[t=1]", {"t": "1"},
+     "order >= 3 | delta >= (2-t)n/(1+t) | tau >= 1", "101 111 100 101"),
+    ("THM1i", {"t": F(5, 4)}, "THM1i[t=5/4]", {"t": "5/4"},
+     "order >= 3 | delta >= (2-t)n/(1+t) | tau >= 5/4", "110 111 110 100"),
+    ("THM1i", {"t": F(3, 2)}, "THM1i[t=3/2]", {"t": "3/2"},
+     "order >= 3 | delta >= (2-t)n/(1+t) | tau >= 3/2", "110 111 110 110"),
+    ("THM1i", {"t": F(7, 4)}, "THM1i[t=7/4]", {"t": "7/4"},
+     "order >= 3 | delta >= (2-t)n/(1+t) | tau >= 7/4", "110 111 110 110"),
+    ("THM1ii", {"t": F(3, 2)}, "THM1ii[t=3/2]", {"t": "3/2"},
+     "order >= 3 | delta >= (3t-2-t^2)n/(7t-7-t^2) | tau >= 3/2",
+     "110 111 110 110"),
+    ("THM1ii", {"t": F(7, 4)}, "THM1ii[t=7/4]", {"t": "7/4"},
+     "order >= 3 | delta >= (3t-2-t^2)n/(7t-7-t^2) | tau >= 7/4",
+     "110 111 110 110"),
+    ("EJKS2", {}, "EJKS2", {},
+     "order >= 3 | tau >= 2", "10 11 10 10"),
+    ("NIESSEN", {}, "NIESSEN", {},
+     "order >= 3 | delta > alpha", "10 11 10 10"),
+    ("FALSE1T", {}, "FALSE1T", {},
+     "order >= 3 | tau >= 1", "11 11 10 11"),
+]
+
+# rejected calls: (id, params, error message); every one is a GraphError
+REGISTRY_REJECTS = [
+    ("THM1i", {"t": F(2)}, "THM1i needs rational t with 1 <= t < 2"),
+    ("THM1ii", {"t": F(5, 4)}, "THM1ii needs rational t with 3/2 <= t < 2"),
+    ("THM1ii", {"t": F(2)}, "THM1ii needs rational t with 3/2 <= t < 2"),
+    ("THM2", {"eps": F(0)}, "THM2 needs rational eps with 0 < eps <= 1"),
+    ("THM2", {"eps": F(3, 2)}, "THM2 needs rational eps with 0 < eps <= 1"),
+    ("THM3i", {"ell": 3, "k": 1}, "THM3i needs ell in {1, 2}"),
+    ("THM4i", {"ell": 1, "k": 1}, "THM4i needs ell in {2, 3}"),
+    ("THM3ii", {"k": 0}, "k must be a positive integer"),
+    ("THM4ii", {"k": -1}, "k must be a positive integer"),
+    ("NOSUCH", {}, "unknown theorem id 'NOSUCH'"),
+    ("NOSUCH", {"k": 1}, "unknown theorem id 'NOSUCH'"),
+    ("THM3ii", {"k": 1.5}, "THM3ii takes a finite int k, not 1.5"),
+    ("THM3ii", {"k": True}, "THM3ii takes a finite int k, not True"),
+    ("THM4i", {"ell": 2.7, "k": 1}, "THM4i takes a finite int ell, not 2.7"),
+    ("THM3i", {"ell": 1, "k": F(3, 2)},
+     "THM3i takes a finite int k, not Fraction(3, 2)"),
+    ("THM2", {"eps": math.inf}, "THM2 takes a finite Fraction eps, not inf"),
+    ("THM2", {"eps": math.nan}, "THM2 takes a finite Fraction eps, not nan"),
+    ("THM1i", {"t": "one"}, "THM1i takes a finite Fraction t, not 'one'"),
+    ("THM1ii", {"t": None}, "THM1ii takes a finite Fraction t, not None"),
+    ("THM1i", {}, "THM1i requires parameter 't'"),
+    ("THM3i", {"k": 1}, "THM3i requires parameter 'ell'"),
+    ("THM4i", {"ell": 2}, "THM4i requires parameter 'k'"),
+    ("THM2", {"eps": F(1, 2), "t": F(3, 2), "k": 9},
+     "THM2 does not take 'k', 't'"),
+    ("EJKS2", {"eps": F(1, 2)}, "EJKS2 does not take 'eps'"),
+    ("THM3ii", {"k": 1, "ell": 1}, "THM3ii does not take 'ell'"),
+    # with two faults, the first in this order is reported: stray, k, ell
+    ("THM3i", {"k": 0}, "k must be a positive integer"),
+    ("THM4i", {"ell": 9, "k": 0}, "k must be a positive integer"),
+    ("THM4i", {"ell": 9, "k": 0.5}, "THM4i takes a finite int k, not 0.5"),
+    ("THM3ii", {"k": 0, "t": 1}, "THM3ii does not take 't'"),
+]
+
+
+def test_registry_pinned():
+    hosts = [cycle(5), complete(4), path(3), h1_graph()]
+    assert {row[0] for row in REGISTRY_PIN} == set(THEOREM_IDS)
+    for tid, params, shown, spec_params, names, values in REGISTRY_PIN:
+        spec = make_theorem(tid, **params)
+        assert spec.theorem_id == tid
+        assert (spec.describe(), spec.params) == (shown, spec_params)
+        assert " | ".join(name for name, _ in spec.clauses) == names
+        got = " ".join("".join(str(int(pred(GraphFacts(g))))
+                               for _, pred in spec.clauses) for g in hosts)
+        assert got == values, shown
+    for tid, params, message in REGISTRY_REJECTS:
+        with pytest.raises(GraphError) as info:
+            make_theorem(tid, **params)
+        assert type(info.value) is GraphError
+        assert str(info.value) == message, (tid, params)
+
+
 def test_check_theorem_confirms():
     # C5: delta = alpha = 2 and tau = 1 >= 2 - 1
     spec = make_theorem("THM2", eps=Fraction(1))

@@ -16,6 +16,13 @@ barrier off a failed matching. ``find_barrier`` walks all 3^n pairs.
 proved in its docstring: no barrier (A', B) has A' >= A when the
 2-matching deficiency of G - A is below 2|A| + 2, and every barrier has
 |B| >= |A| + 1.
+
+``decompose`` is the one pass over G - (A u B) that the structure report
+and the witness read. Both take a ``Barrier`` record whose deficiency is
+the pair's and at most -2, or raise GraphError. ``extract_witness`` also
+needs the four structure predicates of a biased barrier (B independent;
+e(H,B) = 0 for even H; e(v,H) <= 1 for v in B and odd H; e(v,B) <= 1 for
+v in odd H), and raises GraphError for a pair that fails one.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ EXHAUSTIVE_BARRIER_CAP = 14  # the (A,B) search space is 3^n
 class ComponentInfo(NamedTuple):
     vertices: tuple
     edges_to_b: int
+    mask: int
 
     @property
     def odd(self) -> bool:
@@ -54,46 +62,50 @@ class BarrierDecomposition(NamedTuple):
     odd_count: int         # o(A,B)
     per_u: dict            # u in B -> PerVertex
     big_odd_weight: int    # sum_{t>=1} t |C_{2t+1}|
+    a_mask: int
+    b_mask: int
+
+
+def _pair_masks(g: Graph, a, b) -> tuple[int, int]:
+    a_mask = vertex_mask(g, a)
+    b_mask = vertex_mask(g, b)
+    if a_mask & b_mask:
+        raise GraphError("A and B must be disjoint")
+    return a_mask, b_mask
 
 
 def deficiency(g: Graph, a, b) -> int:
-    a_mask = vertex_mask(g, a)
-    b_mask = vertex_mask(g, b)
-    if a_mask & b_mask:
-        raise GraphError("A and B must be disjoint")
-    return _deficiency_masks(g, a_mask, b_mask)
+    return _deficiency_masks(g, *_pair_masks(g, a, b))
 
 
 def decompose(g: Graph, a, b) -> BarrierDecomposition:
-    a_mask = vertex_mask(g, a)
-    b_mask = vertex_mask(g, b)
-    if a_mask & b_mask:
-        raise GraphError("A and B must be disjoint")
+    a_mask, b_mask = _pair_masks(g, a, b)
     adj = g.adj
-    rest = g.full_mask & ~a_mask & ~b_mask
     comps = []
-    for comp in component_masks(adj, rest):
+    for comp in component_masks(adj, g.full_mask & ~a_mask & ~b_mask):
         e_hb = sum((adj[v] & b_mask).bit_count() for v in iter_bits(comp))
-        comps.append(ComponentInfo(tuple(iter_bits(comp)), e_hb))
-    odd_count = sum(1 for info in comps if info.odd)
-    big_odd_weight = sum((info.edges_to_b - 1) // 2
-                         for info in comps if info.odd)
+        comps.append(ComponentInfo(tuple(iter_bits(comp)), e_hb, comp))
+    odd = [info for info in comps if info.odd]
     per_u = {}
     for u in iter_bits(b_mask):
-        per_comp = []
-        o = h = 0
-        for info in comps:
-            e_uh = sum(1 for v in info.vertices if adj[u] >> v & 1)
-            per_comp.append(e_uh)
-            if info.odd and e_uh == 1:
-                h += 1
-                if info.edges_to_b >= 3:
-                    o += 1
-        per_u[u] = PerVertex(tuple(per_comp), o, h)
-    return BarrierDecomposition(comps, odd_count, per_u, big_odd_weight)
+        per_comp = tuple((adj[u] & info.mask).bit_count() for info in comps)
+        single = [info for info, e_uh in zip(comps, per_comp)
+                  if info.odd and e_uh == 1]
+        per_u[u] = PerVertex(per_comp,
+                             sum(info.edges_to_b >= 3 for info in single),
+                             len(single))
+    big_odd_weight = sum((info.edges_to_b - 1) // 2 for info in odd)
+    return BarrierDecomposition(comps, len(odd), per_u, big_odd_weight,
+                                a_mask, b_mask)
 
 
 # Exhaustive search ----------------------------------------------------------------
+
+def _check_order_cap(g: Graph) -> None:
+    if g.n > EXHAUSTIVE_BARRIER_CAP:
+        raise GraphError(
+            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
+
 
 def _barriers_by_union(g: Graph):
     """Yield (a_mask, b_mask, deficiency) for every barrier of ``g``, each
@@ -112,9 +124,7 @@ def _barriers_by_union(g: Graph):
     B then walks the subsets of U in Gray-code order, one vertex entering
     or leaving at each step, and the sum and the XOR are updated in O(1).
     """
-    if g.n > EXHAUSTIVE_BARRIER_CAP:
-        raise GraphError(
-            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
+    _check_order_cap(g)
     adj = g.adj
     full = g.full_mask
     for u_mask in range(1, full + 1):  # B = U = empty is no barrier
@@ -184,9 +194,7 @@ def find_biased_barrier(g: Graph) -> Barrier | None:
     dropped means G has a 2-factor (None); an empty A kept with no barrier
     found contradicts Tutte's theorem and raises CertificateError.
     """
-    if g.n > EXHAUSTIVE_BARRIER_CAP:
-        raise GraphError(
-            f"exhaustive barrier search capped at order {EXHAUSTIVE_BARRIER_CAP}")
+    _check_order_cap(g)
     n, full = g.n, g.full_mask
 
     def kept(a_mask: int, size: int) -> bool:
@@ -239,39 +247,47 @@ class BiasedBarrierReport(NamedTuple):
 
     @property
     def all_hold(self) -> bool:
-        core = (self.b_independent and self.even_components_isolated
+        return (self.b_independent and self.even_components_isolated
                 and self.b_edges_into_odd_simple
                 and self.odd_vertices_edges_to_b_simple
-                and self.counting_inequality)
-        if self.one_tough_applicable:
-            return core and self.big_odd_class_nonempty
-        return core
+                and self.counting_inequality
+                and (self.big_odd_class_nonempty
+                     or not self.one_tough_applicable))
+
+
+def _barrier_decomposition(g: Graph, barrier: Barrier) -> BarrierDecomposition:
+    """The decomposition of ``barrier``'s pair, which must be a barrier
+    whose deficiency the record states."""
+    dec = decompose(g, barrier.a, barrier.b)
+    d = _deficiency_masks(g, dec.a_mask, dec.b_mask)
+    if d > -2:
+        raise GraphError("pair is not a barrier")
+    if d != barrier.deficiency:
+        raise GraphError(f"record's deficiency {barrier.deficiency} != {d}")
+    return dec
+
+
+def _structure(g: Graph, dec: BarrierDecomposition) -> tuple:
+    """The first four fields of the report: the structure predicates of a
+    biased barrier."""
+    adj, b_mask = g.adj, dec.b_mask
+    return (all(not adj[u] & b_mask for u in dec.per_u),
+            all(info.odd or info.edges_to_b == 0 for info in dec.components),
+            all(e_uh <= 1 for pv in dec.per_u.values()
+                for e_uh, info in zip(pv.edges_per_component, dec.components)
+                if info.odd),
+            all((adj[v] & b_mask).bit_count() <= 1
+                for info in dec.components if info.odd
+                for v in info.vertices))
 
 
 def check_biased_properties(g: Graph, barrier: Barrier) -> BiasedBarrierReport:
-    if deficiency(g, barrier.a, barrier.b) > -2:
-        raise GraphError("pair is not a barrier")
-    dec = decompose(g, barrier.a, barrier.b)
-    adj = g.adj
-    b_mask = vertex_mask(g, barrier.b)
-    b_independent = all((adj[u] & b_mask) == 0 for u in barrier.b)
-    even_isolated = all(info.odd or info.edges_to_b == 0
-                        for info in dec.components)
-    edges_simple = all(
-        e <= 1
-        for u, pv in dec.per_u.items()
-        for e, info in zip(pv.edges_per_component, dec.components)
-        if info.odd)
-    odd_vertices_simple = all(
-        (adj[v] & b_mask).bit_count() <= 1
-        for info in dec.components if info.odd
-        for v in info.vertices)
-    counting = len(barrier.b) >= len(barrier.a) + dec.big_odd_weight + 1
-    big_odd_nonempty = dec.big_odd_weight > 0
-    applicable = g.n >= 3 and is_t_tough(g, 1)
+    dec = _barrier_decomposition(g, barrier)
     return BiasedBarrierReport(
-        b_independent, even_isolated, edges_simple, odd_vertices_simple,
-        counting, big_odd_nonempty, applicable)
+        *_structure(g, dec),
+        len(barrier.b) >= len(barrier.a) + dec.big_odd_weight + 1,
+        dec.big_odd_weight > 0,
+        g.n >= 3 and is_t_tough(g, 1))
 
 
 # Cut-set witness construction --------------------------------------------------------
@@ -288,7 +304,12 @@ class ToughnessWitness(NamedTuple):
 def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
     """Build the cut set W certifying a toughness upper bound.
 
-    Two cases, by max_u h(u) over the biased barrier's B:
+    ``barrier`` must be a barrier with the structure of a biased one: B
+    independent, e(H,B) = 0 for even H, e(v,H) <= 1 for v in B and odd H,
+    and e(v,B) <= 1 for v in odd H. A pair that fails one of these raises
+    GraphError, before W is built. So does a pair with max h <= 1 and no
+    odd component H with e(H,B) >= 3, where the construction has nothing
+    to cut. Two cases, by max_u h(u) over B:
       - max h <= 1: W = A plus, from each odd component H with e(H,B) = 2t+1
         >= 3, the 2t lowest-index vertices of H with a neighbor in B;
         guarantees c(G-W) >= |B|.
@@ -302,85 +323,64 @@ def extract_witness(g: Graph, barrier: Barrier) -> ToughnessWitness:
     Both counting identities are recomputed and checked before returning;
     a failed check raises CertificateError.
     """
-    if deficiency(g, barrier.a, barrier.b) > -2:
-        raise GraphError("pair is not a barrier")
-    dec = decompose(g, barrier.a, barrier.b)
-    adj = g.adj
-    a_mask = vertex_mask(g, barrier.a)
-    b_mask = vertex_mask(g, barrier.b)
-    big_odd = [i for i, info in enumerate(dec.components)
-               if info.odd and info.edges_to_b >= 3]
+    dec = _barrier_decomposition(g, barrier)
+    if not all(_structure(g, dec)):
+        raise GraphError("witness construction needs the structure of a "
+                         "biased barrier, which the pair lacks")
+    adj, b_mask = g.adj, dec.b_mask
+    odd = [info for info in dec.components if info.odd]
+    big_odd = [info for info in odd if info.edges_to_b >= 3]
     h_max = max((pv.h for pv in dec.per_u.values()), default=0)
     if h_max <= 1 and not big_odd:
         raise GraphError(
             "witness construction needs max h >= 2 or an odd component "
             "with at least 3 edges into B")
 
-    w_mask = a_mask
+    w_mask = dec.a_mask
     ell = ell_prime = h_sum = 0
-
     if h_max <= 1:
-        for i in big_odd:
-            info = dec.components[i]
-            with_b_neighbor = [v for v in info.vertices
-                               if adj[v] & b_mask]
-            # e(v,B) <= 1 on odd components, so there are e(H,B) of these
-            if len(with_b_neighbor) != info.edges_to_b:
-                raise CertificateError("an odd component has e(v,B) > 1")
-            for v in with_b_neighbor[:info.edges_to_b - 1]:
-                w_mask |= 1 << v
+        for info in big_odd:
+            # e(v,B) <= 1 on odd components, so e(H,B) vertices meet B
+            meets_b = [v for v in info.vertices if adj[v] & b_mask]
+            w_mask |= sum(1 << v for v in meets_b[:info.edges_to_b - 1])
     else:
-        alive = [True] * len(dec.components)
-        comp_masks = [vertex_mask(g, info.vertices) for info in dec.components]
+        # even components send B no edge and odd ones get at most one
+        # from each u, so h(u) counts the live components u meets
+        live = odd
         seen_singleton_step = False
         while True:
-            best_u = -1
-            best_h = 0
-            for u in sorted(barrier.b):
-                h = sum(1 for i, info in enumerate(dec.components)
-                        if alive[i] and info.odd
-                        and (adj[u] & comp_masks[i]).bit_count() == 1)
-                if h > best_h:
-                    best_h, best_u = h, u
-            if best_h == 0:
+            # max keeps the first, so the lowest-index u of largest h
+            best_u = max(dec.per_u, key=lambda u: sum(
+                1 for info in live if adj[u] & info.mask))
+            nbrs = adj[best_u]
+            met = [info for info in live if nbrs & info.mask]
+            if not met:
                 break
             ell += 1
             if ell > len(barrier.b):
                 raise CertificateError("more steps than vertices in B")
-            if best_h >= 2:
+            if len(met) >= 2:
                 if seen_singleton_step:
                     raise CertificateError(
                         "a step with maximum >= 2 follows a singleton step")
                 ell_prime += 1
-                h_sum += best_h
+                h_sum += len(met)
                 w_mask |= 1 << best_u
             else:
                 seen_singleton_step = True
-            for i, info in enumerate(dec.components):
-                if not alive[i]:
-                    continue
-                e_uh = (adj[best_u] & comp_masks[i]).bit_count()
-                if e_uh == 0:
-                    continue
-                if not (info.odd and e_uh == 1):
-                    raise CertificateError(
-                        f"u = {best_u} meets an even component or sends it "
-                        "more than one edge")
-                for v in info.vertices:
-                    if (adj[v] & b_mask).bit_count() == 1 \
-                            and not (adj[best_u] >> v & 1):
-                        w_mask |= 1 << v
-                alive[i] = False
+            for info in met:
+                w_mask |= sum(1 << v for v in info.vertices
+                              if adj[v] & b_mask and not nbrs >> v & 1)
+            live = [info for info in live if not nbrs & info.mask]
 
-    # counting identities from the construction
-    if w_mask.bit_count() != (a_mask.bit_count() + ell_prime
+    # counting identities from the construction; with max h <= 1 the
+    # second reads c(G-W) >= |B|
+    if w_mask.bit_count() != (dec.a_mask.bit_count() + ell_prime
                               + 2 * dec.big_odd_weight):
         raise CertificateError("|W| differs from |A| + ell' + sum 2t|C_2t+1|")
     comp_count = len(component_masks(adj, g.full_mask & ~w_mask))
     if comp_count < len(barrier.b) - ell_prime + h_sum:
         raise CertificateError("c(G-W) < |B| - ell' + sum h(u_i)")
-    if h_max <= 1 and comp_count < len(barrier.b):
-        raise CertificateError("c(G-W) < |B| with max h <= 1")
     if comp_count < 2 or w_mask == 0:
         raise CertificateError("W is not a cut set")
     ratio = Fraction(w_mask.bit_count(), comp_count)

@@ -1,6 +1,7 @@
 """Deficiency, barrier searches, biased-barrier structure, and the cut-set
 witness construction."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -90,6 +91,10 @@ def test_decompose_h1():
     for u in inst.sets["independent"]:
         assert dec.per_u[u].o == 1 and dec.per_u[u].h == 1
         assert dec.per_u[u].edges_per_component == (1,)
+    assert dec.components[0].mask == sum(
+        1 << v for v in dec.components[0].vertices)
+    assert dec.a_mask == sum(1 << v for v in inst.sets["apex"])
+    assert dec.b_mask == sum(1 << v for v in inst.sets["independent"])
 
 
 # Barrier search -----------------------------------------------------------------
@@ -281,6 +286,16 @@ def test_check_biased_properties_rejects_non_barrier():
         check_biased_properties(cycle(4), Barrier(frozenset(), frozenset(), 0))
 
 
+def test_stale_barrier_record_is_refused():
+    # the pair is H(1)'s barrier, of deficiency -2, not -7
+    h1 = build(FamilySpec.parse("H:n=1"))
+    stale = Barrier(frozenset(h1.sets["apex"]),
+                    frozenset(h1.sets["independent"]), -7)
+    for check in (check_biased_properties, extract_witness):
+        with pytest.raises(GraphError, match="deficiency -7"):
+            check(h1.graph, stale)
+
+
 # Witness construction -----------------------------------------------------------
 
 def test_extract_witness_star():
@@ -308,6 +323,18 @@ def test_extract_witness_rejects_non_barrier():
         extract_witness(cycle(5), Barrier(frozenset(), frozenset(), 0))
 
 
+def test_extract_witness_refuses_barrier_without_biased_structure():
+    # a barrier, but vertex 2 of the odd component {2, 3} has two
+    # neighbours in B, so the pair is input error, not a failed certificate
+    g = Graph(5, [(0, 2), (1, 2), (1, 3), (2, 3)])
+    barrier = Barrier(frozenset(), frozenset({0, 1}), -2)
+    assert deficiency(g, barrier.a, barrier.b) == -2
+    report = check_biased_properties(g, barrier)
+    assert not report.odd_vertices_edges_to_b_simple
+    with pytest.raises(GraphError, match="structure of a biased barrier"):
+        extract_witness(g, barrier)
+
+
 def test_extract_witness_needs_usable_structure():
     # P3's biased barrier has only C_1 components and max h = 1
     with pytest.raises(GraphError):
@@ -331,3 +358,53 @@ def test_extract_witness_bounds_toughness():
         assert comps == witness.component_count >= 2
         assert witness.ratio == Fraction(len(witness.w), comps)
         assert witness.ratio >= toughness(g).value
+
+
+# Pinned outputs -----------------------------------------------------------------
+
+# sha256 of the outputs below over the atlas graphs of order <= 7, the
+# connected order-8 graphs and H(1), H(2), each without a 2-factor
+PINNED_DIGEST = (
+    "ff476239d6bf4cf08068d5977c5d2a730c02397a3052fb7545023c9c0e4fbb04")
+
+
+def pinned_outputs(g: Graph) -> tuple:
+    """The biased barrier of ``g``, which has no 2-factor, with its
+    decomposition, structure report and witness (None where refused), each
+    field named so that appended fields stay out of the digest."""
+    barrier = find_biased_barrier(g)
+    assert barrier is not None
+    dec = decompose(g, barrier.a, barrier.b)
+    report = check_biased_properties(g, barrier)
+    assert report.all_hold
+    try:
+        witness = extract_witness(g, barrier)
+    except GraphError:
+        assert max((pv.h for pv in dec.per_u.values()), default=0) <= 1
+        assert not any(info.odd and info.edges_to_b >= 3
+                       for info in dec.components)
+        witness = None
+    else:
+        assert count_components(g, witness.w) == witness.component_count
+        assert witness.ratio >= toughness(g).value
+        witness = (sorted(witness.w), witness.ell, witness.ell_prime,
+                   witness.h_sum, witness.component_count, witness.ratio)
+    return (g.n, sorted(g.edges), sorted(barrier.a), sorted(barrier.b),
+            barrier.deficiency,
+            [(info.vertices, info.edges_to_b) for info in dec.components],
+            dec.odd_count,
+            [(u, pv.edges_per_component, pv.o, pv.h)
+             for u, pv in sorted(dec.per_u.items())],
+            dec.big_odd_weight, tuple(report), witness)
+
+
+def test_biased_barrier_outputs_pinned(connected_order8):
+    order8 = [g for g in connected_order8 if not find_two_factor(g).exists]
+    assert len(order8) == 4494
+    graphs = [g for g in small_graphs(7) if not find_two_factor(g).exists]
+    graphs += order8
+    graphs += [build(FamilySpec.parse(text)).graph
+               for text in ("H:n=1", "H:n=2")]
+    outputs = [pinned_outputs(g) for g in graphs]
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == PINNED_DIGEST

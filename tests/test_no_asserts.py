@@ -49,3 +49,17 @@ def test_barrier_check_fires_under_optimize():
     assert raises_under_optimize(
         "m._tutte_pair = lambda g, adj, mate: (0, 0)",
         "m.find_two_factor(build(FamilySpec.parse('H:n=1')).graph, True)")
+
+
+def test_witness_check_fires_under_optimize():
+    # one more t-class unit in the decomposition breaks |W| = |A| + ell'
+    # + sum 2t|C_2t+1|; the structure predicates do not read it
+    assert raises_under_optimize(
+        "import tough2f.barriers as b\n"
+        "real = b.decompose\n"
+        "def decompose(g, a, bb):\n"
+        "    dec = real(g, a, bb)\n"
+        "    return dec._replace(big_odd_weight=dec.big_odd_weight + 1)\n"
+        "b.decompose = decompose\n"
+        "g = build(FamilySpec.parse('H:n=1')).graph",
+        "b.extract_witness(g, b.find_biased_barrier(g))")

@@ -13,6 +13,9 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
   the ``hunt-shared`` corpus for seed 3 that have a 2-factor, where
   ``find_barrier`` walks all 3^n pairs and finds nothing, and
   ``find_biased_barrier`` stops at the empty A;
+- ``find_biased_barrier_<corpus>_matchings``: the blossom matchings
+  (``matching.max_matching`` calls) that one pass of
+  ``find_biased_barrier`` over the corpus runs;
 - ``find_two_factor_certify_<corpus>_s``: ``find_two_factor(g,
   certify=True)`` on H(1), H(2), the two ``certify`` corpora, and on
   G(1,1) and Ghat(2,2), orders 28 and 62, past the exhaustive cap. Its
@@ -51,6 +54,7 @@ REPEATS = 3
 def main(argv=None) -> int:
     args = parse_args(__doc__.splitlines()[0], argv)
     from tough2f.barriers import deficiency, find_barrier, find_biased_barrier
+    from tough2f import matching
     from tough2f.matching import find_two_factor
     import workloads
 
@@ -80,6 +84,23 @@ def main(argv=None) -> int:
     def find_two_factor_certify(g):
         return find_two_factor(g, certify=True).barrier
 
+    def matchings(gs):
+        calls = 0
+        real = matching.max_matching
+
+        def counted(adj):
+            nonlocal calls
+            calls += 1
+            return real(adj)
+
+        matching.max_matching = counted
+        try:
+            for g in gs:
+                find_biased_barrier(g)
+        finally:
+            matching.max_matching = real
+        return calls
+
     def record(finder, name):
         gs = corpora[name]
         label = f"{finder.__name__}_{name}"
@@ -99,6 +120,7 @@ def main(argv=None) -> int:
                 picks.append((label, [pair(b) for b in found]))
             else:
                 answers.append((label, [pair(b) for b in found]))
+                entry[f"{label}_matchings"] = matchings(corpora[name])
     for name in (*FAMILIES, *(f"certify_{s}" for s in CERTIFY_SEEDS),
                  *BEYOND_CAP):
         label, found = record(find_two_factor_certify, name)

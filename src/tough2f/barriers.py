@@ -12,10 +12,13 @@ exists. A biased barrier maximizes |A| and, subject to that, minimizes |B|.
 
 ``matching`` holds ``Barrier`` and the deficiency evaluator, and reads a
 barrier off a failed matching. ``find_barrier`` walks all 3^n pairs.
-``find_biased_barrier`` is a branch and bound over A on two lemmas,
+``find_biased_barrier`` is a branch and bound over A on three lemmas,
 proved in its docstring: no barrier (A', B) has A' >= A when the
-2-matching deficiency of G - A is below 2|A| + 2, and every barrier has
-|B| >= |A| + 1.
+2-matching deficiency def_2 of G - A is below 2|A| + 2; every barrier
+has |B| >= |A| + 1; and def_2(H) lies between the degree deficits of H
+(rounded up to even) and the room a greedy subgraph of degrees <= 2
+leaves, so a gadget matching runs only when the two bounds straddle
+2|A| + 2.
 
 ``decompose`` is the one pass over G - (A u B) that the structure report
 and the witness read. Both take a ``Barrier`` record whose deficiency is
@@ -162,11 +165,46 @@ def find_barrier(g: Graph) -> Barrier | None:
     return None if hit is None else _as_barrier(*hit)
 
 
+def _def2_floor(g: Graph, mask: int) -> int:
+    """Lemma 3's lower bound on def_2 of the subgraph of ``g`` on ``mask``."""
+    adj = g.adj
+    low = sum(max(0, 2 - (adj[v] & mask).bit_count()) for v in iter_bits(mask))
+    return low + (low & 1)
+
+
+def _def2_ceiling(g: Graph, mask: int) -> int:
+    """Lemma 3's upper bound on def_2 of the subgraph of ``g`` on ``mask``,
+    from a greedy F: low-degree edges first, each kept while both ends
+    have room; the room left over is 2|V(H)| - 2|F|."""
+    adj = g.adj
+    deg = [(adj[v] & mask).bit_count() for v in range(g.n)]
+    edges = sorted((e for e in g.edges if mask >> e[0] & mask >> e[1] & 1),
+                   key=lambda e: (min(deg[e[0]], deg[e[1]]),
+                                  deg[e[0]] + deg[e[1]]))
+    room = [2] * g.n
+    for u, v in edges:
+        if room[u] and room[v]:
+            room[u] -= 1
+            room[v] -= 1
+    return sum(room[v] for v in iter_bits(mask))
+
+
+def _def2_reaches(g: Graph, mask: int, need: int) -> bool:
+    """Whether def_2 of the subgraph of ``g`` on ``mask`` is at least
+    ``need``: lemma 3's two bounds settle most calls, and the gadget
+    matching runs only when they fall on either side of ``need``."""
+    if _def2_floor(g, mask) >= need:
+        return True
+    if _def2_ceiling(g, mask) < need:
+        return False
+    return two_matching_deficiency(g, mask) >= need
+
+
 def find_biased_barrier(g: Graph) -> Barrier | None:
     """The barrier maximizing |A|, then minimizing |B|, ties broken by the
     smallest lexicographic (sorted A, sorted B) index encoding.
 
-    A branch and bound over A, on two lemmas. Write def_2(H) =
+    A branch and bound over A, on three lemmas. Write def_2(H) =
     2|V(H)| - 2 nu_2(H), nu_2(H) the most edges of a subgraph of H with
     every degree at most 2 (``matching.two_matching_deficiency``).
 
@@ -180,12 +218,18 @@ def find_biased_barrier(g: Graph) -> Barrier | None:
     2. deficiency(A, B) >= 2|A| - 2|B|, so a barrier has |B| >= |A| + 1.
        Proof: an odd component sends an edge to B, which the degree sum
        over B counts, so o(A, B) <= sum_{v in B} d_{G-A}(v).
+    3. sum_v max(0, 2 - d_H(v)), rounded up to even, <= def_2(H)
+       <= 2|V(H)| - 2|F| for any F in H with degrees <= 2.
+       Proof: def_2(H) = sum_v (2 - d_F(v)) for a largest such F, and
+       d_F(v) <= d_H(v); def_2 is even; any such F has |F| <= nu_2(H).
 
     The search keeps, size by size, the A that lemma 1 does not drop: a
     candidate is a kept A plus a vertex above its largest, and it is kept
     when every A' - {u} was kept (else lemma 1 has dropped a subset of it)
-    and def_2(G - A') >= 2|A'| + 2. The kept A are then taken from the
-    largest size down, in lexicographic order within a size; for each, B
+    and def_2(G - A') >= 2|A'| + 2. Lemma 3's bounds, with a greedy F,
+    settle most of these tests; one gadget matching settles the rest.
+    The kept A are then taken from the largest size down, in
+    lexicographic order within a size; for each, B
     runs through the subsets of V - A by increasing size from |A| + 1
     (lemma 2), below the best |B| so far, and in lexicographic order
     within a size, so the first hit at a size is the smallest B. The
@@ -198,9 +242,7 @@ def find_biased_barrier(g: Graph) -> Barrier | None:
     n, full = g.n, g.full_mask
 
     def kept(a_mask: int, size: int) -> bool:
-        # def_2(G - A) <= 2(n - |A|) settles the deep levels without a matching
-        return (2 * size + 2 <= 2 * (n - size)
-                and two_matching_deficiency(g, full & ~a_mask) >= 2 * size + 2)
+        return _def2_reaches(g, full & ~a_mask, 2 * size + 2)
 
     def next_level(level: list, size: int):
         seen = set(level)
@@ -282,7 +324,14 @@ def _structure(g: Graph, dec: BarrierDecomposition) -> tuple:
 
 
 def check_biased_properties(g: Graph, barrier: Barrier) -> BiasedBarrierReport:
-    dec = _barrier_decomposition(g, barrier)
+    return _biased_report(g, barrier, _barrier_decomposition(g, barrier))
+
+
+def _biased_report(g: Graph, barrier: Barrier,
+                   dec: BarrierDecomposition) -> BiasedBarrierReport:
+    """The report on ``barrier`` from ``dec``, its pair's decomposition,
+    for a caller that has decomposed the pair already. The record is not
+    checked, so it must come from a finder or a checked decomposition."""
     return BiasedBarrierReport(
         *_structure(g, dec),
         len(barrier.b) >= len(barrier.a) + dec.big_odd_weight + 1,

@@ -98,7 +98,7 @@ def _cmd_barrier(args) -> int:
             payload["per_u"] = {
                 str(u): {"o": pv.o, "h": pv.h} for u, pv in dec.per_u.items()}
             if args.biased:
-                report = barriers.check_biased_properties(g, b)
+                report = barriers._biased_report(g, b, dec)
                 props = report._asdict()
                 del props["one_tough_applicable"]
                 payload["biased_properties"] = props

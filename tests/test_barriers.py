@@ -25,7 +25,7 @@ from tough2f import (
     path,
     toughness,
 )
-from tough2f import barriers
+from tough2f import barriers, matching
 from tough2f.barriers import (EXHAUSTIVE_BARRIER_CAP, Barrier, _as_barrier,
                                _barriers_by_union, _deficiency_masks)
 from tough2f.families import FamilySpec, build
@@ -242,17 +242,41 @@ def test_biased_barrier_does_not_walk_all_pairs(monkeypatch):
     assert find_biased_barrier(cycle(9)) is None
 
 
+def test_def2_bounds_are_sound_and_the_prune_test_exact():
+    for g in small_graphs(6):
+        for mask in range(g.full_mask + 1):
+            def2 = two_matching_deficiency(g, mask)
+            assert barriers._def2_floor(g, mask) <= def2
+            assert def2 <= barriers._def2_ceiling(g, mask)
+            for need in range(0, 2 * g.n + 3, 2):
+                assert barriers._def2_reaches(g, mask, need) == (def2 >= need)
+
+
+def test_biased_barrier_runs_few_matchings(monkeypatch):
+    # the bounds settle all but 3 of the 14 prune tests on H(2)
+    calls = []
+    real = matching.max_matching
+
+    def counted(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(matching, "max_matching", counted)
+    h2 = build(FamilySpec.parse("H:n=2")).graph
+    assert find_biased_barrier(h2) == Barrier(
+        frozenset({0, 1}), frozenset({2, 3, 4, 5, 6}), -2)
+    assert len(calls) <= 3
+
+
 def test_biased_barrier_with_a_bound_that_admits_every_a(monkeypatch):
     graphs = [g for g in small_graphs(6) if not find_two_factor(g).exists]
     want = [union_walk_minimum(g) for g in graphs]
-    monkeypatch.setattr(barriers, "two_matching_deficiency",
-                        lambda g, mask: 2 * g.n + 2)
+    monkeypatch.setattr(barriers, "_def2_reaches", lambda g, mask, need: True)
     assert [find_biased_barrier(g) for g in graphs] == want
 
 
 def test_biased_barrier_raises_when_the_bound_claims_a_barrier(monkeypatch):
-    monkeypatch.setattr(barriers, "two_matching_deficiency",
-                        lambda g, mask: 2 * g.n + 2)
+    monkeypatch.setattr(barriers, "_def2_reaches", lambda g, mask, need: True)
     with pytest.raises(CertificateError):
         find_biased_barrier(cycle(5))
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tough2f import (cycle, deficiency, encode_graph6, invariants, path,
-                     write_edge_list)
+from tough2f import (barriers, cycle, deficiency, encode_graph6, invariants,
+                     path, write_edge_list)
 from tough2f.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from tough2f.families import FamilySpec, build
 from tough2f.graphs import Graph, count_components
@@ -130,6 +130,23 @@ def test_barrier_biased(tmp_path, capsys):
     assert props["b_independent"] is True
     assert props["counting_inequality"] is True
     assert props["big_odd_class_nonempty"] is True
+
+
+def test_barrier_biased_decomposes_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = barriers.decompose
+
+    def counted(g, a, b):
+        calls.append(g.n)
+        return real(g, a, b)
+
+    monkeypatch.setattr(barriers, "decompose", counted)
+    h2 = build(FamilySpec.parse("H:n=2")).graph
+    source = write(tmp_path, encode_graph6(h2))
+    code, payloads = run(capsys, ["barrier", source, "--biased"])
+    assert code == EXIT_OK
+    assert payloads[0]["biased_properties"]["b_independent"] is True
+    assert calls == [12]
 
 
 def test_barrier_none_for_two_factor_graph(tmp_path, capsys):

@@ -18,7 +18,10 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
 2-factor answer with its edges, each gadget's edges and each gadget
 matching, as sorted pairs. Equal digests
-under two labels show that the two trees gave the same outputs. Results
+under two labels show that the two trees gave the same outputs.
+``two_factor_exists_sha256`` hashes only the existence bits of the
+2-factor answers (the hunt corpus, then Ghat(2,2) and Ghat(3,3)): it stays
+equal when two trees find different 2-factors of the same graphs. Results
 and the provenance of ``benchkit.provenance`` are merged into
 BENCH_exact_kernels.json under ``--label``:
 
@@ -76,7 +79,10 @@ def main(argv=None) -> int:
                        "orders": workloads.order_mix(corpus)}
     record("alpha_hunt", lambda: [alpha(g) for g in corpus])
 
+    exists = []
+
     def two_factor(r):
+        exists.append(r.exists)
         return r.exists and sorted(r.factor.edges)
 
     record("two_factor_hunt",
@@ -98,6 +104,8 @@ def main(argv=None) -> int:
 
     entry["answers_sha256"] = hashlib.sha256(
         repr(answers).encode()).hexdigest()
+    entry["two_factor_exists_sha256"] = hashlib.sha256(
+        repr(exists).encode()).hexdigest()
     save(OUT, args.label, entry)
     return 0
 

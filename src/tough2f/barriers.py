@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .graphs import (CertificateError, Graph, GraphError, component_masks,
                      iter_bits, vertex_mask)
 from .invariants import is_t_tough
-from .matching import (Barrier, _as_barrier, _deficiency_masks,
+from .matching import (Barrier, _as_barrier, _deficiency_masks, _greedy_f,
                        two_matching_deficiency)
 
 EXHAUSTIVE_BARRIER_CAP = 14  # the (A,B) search space is 3^n
@@ -174,19 +174,8 @@ def _def2_floor(g: Graph, mask: int) -> int:
 
 def _def2_ceiling(g: Graph, mask: int) -> int:
     """Lemma 3's upper bound on def_2 of the subgraph of ``g`` on ``mask``,
-    from a greedy F: low-degree edges first, each kept while both ends
-    have room; the room left over is 2|V(H)| - 2|F|."""
-    adj = g.adj
-    deg = [(adj[v] & mask).bit_count() for v in range(g.n)]
-    edges = sorted((e for e in g.edges if mask >> e[0] & mask >> e[1] & 1),
-                   key=lambda e: (min(deg[e[0]], deg[e[1]]),
-                                  deg[e[0]] + deg[e[1]]))
-    room = [2] * g.n
-    for u, v in edges:
-        if room[u] and room[v]:
-            room[u] -= 1
-            room[v] -= 1
-    return sum(room[v] for v in iter_bits(mask))
+    2|V(H)| - 2|F| for the greedy F of ``matching._greedy_f``."""
+    return 2 * mask.bit_count() - 2 * len(_greedy_f(g, mask))
 
 
 def _def2_reaches(g: Graph, mask: int, need: int) -> bool:

@@ -17,10 +17,15 @@ when H has a 2-factor; when every degree is at least 2, F is a 2-factor
 exactly when M is perfect (Tutte, 1954), which ``find_two_factor`` decides.
 
 ``max_matching(adj)`` computes a maximum matching of such lists, as a mate
-array, by an unweighted Edmonds blossom search with a greedy initial
-matching (Edmonds, "Paths, trees, and flowers", 1965). A contraction
-enqueues the vertices it makes outer in increasing index order, so the
-matching found is the one a full rescan of the blossom bases would find.
+array, by an unweighted Edmonds blossom search from a greedy matching,
+each vertex on its first free neighbour (Edmonds, "Paths, trees, and
+flowers", 1965). A contraction enqueues the vertices it makes outer in
+increasing index order, so the matching found is the one a full rescan
+of the blossom bases would find. ``find_two_factor`` starts instead from
+the greedy F of ``_greedy_f`` (low-degree edges first): F's partner
+pairs plus each core on a free slot leave sum_v (2 - d_F(v)) vertices
+exposed. Without ``certify`` it stops at the first failed search: its
+root is exposed in some maximum matching, so none is perfect.
 
 A certified negative answer carries a Tutte barrier (``Barrier``; the
 ``barriers`` module states the deficiency), read off the failed matching
@@ -202,6 +207,17 @@ def _searches(adj: list[list[int]], mate: list[int]):
     return search, outer
 
 
+def _augment(adj: list[list[int]], mate: list[int], stop: bool) -> bool:
+    """Grow ``mate`` by one search per exposed vertex; whether it ends
+    perfect. With ``stop``, give up at the first failed search: its root is
+    exposed in some maximum matching, so none is perfect."""
+    search, _ = _searches(adj, mate)
+    for v in range(len(adj)):
+        if mate[v] == -1 and not search(v) and stop:
+            return False
+    return -1 not in mate
+
+
 def max_matching(adj: list[list[int]]) -> list[int]:
     """mate array (-1 if exposed) of a maximum matching of the sorted lists
     ``adj``: a greedy matching grown by one search per exposed vertex."""
@@ -213,11 +229,23 @@ def max_matching(adj: list[list[int]]) -> list[int]:
                     mate[v] = u
                     mate[u] = v
                     break
-    search, _ = _searches(adj, mate)
-    for v in range(len(adj)):
-        if mate[v] == -1:
-            search(v)
+    _augment(adj, mate, False)
     return mate
+
+
+def _greedy_f(g: Graph, mask: int) -> list:
+    """Edges of a subgraph F of the subgraph on ``mask``, every degree at
+    most 2: low-degree edges first, each kept while both ends have room."""
+    deg = [(nbrs & mask).bit_count() for nbrs in g.adj]
+    room = [2] * g.n
+    f = []
+    for u, v in sorted((e for e in g.edges if mask >> e[0] & mask >> e[1] & 1),
+                       key=lambda e: (min(deg[e[0]], deg[e[1]]),
+                                      deg[e[0]] + deg[e[1]])):
+        if room[u] and room[v]:
+            room[u], room[v] = room[u] - 1, room[v] - 1
+            f.append((u, v))
+    return f
 
 
 def _tutte_pair(g: Graph, adj: list, mate: list) -> tuple[int, int]:
@@ -292,8 +320,15 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     if low is not None:
         return _negative(g, (0, 1 << low) if certify else None)
     adj, host_edge = build_gadget(g)
-    mate = max_matching(adj)
-    if -1 in mate:
+    # seed: F's partner pairs, then each core on its vertex's first free
+    # slot; u's slot of an edge (u, v) comes first and lists v's last
+    f = set(_greedy_f(g, g.full_mask))
+    mate = [-1] * len(adj)
+    for x, e in enumerate(host_edge):
+        if mate[x] == -1 and (e is None or e in f):
+            y = adj[x][-1] if e else next(y for y in adj[x] if mate[y] == -1)
+            mate[x], mate[y] = y, x
+    if not _augment(adj, mate, not certify):
         return _negative(g, _tutte_pair(g, adj, mate) if certify else None)
     # a slot is matched to a core or to its partner, which images its edge
     factor = TwoFactor(frozenset(e for x, e in enumerate(host_edge)

@@ -1,6 +1,9 @@
 """Gadget construction, blossom matching, and 2-factor search."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -25,6 +28,7 @@ from tough2f import (
 from tough2f import barriers, matching
 from tough2f.barriers import deficiency
 from tough2f.families import FamilySpec, build
+from tough2f.graphs import decode_graph6
 from tough2f.matching import BRUTE_FORCE_EDGE_CAP, BRUTE_FORCE_ORDER_CAP
 
 from conftest import (graph_to_nx, mate_pairs, neighbour_lists, nx_to_graph,
@@ -182,11 +186,11 @@ def test_matching_covers():
 
 
 def test_find_two_factor_matches_each_gadget_once(monkeypatch):
-    calls = {"build_gadget": 0, "max_matching": 0}
+    calls = {"build_gadget": 0, "_augment": 0}
     for name in calls:
-        def counted(arg, real=getattr(matching, name), name=name):
+        def counted(*args, real=getattr(matching, name), name=name):
             calls[name] += 1
-            return real(arg)
+            return real(*args)
         monkeypatch.setattr(matching, name, counted)
     k23 = Graph(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
     for certify in (False, True):
@@ -195,7 +199,27 @@ def test_find_two_factor_matches_each_gadget_once(monkeypatch):
             find_two_factor(g, certify)
     # path(4) has a vertex of degree 1, so no gadget is built for it; a
     # certified negative reads its barrier off the same matching
-    assert calls == {"build_gadget": 8, "max_matching": 8}
+    assert calls == {"build_gadget": 8, "_augment": 8}
+
+
+def test_find_two_factor_searches_from_the_seed(monkeypatch):
+    roots = []
+
+    def counted(adj, mate, real=matching._searches):
+        search, outer = real(adj, mate)
+
+        def counted_search(root):
+            roots.append(root)
+            return search(root)
+        return counted_search, outer
+
+    monkeypatch.setattr(matching, "_searches", counted)
+    # the greedy F leaves 2 gadget vertices of Ghat(2,2) exposed (16 for
+    # the neighbour-order greedy matching, then 9 searches); the first
+    # search fails, and without a certificate that ends it
+    g = build(FamilySpec.parse("Ghat:n=2,k=2")).graph
+    assert not find_two_factor(g).exists
+    assert len(roots) == 1
 
 
 # 2-factors ----------------------------------------------------------------------
@@ -269,6 +293,33 @@ def test_certify_barrier_on_every_small_graph(connected_order8):
         negatives += not result.exists
     # 762 of the atlas graphs and 4494 of order 8 have no 2-factor
     assert negatives == 762 + 4494
+
+
+def answer_digests(graphs) -> tuple:
+    """sha256 of each graph's certified (exists, barrier) and of each
+    graph's uncertified existence bit."""
+    certified, exists = [], []
+    for g in graphs:
+        result = find_two_factor(g, certify=True)
+        b = result.barrier
+        certified.append((result.exists, b and (sorted(b.a), sorted(b.b),
+                                                b.deficiency)))
+        exists.append(find_two_factor(g).exists)
+    return tuple(hashlib.sha256(repr(x).encode()).hexdigest()
+                 for x in (certified, exists))
+
+
+def test_existence_and_barriers_pinned(connected_order8):
+    # the blossom search's start matching and stopping rule may change
+    # which 2-factor a positive answer carries, but not whether one
+    # exists, nor the barrier, which the Gallai-Edmonds set D fixes
+    family = json.loads(
+        Path(__file__).with_name("family_golden.json").read_text())
+    graphs = [nx_to_graph(h) for h in nx.graph_atlas_g()] + connected_order8
+    graphs += [decode_graph6(family[k]["graph6"]) for k in sorted(family)]
+    assert answer_digests(graphs) == (
+        "4c3abcdc5dc5bf6f81245a7414bb0dbb9fc81741b21764e9cf6af23fe9dc4659",
+        "548ee19ba44c45a10d12bd79ceaacf4fcb304b5ac0a1cd58d18b3f8665c9ed6d")
 
 
 def test_certify_never_walks_all_pairs(monkeypatch):

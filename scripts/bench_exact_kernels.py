@@ -1,4 +1,4 @@
-"""Time the blossom and independence kernels and record the figures in BENCH_exact_kernels.json.
+"""Time the blossom, independence and connectivity kernels and record the figures in BENCH_exact_kernels.json.
 
 Measurements, each made on the tough2f tree given by ``--src`` (median of
 ``REPEATS`` runs, every run kept):
@@ -13,11 +13,20 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
   them; and ``gadget_matching_<spec>_s``: ``max_matching`` on their gadgets'
   neighbour lists alone, orders 1020 and 2022;
 - ``two_factor_hunt_s``: ``find_two_factor`` on each graph of the same
-  ``hunt-shared`` corpus.
+  ``hunt-shared`` corpus;
+- ``connectivity_<spec>_s``: ``connectivity`` on Ghat(2,1) and Ghat(2,2),
+  order 62, and ``connectivity_hunt_s`` on each graph of the corpus.
+
+Over one more, untimed, pass of ``connectivity`` on those graphs,
+``connectivity_pairs`` counts the Esfahanian-Hakimi pairs tested,
+``connectivity_flows`` the pairs that ran the exact flow
+(``invariants._local_connectivity``) and ``connectivity_greedy_settled``
+the pairs that the greedy paths (``invariants._greedy_paths``) settled; a
+tree without the greedy paths runs the flow on every pair.
 
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
 2-factor answer with its edges, each gadget's edges and each gadget
-matching, as sorted pairs. Equal digests
+matching, as sorted pairs, and each kappa. Equal digests
 under two labels show that the two trees gave the same outputs.
 ``two_factor_exists_sha256`` hashes only the existence bits of the
 2-factor answers (the hunt corpus, then Ghat(2,2) and Ghat(3,3)): it stays
@@ -41,12 +50,14 @@ SEED = 3
 REPEATS = 3
 ALPHA_SPECS = ("Gstar:n=1,k=1", "Ghat:n=1,k=1", "Ghat:n=2,k=1")
 TWO_FACTOR_SPECS = ("Ghat:n=2,k=2", "Ghat:n=3,k=3")
+CONNECTIVITY_SPECS = ("Ghat:n=2,k=1", "Ghat:n=2,k=2")
 
 
 def main(argv=None) -> int:
     args = parse_args(__doc__.splitlines()[0], argv)
     from tough2f.families import FamilySpec, build
-    from tough2f.invariants import independence_number
+    from tough2f import invariants
+    from tough2f.invariants import connectivity, independence_number
     from tough2f.matching import build_gadget, find_two_factor, max_matching
     import workloads
 
@@ -101,6 +112,35 @@ def main(argv=None) -> int:
         entry[f"gadget_order_{text}"] = len(adj)
         record(f"gadget_matching_{text}", lambda: max_matching(adj),
                lambda mate: [(v, w) for v, w in enumerate(mate) if v < w])
+
+    kappa_graphs = [graph(text) for text in CONNECTIVITY_SPECS]
+    for text, g in zip(CONNECTIVITY_SPECS, kappa_graphs):
+        entry[f"connectivity_{text}"] = record(f"connectivity_{text}",
+                                               lambda: connectivity(g))
+    record("connectivity_hunt", lambda: [connectivity(g) for g in corpus])
+    calls = dict.fromkeys(("_greedy_paths", "_local_connectivity"), 0)
+    real = {name: getattr(invariants, name) for name in calls
+            if hasattr(invariants, name)}
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return real[name](*args)
+        return call
+
+    for name in real:
+        setattr(invariants, name, counted(name))
+    try:
+        for g in kappa_graphs + corpus:
+            connectivity(g)
+    finally:
+        for name, fn in real.items():
+            setattr(invariants, name, fn)
+    flows = calls["_local_connectivity"]
+    pairs = calls["_greedy_paths"] if "_greedy_paths" in real else flows
+    entry["connectivity_pairs"] = pairs
+    entry["connectivity_flows"] = flows
+    entry["connectivity_greedy_settled"] = pairs - flows
 
     entry["answers_sha256"] = hashlib.sha256(
         repr(answers).encode()).hexdigest()

@@ -15,11 +15,16 @@ milliseconds on H(n) and G(1,1) and 0.1 s on Ghat(2,2), order 62. The
 independence search also prunes on a greedy clique cover, which bounds
 alpha from above, and returns the same alpha and witness as without it;
 it takes well under a second on random graphs of order 80 and on the
-paper's constructions. Connectivity uses unit-capacity vertex-split
-maximum flow (Menger), run only on the pairs that Esfahanian-Hakimi
-selection keeps (Networks 14, 1984): a vertex v of minimum degree against
-each non-neighbour, and each non-adjacent pair of neighbours of v. So it
-scales further.
+paper's constructions. Connectivity tests only the pairs that
+Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
+minimum degree against each non-neighbour, and each non-adjacent pair of
+neighbours of v. Each pair is tried first with greedy shortest paths over
+bitmasks; when they reach the best value so far, the pair cannot lower it
+(Menger's theorem, easy direction). Only the other pairs run an exact
+unit-capacity flow on the vertex-split network, so the answer is exact.
+The greedy paths settle most pairs: all but 48 of the 5,689 pairs of 800
+random graphs of orders 8-11, and every pair of Ghat(2,2), order 62,
+which takes about 2 ms.
 """
 
 from __future__ import annotations
@@ -161,13 +166,59 @@ def _local_connectivity(network: tuple, s: int, t: int, cutoff: int) -> int:
     return flow
 
 
+def _greedy_paths(adj, s: int, t: int, cutoff: int) -> list[tuple]:
+    """Up to ``cutoff`` internally disjoint paths between the non-adjacent
+    vertices s and t of the graph ``adj``, each a vertex tuple from s to t.
+
+    Each path is a shortest s-t path in G minus the internal vertices of
+    the paths before it: a BFS from s in bitmask layers, traced back from
+    t through the lowest neighbour in each layer. So the paths s-w-t
+    through the common neighbours w come first, in increasing order, and
+    are taken at once. The search ends at ``cutoff`` paths or when t is out
+    of reach. A greedy path can block two others, so it may find fewer
+    paths than the local connectivity.
+    """
+    common = adj[s] & adj[t]
+    paths = [(s, w, t) for w in iter_bits(common)][:cutoff]
+    free = ((1 << len(adj)) - 1) & ~(1 << s) & ~common  # not s, on no path
+    while len(paths) < cutoff:
+        layers = []  # the free vertices at distance 1, 2, ... from s
+        seen = frontier = 1 << s
+        while not frontier >> t & 1:
+            reach, rest = 0, frontier
+            while rest:
+                low = rest & -rest
+                reach |= adj[low.bit_length() - 1]
+                rest ^= low
+            frontier = reach & free & ~seen
+            if not frontier:
+                return paths
+            seen |= frontier
+            layers.append(frontier)
+        path = [t]
+        for layer in reversed(layers[:-1]):
+            low = layer & adj[path[-1]]
+            low &= -low
+            free ^= low
+            path.append(low.bit_length() - 1)
+        path.append(s)
+        paths.append(tuple(reversed(path)))
+    return paths
+
+
 def connectivity(g: Graph) -> int:
     """kappa(G); convention kappa(K_n) = n - 1, kappa(disconnected) = 0.
 
-    Flows run only on the Esfahanian-Hakimi pairs. Take v of minimum degree.
+    Only the Esfahanian-Hakimi pairs are tested. Take v of minimum degree.
     A minimum separator S that misses v separates v from a non-neighbour; one
     that contains v separates two non-adjacent neighbours of v, because v
     has neighbours in two components of G - S (else S - v would separate).
+
+    Each pair is tried first with ``_greedy_paths``, capped at the best
+    value so far. By the easy direction of Menger's theorem, that many
+    internally disjoint paths show the pair cannot lower it. Only a pair
+    with fewer greedy paths runs the exact flow (``_local_connectivity``),
+    on a split network built at most once per graph.
     """
     if g.n == 0:
         raise GraphError("connectivity of the empty graph is undefined")
@@ -181,9 +232,12 @@ def connectivity(g: Graph) -> int:
     pairs = [(v, w) for w in iter_bits(g.full_mask & ~adj[v] & ~(1 << v))]
     pairs += [(x, y) for x in iter_bits(adj[v])
               for y in iter_bits(adj[v] & ~adj[x] & ~((2 << x) - 1))]
-    network = _split_network(g)
+    network = None  # built for the first pair the greedy paths leave open
     for s, t in pairs:
-        best = min(best, _local_connectivity(network, s, t, best))
+        if len(_greedy_paths(adj, s, t, best)) < best:
+            if network is None:
+                network = _split_network(g)
+            best = _local_connectivity(network, s, t, best)
     return best
 
 
@@ -211,6 +265,14 @@ def _reversed_adj(g: Graph) -> list[int]:
     return radj
 
 
+# (graph, zero-argument callable giving its alpha) while a caller that
+# caches alpha(G), theorems.GraphFacts, runs a toughness query on the
+# graph, so the cut walk's alpha stop shares that caller's one search;
+# None otherwise. The walk reads it only for the very graph object it
+# names, so a hint left for another graph costs a search, never a value.
+_known_alpha: tuple | None = None
+
+
 def _cut_records(g: Graph, radj: list[int], num: int, den: int):
     """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
     (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
@@ -228,19 +290,22 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int):
     (Chvatal 1973), and c_min never falls: it grows with |S|, and a yield
     only lowers num/den. So every cut the stop skips has too few
     components to be yielded, and the records, the last of which is the
-    toughness witness, are the ones the full walk gives. alpha is computed
-    the first time c_min exceeds 2, since alpha >= 2 for a connected
-    non-complete graph.
+    toughness witness, are the ones the full walk gives. alpha is asked
+    for the first time c_min exceeds 2, since alpha >= 2 for a connected
+    non-complete graph, from ``_known_alpha`` when it names g and from
+    ``independence_number`` otherwise.
     """
     n, full = g.n, g.full_mask
-    alpha = 0  # alpha(G), once computed
+    alpha = 0  # alpha(G), once asked for
 
     def beyond_alpha(c_min: int) -> bool:
         nonlocal alpha
         if c_min <= 2:
             return False
         if not alpha:
-            alpha = independence_number(g)[0]
+            known = _known_alpha
+            alpha = (known[1]() if known and known[0] is g
+                     else independence_number(g)[0])
         return c_min > alpha
 
     for size in range(1, n - 1):

@@ -64,7 +64,13 @@ class GraphFacts:
                 return True
             if self._tau_hi is not None and t >= self._tau_hi:
                 return False
-        tough = invariants.is_t_tough(self.graph, t)
+        # the cut walk takes alpha from these facts, so a graph's alpha
+        # is searched for once
+        invariants._known_alpha = (self.graph, lambda: self.alpha)
+        try:
+            tough = invariants.is_t_tough(self.graph, t)
+        finally:
+            invariants._known_alpha = None
         if tough:
             self._tau_lo = t
         else:

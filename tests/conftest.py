@@ -52,6 +52,14 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 
 
 @pytest.fixture(scope="session")
+def hunt_corpus():
+    """The 800 random connected graphs of orders 8-11 (order 8 + i % 4)
+    that the benchmark's hunt draws for seed 3 (``bench/workloads.py``)."""
+    rng = random.Random(3)
+    return [random_connected_graph(rng, 8 + i % 4) for i in range(800)]
+
+
+@pytest.fixture(scope="session")
 def atlas_connected():
     """All connected graphs of order <= 7, one per isomorphism class."""
     out = [nx_to_graph(g) for g in nx.graph_atlas_g()

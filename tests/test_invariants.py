@@ -1,9 +1,11 @@
 """Exact invariants against independent brute-force oracles and known values."""
 
+import json
 import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -26,9 +28,18 @@ from tough2f import (
 )
 from tough2f import invariants, separator
 from tough2f.families import build, FamilySpec
-from tough2f.graphs import complement, count_components, iter_bits
+from tough2f.graphs import (
+    complement,
+    component_masks,
+    count_components,
+    decode_graph6,
+    iter_bits,
+    vertex_mask,
+)
 
 from conftest import graph_to_nx, random_graph
+
+GOLDEN = Path(__file__).with_name("family_golden.json")
 
 
 def petersen() -> Graph:
@@ -146,7 +157,22 @@ def test_toughness_matches_oracle():
             assert got == expected[0]
 
 
-def test_toughness_and_kappa_match_oracles_on_atlas(atlas_connected):
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """The (s, t) of every exact flow that ``connectivity`` runs in the
+    test."""
+    calls = []
+
+    def counted(network, s, t, cutoff, real=invariants._local_connectivity):
+        calls.append((s, t))
+        return real(network, s, t, cutoff)
+
+    monkeypatch.setattr(invariants, "_local_connectivity", counted)
+    return calls
+
+
+def test_toughness_and_kappa_match_oracles_on_atlas(atlas_connected,
+                                                    flow_calls):
     # the witness is printed by the CLI, so its tie-break is pinned too
     for g in atlas_connected:
         result = toughness(g)
@@ -156,6 +182,8 @@ def test_toughness_and_kappa_match_oracles_on_atlas(atlas_connected):
         else:
             assert (result.value, result.witness) == expected, g.edges
         assert connectivity(g) == brute_kappa(g), g.edges
+    # the greedy paths settle most pairs, not all: the exact flow is run
+    assert flow_calls
 
 
 def test_chvatal_independence_bound():
@@ -206,6 +234,53 @@ def test_alpha_of_constructions(text, alpha):
     value, witness = independence_number(g)
     assert value == alpha == nx_alpha(g)
     assert_alpha_witness(g, value, witness)
+
+
+def golden_graphs() -> list:
+    """The graph of every instance in ``family_golden.json``, orders 5-62."""
+    return [decode_graph6(entry["graph6"])
+            for entry in json.loads(GOLDEN.read_text()).values()]
+
+
+def test_greedy_paths_are_disjoint_paths(atlas_connected):
+    # every non-adjacent pair, capped at the smaller degree: each path
+    # joins s to t in G, no two share an internal vertex, and a search
+    # that stops short leaves t out of s's reach
+    for g in atlas_connected + golden_graphs():
+        for s, t in combinations(range(g.n), 2):
+            if g.has_edge(s, t):
+                continue
+            cutoff = min(g.degree(s), g.degree(t))
+            paths = invariants._greedy_paths(g.adj, s, t, cutoff)
+            assert len(paths) <= cutoff
+            inner = set()
+            for p in paths:
+                assert (p[0], p[-1]) == (s, t) and len(set(p)) == len(p), p
+                assert all(map(g.has_edge, p, p[1:])), (g.edges, p)
+                assert inner.isdisjoint(p[1:-1]), (g.edges, paths)
+                inner.update(p[1:-1])
+            if len(paths) < cutoff:
+                rest = g.full_mask & ~vertex_mask(g, inner)
+                assert not any(c >> s & 1 and c >> t & 1
+                               for c in component_masks(g.adj, rest))
+
+
+def test_greedy_paths_fall_short_and_the_flow_decides(flow_calls):
+    # s-a-d-t and s-b-c-t with the chord a-c: the first shortest s-t path,
+    # s-a-c-t, blocks both others, so only the flow finds kappa(s, t) = 2
+    s, a, b, c, d, t = range(6)
+    g = Graph(6, [(s, a), (a, d), (d, t), (s, b), (b, c), (c, t), (a, c)])
+    assert invariants._greedy_paths(g.adj, s, t, 2) == [(s, a, c, t)]
+    assert connectivity(g) == brute_kappa(g) == 2
+    assert flow_calls == [(s, t)]
+
+
+def test_kappa_matches_networkx_beyond_the_oracle(hunt_corpus):
+    # the family instances (orders up to 62) and the benchmark's seed-3
+    # hunt corpus (orders 8-11), past brute_kappa's reach
+    for g in golden_graphs() + hunt_corpus:
+        assert connectivity(g) == nx.node_connectivity(graph_to_nx(g)), \
+            g.edges
 
 
 def test_connectivity_conventions():

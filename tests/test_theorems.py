@@ -32,6 +32,7 @@ from tough2f.families import FamilySpec, build
 from tough2f.theorems import THEOREM_IDS
 
 from conftest import random_graph
+from test_acceptance import hunt_grid
 
 
 def h1_graph():
@@ -324,6 +325,35 @@ def test_graph_facts_derive_monotone_answers(monkeypatch):
     assert asked == [Fraction(1), Fraction(3, 2)]
     assert not facts.tough_at(Fraction(5, 4))
     assert len(asked) == 3
+
+
+def test_graph_facts_search_alpha_once(monkeypatch, hunt_corpus):
+    # GraphFacts.alpha and the alpha stop of the cut walk share one search,
+    # whichever of the two asks first
+    real = invariants.independence_number
+    searched = []
+
+    def counted(g):
+        searched.append(id(g))
+        return real(g)
+
+    monkeypatch.setattr(invariants, "independence_number", counted)
+    walk_first = 0
+    for g in hunt_corpus[:100]:
+        facts = GraphFacts(g)
+        facts.tough_at(Fraction(3, 2))
+        walk_first += len(searched)
+        assert facts.alpha == real(g)[0]
+        assert len(searched) <= 1
+        searched.clear()
+    assert walk_first  # the walk reached its alpha stop
+    facts = [GraphFacts(g) for g in hunt_corpus]
+    grid = hunt_grid()
+    assert len(grid) == 23
+    for start in range(0, len(facts), 100):
+        for spec in grid:
+            assert hunt(facts[start:start + 100], spec).clean
+    assert len(searched) == len(set(searched)) <= len(hunt_corpus)
 
 
 # Ratio inequality ---------------------------------------------------------------

@@ -47,19 +47,19 @@ def _emit(payload):
 
 
 def _cmd_invariants(args) -> int:
-    from . import invariants
     for name, g in _load_graphs(args.input, args.format):
         if g.n == 0:
             raise GraphError("invariants of the order-0 graph are undefined")
-        tough = invariants.toughness(g)
+        facts = theorems.GraphFacts(g)
+        tough = facts.toughness
         _emit({
             "graph": name,
             "order": g.n,
             "tau": str(tough.value),
             "tau_witness": None if tough.witness is None else sorted(tough.witness),
-            "alpha": invariants.independence_number(g)[0],
-            "kappa": invariants.connectivity(g),
-            "delta": invariants.min_degree(g),
+            "alpha": facts.alpha,
+            "kappa": facts.kappa,
+            "delta": facts.min_degree,
         })
     return EXIT_OK
 

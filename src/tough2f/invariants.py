@@ -265,15 +265,8 @@ def _reversed_adj(g: Graph) -> list[int]:
     return radj
 
 
-# (graph, zero-argument callable giving its alpha) while a caller that
-# caches alpha(G), theorems.GraphFacts, runs a toughness query on the
-# graph, so the cut walk's alpha stop shares that caller's one search;
-# None otherwise. The walk reads it only for the very graph object it
-# names, so a hint left for another graph costs a search, never a value.
-_known_alpha: tuple | None = None
-
-
-def _cut_records(g: Graph, radj: list[int], num: int, den: int):
+def _cut_records(g: Graph, radj: list[int], num: int, den: int,
+                 alpha=None):
     """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
     (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
     and below the ratio of every cut yielded before it. den = 0 means no
@@ -290,23 +283,22 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int):
     (Chvatal 1973), and c_min never falls: it grows with |S|, and a yield
     only lowers num/den. So every cut the stop skips has too few
     components to be yielded, and the records, the last of which is the
-    toughness witness, are the ones the full walk gives. alpha is asked
-    for the first time c_min exceeds 2, since alpha >= 2 for a connected
-    non-complete graph, from ``_known_alpha`` when it names g and from
-    ``independence_number`` otherwise.
+    toughness witness, are the ones the full walk gives. alpha(G) comes
+    from the callable ``alpha``, or else ``independence_number``, called
+    the first time c_min exceeds 2, since alpha >= 2 for a connected
+    non-complete graph, and never on a walk that ends before.
     """
     n, full = g.n, g.full_mask
-    alpha = 0  # alpha(G), once asked for
+    known = 0  # alpha(G), once asked for
 
     def beyond_alpha(c_min: int) -> bool:
-        nonlocal alpha
+        nonlocal known
         if c_min <= 2:
             return False
-        if not alpha:
-            known = _known_alpha
-            alpha = (known[1]() if known and known[0] is g
+        if not known:
+            known = (alpha() if alpha is not None
                      else independence_number(g)[0])
-        return c_min > alpha
+        return c_min > known
 
     for size in range(1, n - 1):
         left = n - size
@@ -383,16 +375,16 @@ def _kernel_split(radj: list[int]) -> tuple | None:
     return clique, shared, pieces
 
 
-def _toughness_records(g: Graph, num: int, den: int):
+def _toughness_records(g: Graph, num: int, den: int, alpha=None):
     """The records of ``_cut_records`` for a connected non-complete graph,
-    each cut as a vertex set. Where the clique kernel is cheap, it gives
-    the last record alone, if its ratio is below num/den; its module is
-    imported only then."""
+    each cut as a vertex set; ``alpha`` goes to the cut walk. Where the
+    clique kernel is cheap, it gives the last record alone, if its ratio
+    is below num/den; its module is imported only then."""
     n = g.n
     radj = _reversed_adj(g)
     split = _kernel_split(radj)
     if split is None:
-        records = _cut_records(g, radj, num, den)
+        records = _cut_records(g, radj, num, den, alpha)
     else:
         from .separator import clique_toughness
         size, count, cut = clique_toughness(radj, *split)
@@ -401,22 +393,24 @@ def _toughness_records(g: Graph, num: int, den: int):
         yield size, count, frozenset(n - 1 - v for v in iter_bits(cut))
 
 
-def toughness(g: Graph) -> ToughnessResult:
+def toughness(g: Graph, *, alpha=None) -> ToughnessResult:
     """min |S| / c(G - S) over all cut sets, as a reduced rational. The
     witness is the first minimum-ratio cut in (|S|, lexicographic) order,
     from the clique kernel where it is cheap and from the cut walk
-    elsewhere."""
+    elsewhere. ``alpha``, if given, is a callable that returns alpha(g);
+    the cut walk calls it at most once, in place of a search."""
     if g.is_complete():
         return ToughnessResult(INF, None)
     if not g.is_connected():
         return ToughnessResult(Fraction(0), frozenset())
-    *_, (size, comps, cut) = _toughness_records(g, 1, 0)
+    *_, (size, comps, cut) = _toughness_records(g, 1, 0, alpha)
     return ToughnessResult(Fraction(size, comps), cut)
 
 
-def is_t_tough(g: Graph, t) -> bool:
+def is_t_tough(g: Graph, t, *, alpha=None) -> bool:
     """tau(G) >= t. The cut walk ends as soon as a cut certifies tau < t;
-    where the clique kernel is cheap, it computes tau instead."""
+    where the clique kernel is cheap, it computes tau instead. ``alpha``
+    is as in ``toughness``: it returns alpha(g), called at most once."""
     if t == INF:
         return g.is_complete()
     t = Fraction(t)
@@ -426,5 +420,5 @@ def is_t_tough(g: Graph, t) -> bool:
         return True
     if not g.is_connected():
         return False
-    return next(_toughness_records(g, t.numerator, t.denominator),
+    return next(_toughness_records(g, t.numerator, t.denominator, alpha),
                 None) is None

@@ -24,7 +24,9 @@ if TYPE_CHECKING:
 
 
 class GraphFacts:
-    """Lazily computed, cached invariants of one graph.
+    """Lazily computed, cached invariants of one graph, the ``toughness``
+    result among them. Toughness queries pass ``alpha`` to the cut walk,
+    so a graph's alpha is searched for once.
 
     Monotone questions are answered from earlier answers where those decide
     them. tau is kept as an interval: a threshold that passed bounds it from
@@ -58,19 +60,17 @@ class GraphFacts:
     def kappa(self) -> int:
         return invariants.connectivity(self.graph)
 
+    @cached_property
+    def toughness(self) -> invariants.ToughnessResult:
+        return invariants.toughness(self.graph, alpha=lambda: self.alpha)
+
     def tough_at(self, t) -> bool:
         if t > 0:  # is_t_tough rejects any other threshold
             if self._tau_lo is not None and t <= self._tau_lo:
                 return True
             if self._tau_hi is not None and t >= self._tau_hi:
                 return False
-        # the cut walk takes alpha from these facts, so a graph's alpha
-        # is searched for once
-        invariants._known_alpha = (self.graph, lambda: self.alpha)
-        try:
-            tough = invariants.is_t_tough(self.graph, t)
-        finally:
-            invariants._known_alpha = None
+        tough = invariants.is_t_tough(self.graph, t, alpha=lambda: self.alpha)
         if tough:
             self._tau_lo = t
         else:
@@ -338,6 +338,7 @@ def verify_family(spec: families.FamilySpec,
     elif inst.spec != spec:
         raise GraphError(f"instance of {inst.spec} given for {spec}")
     g = inst.graph
+    facts = GraphFacts(g)
     exp = families.expected(spec)
     results: list[ClaimResult] = []
 
@@ -345,10 +346,10 @@ def verify_family(spec: families.FamilySpec,
         results.append(ClaimResult(name, bool(passed), detail))
 
     if exp.min_degree is not None:
-        got = invariants.min_degree(g)
+        got = facts.min_degree
         record("min_degree", got == exp.min_degree, f"{got} vs {exp.min_degree}")
     if exp.alpha is not None:
-        got = invariants.independence_number(g)[0]
+        got = facts.alpha
         record("alpha", got == exp.alpha, f"{got} vs {exp.alpha}")
     if exp.toughness is not None:
         if exp.claimed_cut is not None:
@@ -359,7 +360,7 @@ def verify_family(spec: families.FamilySpec,
             got_ratio = Fraction(len(w), got)
             record("cut_ratio", got_ratio == ratio, f"{got_ratio} vs {ratio}")
         if g.n <= EXACT_TOUGHNESS_CAP:
-            got = invariants.toughness(g).value
+            got = facts.toughness.value
             record("toughness_exact", got == exp.toughness,
                    f"{got} vs {exp.toughness}")
     if exp.claimed_barrier is not None:
@@ -371,7 +372,7 @@ def verify_family(spec: families.FamilySpec,
         record("barrier_B_degrees",
                all(g.degree(v) == spec.as_dict["n"] + 2 for v in b))
     if exp.has_two_factor is not None:
-        got = matching.find_two_factor(g).exists
+        got = facts.has_two_factor
         record("two_factor_existence", got == exp.has_two_factor,
                f"{got} vs {exp.has_two_factor}")
     for pattern in exp.claimed_patterns:
@@ -380,7 +381,7 @@ def verify_family(spec: families.FamilySpec,
             g, pattern, embedding)
         record(f"contains_{pattern}", ok)
     if exp.connectivity_at_least is not None:
-        got = invariants.connectivity(g)
+        got = facts.kappa
         record("connectivity", got >= exp.connectivity_at_least,
                f"{got} >= {exp.connectivity_at_least}")
     if spec.family in ("Gprime", "Gstar"):

@@ -73,6 +73,30 @@ def test_invariants_rejects_order_zero_before_computing(
     assert capsys.readouterr().out == ""
 
 
+def test_invariants_and_family_verify_search_alpha_once(
+        tmp_path, capsys, monkeypatch, hunt_corpus):
+    # the cut walk's alpha stop reads the alpha that the "alpha" field and
+    # the alpha claim report, so each graph is searched once
+    searched = []
+
+    def counted(g, real=invariants.independence_number):
+        searched.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(invariants, "independence_number", counted)
+    corpus = hunt_corpus[:40]
+    source = write(tmp_path, "\n".join(map(encode_graph6, corpus)))
+    code, payloads = run(capsys, ["invariants", source])
+    assert code == EXIT_OK and len(payloads) == len(corpus)
+    assert searched == [g.n for g in corpus]
+    searched.clear()
+    code, (payload,) = run(capsys, ["family", "H:n=1", "--verify"])
+    assert code == EXIT_OK
+    assert {"alpha", "toughness_exact"} <= {c["name"]
+                                            for c in payload["claims"]}
+    assert searched == [7]
+
+
 def test_invariants_multiple_lines(tmp_path, capsys):
     source = write(tmp_path,
                    encode_graph6(cycle(5)) + "\n" + encode_graph6(path(3)))

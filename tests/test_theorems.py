@@ -26,6 +26,7 @@ from tough2f import (
     make_theorem,
     path,
     run_lemma_inequality_trials,
+    toughness,
     verify_family,
 )
 from tough2f.families import FamilySpec, build
@@ -297,11 +298,13 @@ def test_graph_facts_match_direct_calls():
               for _ in range(40)]
     for g in hosts:
         facts = GraphFacts(g)
-        queries = thresholds * 2 + patterns * 2
+        queries = thresholds * 2 + patterns * 2 + ["toughness"]
         rng.shuffle(queries)
         for q in queries:
             if isinstance(q, ForestPattern):
                 assert facts.is_free(q) == is_free(g, q), (g.edges, str(q))
+            elif q == "toughness":
+                assert facts.toughness == toughness(g), g.edges
             else:
                 assert facts.tough_at(q) == is_t_tough(g, q), (g.edges, q)
         for bad in (0, Fraction(-1, 2), Fraction(0)):
@@ -312,9 +315,9 @@ def test_graph_facts_match_direct_calls():
 def test_graph_facts_derive_monotone_answers(monkeypatch):
     asked = []
 
-    def counted(g, t):
+    def counted(g, t, **kwargs):
         asked.append(t)
-        return is_t_tough(g, t)
+        return is_t_tough(g, t, **kwargs)
 
     monkeypatch.setattr(invariants, "is_t_tough", counted)
     facts = GraphFacts(cycle(5))  # tau = 1

@@ -6,7 +6,9 @@ The measurements, each made on the tough2f tree given by ``--src``:
   that one pass of the benchmark's ``hunt-shared`` workload makes, as
   ``bench/workloads.py`` sets it up for seed 3 and the default ``Sizes``.
   The queries are recorded while the pass runs once, untimed, and then
-  replayed: the median of 5 replays.
+  replayed as ``is_t_tough(g, t)``, without the ``alpha`` and ``kappa``
+  callables the hunt's ``GraphFacts`` pass: the median of 5 replays. So a
+  replayed query pays for every search its walk asks for.
 - ``toughness_H3_s``: ``toughness`` on H(3), order 17.
 - ``toughness_H4_s``: ``toughness`` on H(4), order 22 (one run).
 - ``is_t_tough_H4_1_s``: ``is_t_tough(H(4), 1)``, order 22.
@@ -24,8 +26,8 @@ tree without it). Results and the provenance of
 ``--label``, so a parent tree and a changed tree can be recorded side by
 side:
 
-    python3 scripts/bench_cut_kernel.py --src ../parent/src --label clique-kernel-parent
-    python3 scripts/bench_cut_kernel.py --label clique-kernel-change
+    python3 scripts/bench_cut_kernel.py --src ../parent/src --label kappa-floor-parent
+    python3 scripts/bench_cut_kernel.py --label kappa-floor-change
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ def main(argv=None) -> int:
     queries = []
     is_t_tough = invariants.is_t_tough
 
-    def recording(g, t):
+    def recording(g, t, **kwargs):
         queries.append((g, t))
-        return is_t_tough(g, t)
+        return is_t_tough(g, t, **kwargs)
 
     invariants.is_t_tough = recording
     try:

@@ -12,7 +12,11 @@ X-vertices next to two or more pieces and private(P) those next to P
 alone. X is grown greedily by degree, and the kernel runs when the bound
 is below 2^n by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
 milliseconds on H(n) and G(1,1) and 0.1 s on Ghat(2,2), order 62. The
-independence search also prunes on a greedy clique cover, which bounds
+cut walk starts at size kappa(G), as no smaller set cuts G. It asks for
+kappa only when size 1 gave no record and delta > 2: a record there is a
+cut vertex, so kappa = 1, and kappa <= delta, so with delta = 2 a
+connectivity search would be wasted. The independence
+search also prunes on a greedy clique cover, which bounds
 alpha from above, and returns the same alpha and witness as without it;
 it takes well under a second on random graphs of order 80 and on the
 paper's constructions. Connectivity tests only the pairs that
@@ -266,7 +270,7 @@ def _reversed_adj(g: Graph) -> list[int]:
 
 
 def _cut_records(g: Graph, radj: list[int], num: int, den: int,
-                 alpha=None):
+                 alpha=None, kappa=None):
     """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
     (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
     and below the ratio of every cut yielded before it. den = 0 means no
@@ -287,9 +291,21 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
     from the callable ``alpha``, or else ``independence_number``, called
     the first time c_min exceeds 2, since alpha >= 2 for a connected
     non-complete graph, and never on a walk that ends before.
+
+    The walk also skips the sizes below kappa(G). For |S| < kappa,
+    c(G - S) = 1 < 2 <= c_min, so no such S is yielded; c_min and num/den
+    change only on a yield, and both stop tests grow with |S|, so skipping
+    these sizes keeps every record and the last one. kappa(G) comes from
+    the callable ``kappa``, or else ``connectivity``. It is asked for only
+    once size 1 has yielded no record, size 2 has passed the stop tests
+    and delta(G) > 2. Otherwise no size is left to skip: a record at size
+    1 is a cut vertex, so kappa = 1, and kappa <= delta. Many graphs
+    without a 2-factor have a cut vertex or a vertex of degree 2, and the
+    search would be wasted on them.
     """
     n, full = g.n, g.full_mask
     known = 0  # alpha(G), once asked for
+    floor = 0  # kappa(G), once asked for; 1 after a record at size 1
 
     def beyond_alpha(c_min: int) -> bool:
         nonlocal known
@@ -301,12 +317,18 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
         return c_min > known
 
     for size in range(1, n - 1):
+        if size < floor:
+            continue  # G - S is connected
         left = n - size
         if size * den >= num * left:
             return  # every cut of this size has ratio >= size/left
         c_min = max(2, size * den // num + 1)
         if beyond_alpha(c_min):
             return
+        if not floor and size == 2 and min(map(int.bit_count, radj)) > 2:
+            floor = kappa() if kappa is not None else connectivity(g)
+            if floor > size:
+                continue
         rest = (1 << left) - 1
         while rest <= full:
             count = len(component_masks(radj, rest))
@@ -314,6 +336,7 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
                 yield size, count, full & ~rest
                 num, den = size, count
                 c_min = count + 1
+                floor = floor or 1
                 if beyond_alpha(c_min):
                     return
             low = rest & -rest
@@ -375,16 +398,17 @@ def _kernel_split(radj: list[int]) -> tuple | None:
     return clique, shared, pieces
 
 
-def _toughness_records(g: Graph, num: int, den: int, alpha=None):
+def _toughness_records(g: Graph, num: int, den: int, alpha=None,
+                       kappa=None):
     """The records of ``_cut_records`` for a connected non-complete graph,
-    each cut as a vertex set; ``alpha`` goes to the cut walk. Where the
-    clique kernel is cheap, it gives the last record alone, if its ratio
-    is below num/den; its module is imported only then."""
+    each cut as a vertex set; ``alpha`` and ``kappa`` go to the cut walk.
+    Where the clique kernel is cheap, it gives the last record alone, if
+    its ratio is below num/den; its module is imported only then."""
     n = g.n
     radj = _reversed_adj(g)
     split = _kernel_split(radj)
     if split is None:
-        records = _cut_records(g, radj, num, den, alpha)
+        records = _cut_records(g, radj, num, den, alpha, kappa)
     else:
         from .separator import clique_toughness
         size, count, cut = clique_toughness(radj, *split)
@@ -393,32 +417,38 @@ def _toughness_records(g: Graph, num: int, den: int, alpha=None):
         yield size, count, frozenset(n - 1 - v for v in iter_bits(cut))
 
 
-def toughness(g: Graph, *, alpha=None) -> ToughnessResult:
+def toughness(g: Graph, *, alpha=None, kappa=None) -> ToughnessResult:
     """min |S| / c(G - S) over all cut sets, as a reduced rational. The
     witness is the first minimum-ratio cut in (|S|, lexicographic) order,
     from the clique kernel where it is cheap and from the cut walk
-    elsewhere. ``alpha``, if given, is a callable that returns alpha(g);
-    the cut walk calls it at most once, in place of a search."""
+    elsewhere. ``alpha`` and ``kappa``, if given, are callables that return
+    alpha(g) and kappa(g); the cut walk calls each at most once, in place
+    of a search."""
     if g.is_complete():
         return ToughnessResult(INF, None)
     if not g.is_connected():
         return ToughnessResult(Fraction(0), frozenset())
-    *_, (size, comps, cut) = _toughness_records(g, 1, 0, alpha)
+    *_, (size, comps, cut) = _toughness_records(g, 1, 0, alpha, kappa)
     return ToughnessResult(Fraction(size, comps), cut)
 
 
-def is_t_tough(g: Graph, t, *, alpha=None) -> bool:
-    """tau(G) >= t. The cut walk ends as soon as a cut certifies tau < t;
-    where the clique kernel is cheap, it computes tau instead. ``alpha``
-    is as in ``toughness``: it returns alpha(g), called at most once."""
+def is_t_tough(g: Graph, t, *, alpha=None, kappa=None) -> bool:
+    """tau(G) >= t, for a positive rational t (a number or a string that
+    ``Fraction`` reads) or ``INF``. The cut walk ends as soon as a cut
+    certifies tau < t; where the clique kernel is cheap, it computes tau
+    instead. ``alpha`` and ``kappa`` are as in ``toughness``."""
     if t == INF:
         return g.is_complete()
-    t = Fraction(t)
+    try:
+        t = Fraction(t)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise GraphError(f"toughness threshold must be a finite rational "
+                         f"or INF, not {t!r}") from exc
     if t <= 0:
         raise GraphError("toughness threshold must be positive")
     if g.is_complete():
         return True
     if not g.is_connected():
         return False
-    return next(_toughness_records(g, t.numerator, t.denominator, alpha),
-                None) is None
+    return next(_toughness_records(g, t.numerator, t.denominator, alpha,
+                                   kappa), None) is None

@@ -25,8 +25,8 @@ if TYPE_CHECKING:
 
 class GraphFacts:
     """Lazily computed, cached invariants of one graph, the ``toughness``
-    result among them. Toughness queries pass ``alpha`` to the cut walk,
-    so a graph's alpha is searched for once.
+    result among them. Toughness queries pass ``alpha`` and ``kappa`` to
+    the cut walk, so a graph's alpha and kappa are searched for once.
 
     Monotone questions are answered from earlier answers where those decide
     them. tau is kept as an interval: a threshold that passed bounds it from
@@ -62,7 +62,8 @@ class GraphFacts:
 
     @cached_property
     def toughness(self) -> invariants.ToughnessResult:
-        return invariants.toughness(self.graph, alpha=lambda: self.alpha)
+        return invariants.toughness(self.graph, alpha=lambda: self.alpha,
+                                    kappa=lambda: self.kappa)
 
     def tough_at(self, t) -> bool:
         if t > 0:  # is_t_tough rejects any other threshold
@@ -70,7 +71,8 @@ class GraphFacts:
                 return True
             if self._tau_hi is not None and t >= self._tau_hi:
                 return False
-        tough = invariants.is_t_tough(self.graph, t, alpha=lambda: self.alpha)
+        tough = invariants.is_t_tough(self.graph, t, alpha=lambda: self.alpha,
+                                      kappa=lambda: self.kappa)
         if tough:
             self._tau_lo = t
         else:

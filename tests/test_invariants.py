@@ -1,6 +1,7 @@
 """Exact invariants against independent brute-force oracles and known values."""
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -303,6 +304,42 @@ def test_is_t_tough():
     assert not is_t_tough(disjoint_union(path(2), path(2)), 1)
     with pytest.raises(GraphError):
         is_t_tough(cycle(5), 0)
+
+
+@pytest.mark.parametrize("t", [-5, 0, -math.inf, math.nan, "abc", "1/0",
+                               None, [1]])
+def test_is_t_tough_rejects_bad_thresholds(t):
+    with pytest.raises(GraphError):
+        is_t_tough(cycle(5), t)
+
+
+def test_kappa_floor_keeps_every_record(atlas_connected, monkeypatch):
+    # sizes below kappa(G) cannot cut G, so starting there gives the full
+    # walk's records; thresholds below 1 let a cut vertex go unrecorded
+    thresholds = [(1, 3), (1, 2), (1, 1), (5, 4), (3, 2), (7, 4), (2, 1),
+                  (3, 1), (1, 0)]
+    masks = []
+
+    def counted(adj, avail, real=component_masks):
+        masks.append(avail)
+        return real(adj, avail)
+
+    monkeypatch.setattr(invariants, "component_masks", counted)
+    walked = floored = 0
+    for g in atlas_connected:
+        if g.is_complete():
+            continue
+        radj = invariants._reversed_adj(g)
+        for num, den in thresholds:
+            masks.clear()
+            full = list(invariants._cut_records(g, radj, num, den,
+                                                kappa=lambda: 1))
+            walked += len(masks)
+            masks.clear()
+            assert list(invariants._cut_records(g, radj, num, den)) == full, (
+                g.edges, num, den)
+            floored += len(masks)
+    assert floored < walked
 
 
 def test_alpha_stop_matches_oracle():

@@ -359,6 +359,41 @@ def test_graph_facts_search_alpha_once(monkeypatch, hunt_corpus):
     assert len(searched) == len(set(searched)) <= len(hunt_corpus)
 
 
+def test_graph_facts_search_kappa_once(monkeypatch, hunt_corpus):
+    # a kappa >= k clause and the kappa floor of the cut walk share one
+    # search; is_t_tough(g, 1) stops at a cut vertex without one, and a
+    # graph of minimum degree 2 has no size to skip
+    real = invariants.connectivity
+    searched = []
+
+    def counted(g):
+        searched.append(id(g))
+        return real(g)
+
+    monkeypatch.setattr(invariants, "connectivity", counted)
+    walk_asked = 0
+    for g in hunt_corpus[:100]:
+        facts = GraphFacts(g)
+        facts.tough_at(Fraction(3, 2))
+        walk_asked += len(searched)
+        searched.clear()
+        facts = GraphFacts(g)
+        assert facts.kappa >= 1
+        facts.tough_at(Fraction(3, 2))
+        facts.tough_at(Fraction(5, 4))
+        facts.toughness
+        assert searched == [id(g)]
+        searched.clear()
+    assert walk_asked  # the walk asked for kappa by itself
+    cut_vertex = [g for g in hunt_corpus if real(g) == 1]
+    assert len(cut_vertex) >= 50
+    for g in cut_vertex:
+        assert not is_t_tough(g, 1)
+    assert is_t_tough(cycle(8), 1)
+    assert toughness(cycle(8)).value == 1
+    assert searched == []
+
+
 # Ratio inequality ---------------------------------------------------------------
 
 def test_lemma_inequality_equality_case():

@@ -9,7 +9,10 @@ The measurements, each made on the tough2f tree given by ``--src``:
   replayed as ``is_t_tough(g, t)``, without the ``alpha`` and ``kappa``
   callables the hunt's ``GraphFacts`` pass: the median of 5 replays. So a
   replayed query pays for every search its walk asks for.
-- ``toughness_H3_s``: ``toughness`` on H(3), order 17.
+- ``toughness_H2_s``, ``toughness_H3_s`` and ``toughness_R2213_s``:
+  ``toughness`` on H(2) (order 12), H(3) (order 17) and R(2,2,1,3)
+  (order 14), each with its value and witness. H(2) and R(2,2,1,3) are
+  timed over 100 calls a repeat, and the figure is per call.
 - ``toughness_H4_s``: ``toughness`` on H(4), order 22 (one run).
 - ``is_t_tough_H4_1_s``: ``is_t_tough(H(4), 1)``, order 22.
 - ``toughness_G11_s`` and ``toughness_Ghat22_s``: ``toughness`` on G(1,1)
@@ -19,15 +22,16 @@ The measurements, each made on the tough2f tree given by ``--src``:
 
 The run also counts the ``component_masks`` calls the invariants module
 makes over the hunt queries, split by the query's answer
-(``hunt_masks_yes``, ``hunt_masks_no``), and the hunt queries that the
+(``hunt_masks_yes``, ``hunt_masks_no``); the hunt queries that the
 dispatch sends to the clique kernel (``hunt_kernel_queries``; null on a
-tree without it). Results and the provenance of
-``benchkit.provenance`` are merged into BENCH_cut_kernel.json under
-``--label``, so a parent tree and a changed tree can be recorded side by
-side:
+tree without it); and the hunt queries on graphs with a universal vertex,
+one adjacent to every other (``hunt_universal_queries``). Results and the
+provenance of ``benchkit.provenance`` are merged into
+BENCH_cut_kernel.json under ``--label``, so a parent tree and a changed
+tree can be recorded side by side:
 
-    python3 scripts/bench_cut_kernel.py --src ../parent/src --label kappa-floor-parent
-    python3 scripts/bench_cut_kernel.py --label kappa-floor-change
+    python3 scripts/bench_cut_kernel.py --src ../parent/src --label universal-parent
+    python3 scripts/bench_cut_kernel.py --label universal-change
 """
 
 from __future__ import annotations
@@ -106,11 +110,17 @@ def main(argv=None) -> int:
 
     hunt_s, hunt_all, _ = timed(replay, REPEATS)
 
-    def tough(text: str, repeats: int) -> tuple:
+    def tough(text: str, repeats: int, loops: int = 1) -> tuple:
+        """``timed`` over ``loops`` calls a repeat, in seconds a call."""
         g = build(FamilySpec.parse(text)).graph
-        return timed(lambda: invariants.toughness(g), repeats)
+        seconds, every, result = timed(
+            lambda: [invariants.toughness(g) for _ in range(loops)][-1],
+            repeats)
+        return seconds / loops, [s / loops for s in every], result
 
+    h2_s, h2_all, tau_h2 = tough("H:n=2", REPEATS, 100)
     h3_s, h3_all, tau = tough("H:n=3", 3)
+    r_s, r_all, tau_r = tough("R:m=2,a=2,b=1,c=3", REPEATS, 100)
     h4 = build(FamilySpec.parse("H:n=4")).graph
     h4_s, h4_all, h4_tough = timed(lambda: is_t_tough(h4, 1), 1)
     tau_h4_s, _, tau_h4 = tough("H:n=4", 1)
@@ -137,6 +147,12 @@ def main(argv=None) -> int:
         "hunt_is_t_tough_s": round(hunt_s, 4),
         "hunt_is_t_tough_repeats_s": [round(s, 4) for s in hunt_all],
         "hunt_kernel_queries": kernel_queries,
+        "hunt_universal_queries": sum(
+            any(g.degree(v) == g.n - 1 for v in range(g.n))
+            for g, _ in queries),
+        "toughness_H2": [str(tau_h2.value), sorted(tau_h2.witness)],
+        "toughness_H2_s": round(h2_s, 5),
+        "toughness_H2_repeats_s": [round(s, 5) for s in h2_all],
         "toughness_H3": [str(tau.value), sorted(tau.witness)],
         "toughness_H3_s": round(h3_s, 4),
         "toughness_H3_repeats_s": [round(s, 4) for s in h3_all],
@@ -144,6 +160,9 @@ def main(argv=None) -> int:
         "is_t_tough_H4_1_s": round(h4_s, 4),
         "toughness_H4": [str(tau_h4.value), sorted(tau_h4.witness)],
         "toughness_H4_s": round(tau_h4_s, 4),
+        "toughness_R2213": [str(tau_r.value), sorted(tau_r.witness)],
+        "toughness_R2213_s": round(r_s, 5),
+        "toughness_R2213_repeats_s": [round(s, 5) for s in r_all],
         **beyond_walk,
     }
     save(OUT, args.label, entry)

@@ -9,26 +9,27 @@ Then a kernel (``separator``) optimises each piece of G - X alone and
 merges the results, with the same value and witness. Its work bound is
 2^|Y| * sum over pieces P of 2^(|P| + |private(P)|), where Y holds the
 X-vertices next to two or more pieces and private(P) those next to P
-alone. X is grown greedily by degree, and the kernel runs when the bound
-is below 2^n by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
-milliseconds on H(n) and G(1,1) and 0.1 s on Ghat(2,2), order 62. The
-cut walk starts at size kappa(G), as no smaller set cuts G. It asks for
-kappa only when size 1 gave no record and delta > 2: a record there is a
-cut vertex, so kappa = 1, and kappa <= delta, so with delta = 2 a
-connectivity search would be wasted. The independence
-search also prunes on a greedy clique cover, which bounds
-alpha from above, and returns the same alpha and witness as without it;
-it takes well under a second on random graphs of order 80 and on the
-paper's constructions. Connectivity tests only the pairs that
-Esfahanian-Hakimi selection keeps (Networks 14, 1984): a vertex v of
-minimum degree against each non-neighbour, and each non-adjacent pair of
-neighbours of v. Each pair is tried first with greedy shortest paths over
-bitmasks; when they reach the best value so far, the pair cannot lower it
-(Menger's theorem, easy direction). Only the other pairs run an exact
-unit-capacity flow on the vertex-split network, so the answer is exact.
-The greedy paths settle most pairs: all but 48 of the 5,689 pairs of 800
-random graphs of orders 8-11, and every pair of Ghat(2,2), order 62,
-which takes about 2 ms.
+alone. Both engines leave out the universal vertices U, those adjacent
+to every other, as every cut holds them. X is grown greedily by degree,
+so it holds U, and the kernel runs when the bound is below the walk's
+2^(n - |U|) by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
+milliseconds on H(n) and G(1,1) and about 30 ms on Ghat(2,2), order 62.
+The cut walk starts at size kappa(G), as no smaller set cuts G. It asks
+for kappa only when its first size, max(1, |U|), gave no record and
+delta exceeds the next size: a record there makes that size kappa, and
+kappa <= delta, so otherwise a connectivity search would be wasted. The independence search also
+prunes on a greedy clique cover, which bounds alpha from above, and
+returns the same alpha and witness as without it; it takes well under a
+second on random graphs of order 80 and on the paper's constructions.
+Connectivity tests only the pairs that Esfahanian-Hakimi selection keeps
+(Networks 14, 1984): a vertex v of minimum degree against each
+non-neighbour, and each non-adjacent pair of neighbours of v. Each pair
+is tried first with greedy shortest paths over bitmasks; when they reach
+the best value so far, the pair cannot lower it (Menger's theorem, easy
+direction). Only the other pairs run an exact unit-capacity flow on the
+vertex-split network, so the answer is exact. The greedy paths settle
+most pairs: all but 48 of the 5,689 pairs of 800 random graphs of orders
+8-11, and every pair of Ghat(2,2), order 62, which takes about 2 ms.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _reversed_adj(g: Graph) -> list[int]:
 
 
 def _cut_records(g: Graph, radj: list[int], num: int, den: int,
-                 alpha=None, kappa=None):
+                 alpha=None, kappa=None, universal: int = 0):
     """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
     (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
     and below the ratio of every cut yielded before it. den = 0 means no
@@ -297,15 +298,35 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
     change only on a yield, and both stop tests grow with |S|, so skipping
     these sizes keeps every record and the last one. kappa(G) comes from
     the callable ``kappa``, or else ``connectivity``. It is asked for only
-    once size 1 has yielded no record, size 2 has passed the stop tests
-    and delta(G) > 2. Otherwise no size is left to skip: a record at size
-    1 is a cut vertex, so kappa = 1, and kappa <= delta. Many graphs
-    without a 2-factor have a cut vertex or a vertex of degree 2, and the
-    search would be wasted on them.
+    once the first size walked, max(1, |U|) (U below), has yielded no
+    record, the next size has passed the stop tests and delta(G) exceeds
+    it. Otherwise no size is left to skip: a record at the first size
+    makes that size kappa, and kappa <= delta. With U empty these are
+    sizes 1 and 2; many graphs without a 2-factor have a cut vertex or a
+    vertex of degree 2, and the search would be wasted on them.
+
+    ``universal`` is the mask of the universal vertices U, those adjacent
+    to every other vertex. Every cut contains U, since G - S is connected
+    while a vertex of U is kept; so kappa >= |U|. The walk takes
+    S = U + S' for S' in V - U, on G - U relabelled in increasing order:
+    |S| = |U| + |S'| and G - S = (G - U) - S'. Of two cuts of one size
+    that contain U, the first in lexicographic order holds the least
+    vertex of their symmetric difference, which lies in V - U, and an
+    order-preserving relabelling keeps it least. So the walk meets the
+    cuts in the same (|S|, lexicographic) order, and gives the same
+    records and the same last record. The stops read |S|, as before. With
+    U empty nothing is relabelled or copied.
     """
     n, full = g.n, g.full_mask
     known = 0  # alpha(G), once asked for
-    floor = 0  # kappa(G), once asked for; 1 after a record at size 1
+    floor = 0  # kappa(G), once asked for; 1 after a record
+    offset = universal.bit_count()
+    if universal:  # walk G - U: drop each u of U and close the gap
+        for u in sorted(iter_bits(universal), reverse=True):
+            low = (1 << u) - 1
+            radj = [a & low | a >> 1 & ~low for a in radj[:u] + radj[u + 1:]]
+        full >>= offset
+    first = max(1, offset)
 
     def beyond_alpha(c_min: int) -> bool:
         nonlocal known
@@ -316,7 +337,7 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
                      else independence_number(g)[0])
         return c_min > known
 
-    for size in range(1, n - 1):
+    for size in range(first, n - 1):
         if size < floor:
             continue  # G - S is connected
         left = n - size
@@ -325,7 +346,8 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
         c_min = max(2, size * den // num + 1)
         if beyond_alpha(c_min):
             return
-        if not floor and size == 2 and min(map(int.bit_count, radj)) > 2:
+        if (not floor and size == first + 1
+                and min(map(int.bit_count, radj)) + offset > size):
             floor = kappa() if kappa is not None else connectivity(g)
             if floor > size:
                 continue
@@ -333,7 +355,13 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
         while rest <= full:
             count = len(component_masks(radj, rest))
             if count >= c_min:
-                yield size, count, full & ~rest
+                cut = full & ~rest
+                if universal:  # back to the labels of G, U included
+                    for u in sorted(iter_bits(universal)):
+                        low = (1 << u) - 1
+                        cut = cut & low | (cut & ~low) << 1
+                    cut |= universal
+                yield size, count, cut
                 num, den = size, count
                 c_min = count + 1
                 floor = floor or 1
@@ -347,20 +375,24 @@ def _cut_records(g: Graph, radj: list[int], num: int, den: int,
 # Clique separators ----------------------------------------------------------------
 
 # The toughness records come from the clique kernel (``separator``) only
-# when its cost bound is below 2^n by this many bits. The hunt graphs of
-# the benchmark's seeds 1-3 (orders 8-11) fall at least 2^2.3 short, and on
-# such graphs the cut walk, with its early stops, is faster; H(3) clears
-# the margin by 2^1.2, H(4) by 2^4.8 and G(1,1) by 2^8.4.
+# when its cost bound is below the cut walk's 2^(n - |U|) by this many
+# bits, U the universal vertices. Each of them neighbours every piece, so
+# taking U out of the shared and private sets divides the bound by 2^|U|,
+# as it divides the walk's, and leaves each margin as it was. The hunt
+# graphs of the benchmark's seeds 1-3 (orders 8-11) fall at least 2^2.3
+# short, and on such graphs the cut walk, with its early stops, is faster;
+# H(3) clears the margin by 2^1.2, H(4) by 2^4.8 and G(1,1) by 2^8.4.
 CLIQUE_KERNEL_MARGIN_BITS = 8
 
 
-def _clique_split(adj: list[int], clique: int) -> tuple:
+def _clique_split(adj: list[int], clique: int, universal: int) -> tuple:
     """(shared, pieces, cost) of the graph ``adj`` cut along a clique X.
 
-    ``pieces`` pairs each component P of G - X with A(P) = N(P) & X;
-    ``shared`` holds the X-vertices in two or more A(P), and an X-vertex of
-    one A(P) is private to that piece. ``cost`` is the clique kernel's work
-    bound, 2^|shared| * sum over P of 2^(|private(P)| + |P|).
+    ``pieces`` pairs each component P of G - X with A(P) = N(P) & X - U,
+    where U is ``universal``, universal vertices of X, which every cut
+    holds; ``shared`` holds the X-vertices in two or more A(P), and an
+    X-vertex of one A(P) is private to that piece. ``cost`` is the clique
+    kernel's work bound, 2^|shared| * sum over P of 2^(|private(P)| + |P|).
     """
     pieces = []
     seen = shared = 0
@@ -368,7 +400,7 @@ def _clique_split(adj: list[int], clique: int) -> tuple:
         touch = 0
         for v in iter_bits(piece):
             touch |= adj[v]
-        touch &= clique
+        touch &= clique & ~universal
         shared |= seen & touch
         seen |= touch
         pieces.append((piece, touch))
@@ -377,14 +409,17 @@ def _clique_split(adj: list[int], clique: int) -> tuple:
     return shared, pieces, cost
 
 
-def _kernel_split(radj: list[int]) -> tuple | None:
+def _kernel_split(radj: list[int], universal: int) -> tuple | None:
     """(clique, shared, pieces) of the reversed-label adjacency of a
     connected non-complete graph if the clique kernel is cheap on it, else
     None. The clique is grown by descending degree, ties to the lower
-    vertex of the graph, which is the higher one in ``radj``."""
+    vertex of the graph, which is the higher one in ``radj``; so it holds
+    the universal vertices U (``universal``). The kernel's cost is weighed
+    against the cut walk's 2^(n - |U|)."""
     n = len(radj)
-    # a vertex v of piece P has its neighbours in P and A(P), so the cost
-    # bound is at least 2^(|P| + |A(P)|) >= 2^(deg(v) + 1)
+    # a vertex v of piece P has its neighbours in P, U and A(P), so the cost
+    # bound is at least 2^(|P| + |A(P)|) >= 2^(deg(v) + 1 - |U|), and the
+    # test against 2^(n - |U|) below fails when delta + 1 + margin >= n
     if min(map(int.bit_count, radj)) + 1 + CLIQUE_KERNEL_MARGIN_BITS >= n:
         return None
     clique, common = 0, (1 << n) - 1
@@ -392,8 +427,8 @@ def _kernel_split(radj: list[int]) -> tuple | None:
         if common >> v & 1:
             clique |= 1 << v
             common &= radj[v]
-    shared, pieces, cost = _clique_split(radj, clique)
-    if cost << CLIQUE_KERNEL_MARGIN_BITS >= 1 << n:
+    shared, pieces, cost = _clique_split(radj, clique, universal)
+    if cost << CLIQUE_KERNEL_MARGIN_BITS >= 1 << n - universal.bit_count():
         return None
     return clique, shared, pieces
 
@@ -403,15 +438,18 @@ def _toughness_records(g: Graph, num: int, den: int, alpha=None,
     """The records of ``_cut_records`` for a connected non-complete graph,
     each cut as a vertex set; ``alpha`` and ``kappa`` go to the cut walk.
     Where the clique kernel is cheap, it gives the last record alone, if
-    its ratio is below num/den; its module is imported only then."""
+    its ratio is below num/den; its module is imported only then. Both
+    engines leave out the universal vertices, which every cut holds."""
     n = g.n
     radj = _reversed_adj(g)
-    split = _kernel_split(radj)
+    universal = sum(1 << v for v, a in enumerate(radj)
+                    if a.bit_count() == n - 1)
+    split = _kernel_split(radj, universal)
     if split is None:
-        records = _cut_records(g, radj, num, den, alpha, kappa)
+        records = _cut_records(g, radj, num, den, alpha, kappa, universal)
     else:
         from .separator import clique_toughness
-        size, count, cut = clique_toughness(radj, *split)
+        size, count, cut = clique_toughness(radj, universal, *split)
         records = [(size, count, cut)] if size * den < num * count else []
     for size, count, cut in records:
         yield size, count, frozenset(n - 1 - v for v in iter_bits(cut))
@@ -432,20 +470,31 @@ def toughness(g: Graph, *, alpha=None, kappa=None) -> ToughnessResult:
     return ToughnessResult(Fraction(size, comps), cut)
 
 
+def _threshold(t) -> Fraction | float:
+    """A toughness threshold as a positive ``Fraction``, or ``INF``; any
+    other value raises ``GraphError``."""
+    if not isinstance(t, Fraction):  # a hunt asks with Fractions: no copy
+        if t == INF:
+            return INF
+        try:
+            t = Fraction(t)
+        except (TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
+            raise GraphError(f"toughness threshold must be a finite "
+                             f"rational or INF, not {t!r}") from exc
+    if t <= 0:
+        raise GraphError("toughness threshold must be positive")
+    return t
+
+
 def is_t_tough(g: Graph, t, *, alpha=None, kappa=None) -> bool:
     """tau(G) >= t, for a positive rational t (a number or a string that
     ``Fraction`` reads) or ``INF``. The cut walk ends as soon as a cut
     certifies tau < t; where the clique kernel is cheap, it computes tau
     instead. ``alpha`` and ``kappa`` are as in ``toughness``."""
+    t = _threshold(t)
     if t == INF:
         return g.is_complete()
-    try:
-        t = Fraction(t)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise GraphError(f"toughness threshold must be a finite rational "
-                         f"or INF, not {t!r}") from exc
-    if t <= 0:
-        raise GraphError("toughness threshold must be positive")
     if g.is_complete():
         return True
     if not g.is_connected():

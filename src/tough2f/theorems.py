@@ -66,11 +66,11 @@ class GraphFacts:
                                     kappa=lambda: self.kappa)
 
     def tough_at(self, t) -> bool:
-        if t > 0:  # is_t_tough rejects any other threshold
-            if self._tau_lo is not None and t <= self._tau_lo:
-                return True
-            if self._tau_hi is not None and t >= self._tau_hi:
-                return False
+        t = invariants._threshold(t)
+        if self._tau_lo is not None and t <= self._tau_lo:
+            return True
+        if self._tau_hi is not None and t >= self._tau_hi:
+            return False
         tough = invariants.is_t_tough(self.graph, t, alpha=lambda: self.alpha,
                                       kappa=lambda: self.kappa)
         if tough:

@@ -378,6 +378,31 @@ def test_is_t_tough_agrees_with_toughness():
             assert is_t_tough(g, t) == (tau >= t)
 
 
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_walk_with_universal_vertices_matches_oracle(atlas_connected, u):
+    # G join K_u, of order <= 10, under shuffled labels: the walk runs on
+    # G - U relabelled in increasing order, and U is seldom the lowest labels
+    rng = random.Random(53 + u)
+    thresholds = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+    shuffled = 0
+    for g in atlas_connected:
+        n = g.n + u
+        label = list(range(n))
+        rng.shuffle(label)
+        edges = [(x, y) for x in range(u) for y in range(x + 1, n)]
+        edges += [(x + u, y + u) for x, y in g.edges]
+        h = Graph(n, [(label[x], label[y]) for x, y in edges])
+        if h.is_complete():
+            continue
+        universal = universal_mask(h)
+        shuffled += universal != ((1 << n) - 1) ^ ((1 << n - u) - 1)
+        tau, witness = brute_toughness(h)
+        assert walk_toughness(h) == (tau, witness), h.edges
+        for t in thresholds:
+            assert is_t_tough(h, t) == (tau >= t), (h.edges, t)
+    assert shuffled > len(atlas_connected) // 2
+
+
 # The clique-separator kernel, called directly --------------------------------
 
 def greedy_clique(g: Graph) -> list:
@@ -390,29 +415,41 @@ def greedy_clique(g: Graph) -> list:
     return clique
 
 
+def universal_mask(g: Graph) -> int:
+    """The universal vertices of g, as a mask in reversed labels."""
+    n = g.n
+    return sum(1 << (n - 1 - v) for v in range(n) if g.degree(v) == n - 1)
+
+
 def clique_kernel(g: Graph, clique=None):
     """The kernel's (tau, witness) through ``clique``, a list of vertices,
-    by default the greedy one."""
+    by default the greedy one, with the universal vertices in it left out
+    of the search as the dispatch leaves them out."""
     n = g.n
     radj = invariants._reversed_adj(g)
     if clique is None:
         clique = greedy_clique(g)
     mask = sum(1 << (n - 1 - v) for v in clique)
-    shared, pieces, _ = invariants._clique_split(radj, mask)
-    size, comps, cut = separator.clique_toughness(radj, mask, shared, pieces)
+    universal = universal_mask(g) & mask
+    shared, pieces, _ = invariants._clique_split(radj, mask, universal)
+    size, comps, cut = separator.clique_toughness(radj, universal, mask,
+                                                  shared, pieces)
     return Fraction(size, comps), frozenset(n - 1 - v for v in iter_bits(cut))
 
 
 def takes_kernel(g: Graph) -> bool:
     """Whether the dispatch sends g to the clique kernel."""
-    return invariants._kernel_split(invariants._reversed_adj(g)) is not None
+    return invariants._kernel_split(invariants._reversed_adj(g),
+                                    universal_mask(g)) is not None
 
 
 def walk_toughness(g: Graph):
-    """(tau, witness) from the last record of the cut walk."""
+    """(tau, witness) from the last record of the cut walk, which leaves
+    the universal vertices out of the search as the dispatch does."""
     n = g.n
     radj = invariants._reversed_adj(g)
-    *_, (size, comps, cut) = invariants._cut_records(g, radj, 1, 0)
+    *_, (size, comps, cut) = invariants._cut_records(
+        g, radj, 1, 0, universal=universal_mask(g))
     return Fraction(size, comps), frozenset(n - 1 - v for v in iter_bits(cut))
 
 
@@ -429,16 +466,20 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def planted_separator(rng: random.Random, order_cap: int, cliques=(1, 4)):
+def planted_separator(rng: random.Random, order_cap: int, cliques=(1, 4),
+                      universal: int = 0):
     """(graph, clique) of a random graph cut by a planted clique, of a size
-    in the ``cliques`` range, into 2-4 pieces, under shuffled labels."""
+    in the ``cliques`` range, into 2-4 pieces, under shuffled labels. The
+    first ``universal`` clique vertices are joined to every vertex."""
     while True:
         k, count = rng.randint(*cliques), rng.randint(2, 4)
+        k = max(k, universal)
         sizes = [rng.randint(1, 3) for _ in range(count)]
         n = k + sum(sizes)
         if n <= order_cap:
             break
     edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(u, v) for u in range(universal) for v in range(k, n)]
     start = k
     for size in sizes:
         piece = range(start, start + size)
@@ -520,6 +561,26 @@ def test_is_t_tough_on_kernel_graphs(kernel_calls):
         for t in grid + [tau]:
             assert is_t_tough(g, t) == (tau >= t), (g.edges, t)
     assert len(kernel_calls) == len(graphs) * (len(grid) + 2)
+
+
+def test_clique_kernel_with_universal_vertices_matches_walk():
+    # orders 16-20, with 1-3 vertices of the planted clique made universal;
+    # the kernel leaves them out of its search, and the walk out of its own
+    rng = random.Random(59)
+    checked = dispatched = 0
+    while checked < 60:
+        g, clique = planted_separator(rng, 20, cliques=(4, 12),
+                                      universal=rng.randint(1, 3))
+        if g.n < 16 or g.is_complete():
+            continue
+        checked += 1
+        expected = walk_toughness(g)
+        for x in (clique, None):
+            assert clique_kernel(g, x) == expected, (g.edges, x)
+        if takes_kernel(g):
+            dispatched += 1
+            assert toughness(g) == expected, g.edges
+    assert dispatched >= 2
 
 
 def test_each_kernel_query_splits_once(monkeypatch, kernel_calls):

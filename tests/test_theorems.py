@@ -330,6 +330,15 @@ def test_graph_facts_derive_monotone_answers(monkeypatch):
     assert len(asked) == 3
 
 
+@pytest.mark.parametrize("t", ["abc", None, [1], -1, float("nan"),
+                               float("-inf")])
+def test_graph_facts_reject_bad_thresholds(t):
+    facts = GraphFacts(cycle(5))
+    assert facts.tough_at(1) and not facts.tough_at(2)  # both bounds cached
+    with pytest.raises(GraphError):
+        facts.tough_at(t)
+
+
 def test_graph_facts_search_alpha_once(monkeypatch, hunt_corpus):
     # GraphFacts.alpha and the alpha stop of the cut walk share one search,
     # whichever of the two asks first

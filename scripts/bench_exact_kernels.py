@@ -9,9 +9,13 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
   ``hunt-shared`` corpus, as ``bench/workloads.py`` draws it for seed 3
   and the default ``Sizes`` (800 graphs of orders 8-11);
 - ``two_factor_<spec>_s``: ``find_two_factor`` on Ghat(2,2) and Ghat(3,3),
-  orders 62 and 87; ``build_gadget_<spec>_s``: ``build_gadget`` alone on
-  them; and ``gadget_matching_<spec>_s``: ``max_matching`` on their gadgets'
-  neighbour lists alone, orders 1020 and 2022;
+  orders 62 and 87; ``two_factor_certify_<spec>_s``: the same with
+  ``certify=True``; ``build_gadget_<spec>_s``: ``build_gadget`` alone on
+  them; and ``gadget_matching_<spec>_s``: ``max_matching`` on their Tutte
+  gadgets' neighbour lists alone, orders 1020 and 2022;
+- ``split_gadget_order_<spec>`` and ``split_gadget_edges_<spec>``: the
+  order and edge count of the split gadget that decides existence
+  (``matching._split``), on trees that have one;
 - ``two_factor_hunt_s``: ``find_two_factor`` on each graph of the same
   ``hunt-shared`` corpus;
 - ``connectivity_<spec>_s``: ``connectivity`` on Ghat(2,1) and Ghat(2,2),
@@ -26,8 +30,8 @@ tree without the greedy paths runs the flow on every pair.
 
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
 2-factor answer with its edges, each gadget's edges and each gadget
-matching, as sorted pairs, and each kappa. Equal digests
-under two labels show that the two trees gave the same outputs.
+matching, as sorted pairs, each certified barrier and each kappa. Equal
+digests under two labels show that the two trees gave the same outputs.
 ``two_factor_exists_sha256`` hashes only the existence bits of the
 2-factor answers (the hunt corpus, then Ghat(2,2) and Ghat(3,3)): it stays
 equal when two trees find different 2-factors of the same graphs. Results
@@ -58,6 +62,7 @@ def main(argv=None) -> int:
     from tough2f.families import FamilySpec, build
     from tough2f import invariants
     from tough2f.invariants import connectivity, independence_number
+    from tough2f import matching
     from tough2f.matching import build_gadget, find_two_factor, max_matching
     import workloads
 
@@ -104,6 +109,13 @@ def main(argv=None) -> int:
         g = graph(text)
         result = record(f"two_factor_{text}", lambda: find_two_factor(g),
                         two_factor)
+        record(f"two_factor_certify_{text}",
+               lambda: find_two_factor(g, certify=True),
+               lambda r: [sorted(side) for side in r.barrier[:2]])
+        if hasattr(matching, "_split"):
+            split = matching._split(g, g.full_mask, [])[0]
+            entry[f"split_gadget_order_{text}"] = len(split)
+            entry[f"split_gadget_edges_{text}"] = len(pairs(split))
         # a tuple, as Graph.edges was, so the digest compares with
         # the runs recorded before max_matching took neighbour lists
         adj = record(f"build_gadget_{text}", lambda: build_gadget(g),

@@ -38,7 +38,7 @@ from .graphs import (CertificateError, Graph, GraphError, component_masks,
                      iter_bits, vertex_mask)
 from .invariants import is_t_tough
 from .matching import (Barrier, _as_barrier, _deficiency_masks, _greedy_f,
-                       two_matching_deficiency)
+                       _split_deficiency)
 
 EXHAUSTIVE_BARRIER_CAP = 14  # the (A,B) search space is 3^n
 
@@ -172,21 +172,17 @@ def _def2_floor(g: Graph, mask: int) -> int:
     return low + (low & 1)
 
 
-def _def2_ceiling(g: Graph, mask: int) -> int:
-    """Lemma 3's upper bound on def_2 of the subgraph of ``g`` on ``mask``,
-    2|V(H)| - 2|F| for the greedy F of ``matching._greedy_f``."""
-    return 2 * mask.bit_count() - 2 * len(_greedy_f(g, mask))
-
-
 def _def2_reaches(g: Graph, mask: int, need: int) -> bool:
     """Whether def_2 of the subgraph of ``g`` on ``mask`` is at least
     ``need``: lemma 3's two bounds settle most calls, and the gadget
-    matching runs only when they fall on either side of ``need``."""
+    matching, seeded from the greedy F of the upper bound, runs only when
+    they fall on either side of ``need``."""
     if _def2_floor(g, mask) >= need:
         return True
-    if _def2_ceiling(g, mask) < need:
+    f = _greedy_f(g, mask)
+    if 2 * mask.bit_count() - 2 * len(f) < need:  # lemma 3's upper bound
         return False
-    return two_matching_deficiency(g, mask) >= need
+    return _split_deficiency(g, mask, f) >= need
 
 
 def find_biased_barrier(g: Graph) -> Barrier | None:

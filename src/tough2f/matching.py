@@ -1,35 +1,57 @@
-"""2-factor existence via the Tutte gadget reduction to perfect matching.
-
-The gadget of the subgraph H that a vertex mask induces has one block per
-vertex v of H, in index order: d(v) edge-slot vertices, one per neighbour
-of v in H in increasing order, then max(d(v) - 2, 0) core vertices, joined
-completely bipartitely to the slots. Each edge of H joins the slots it
-occupies at its two endpoints, which are partners. The gadget exists only
-as the sorted neighbour lists that the blossom search reads.
+"""2-factor existence via perfect matching in two gadgets.
 
 Let nu_2(H) be the most edges of a subgraph F of H with every degree at
-most 2. Then a maximum matching M of the gadget has |M| = nu_2(H) + #cores:
-F's partner pairs plus one free slot per core give a matching that large,
-and an unmatched core has all its slots matched, so trading one of their
-partner pairs for the core turns M, core by core, into F plus the cores.
-``two_matching_deficiency`` returns 2|V(H)| - 2 nu_2(H), which is 0 exactly
-when H has a 2-factor; when every degree is at least 2, F is a 2-factor
-exactly when M is perfect (Tutte, 1954), which ``find_two_factor`` decides.
+most 2, and def_2(H) = 2|V(H)| - 2 nu_2(H), which is 0 exactly when H has
+a 2-factor.
 
-``max_matching(adj)`` computes a maximum matching of such lists, as a mate
-array, by an unweighted Edmonds blossom search from a greedy matching,
-each vertex on its first free neighbour (Edmonds, "Paths, trees, and
-flowers", 1965). A contraction enqueues the vertices it makes outer in
-increasing index order, so the matching found is the one a full rescan
-of the blossom bases would find. ``find_two_factor`` starts instead from
-the greedy F of ``_greedy_f`` (low-degree edges first): F's partner
-pairs plus each core on a free slot leave sum_v (2 - d_F(v)) vertices
-exposed. Without ``certify`` it stops at the first failed search: its
-root is exposed in some maximum matching, so none is perfect.
+The split gadget decides existence. Of the subgraph H that a vertex mask
+induces, with m edges, it has two copies of each vertex v of G (2v and
+2v + 1), then two ports per edge uv of H in sorted edge order: p_u, joined
+to both copies of u, and p_v, joined to both copies of v, and p_u to p_v.
+So it has 2n + 2m vertices and 5m edges. Its maximum matchings have
+m + nu_2(H) edges. Proof: each F above gives a matching that large, its
+edges' ports on copies (each end has two) and every other edge's ports on
+each other. Conversely every gadget edge meets a port, and a matching M
+has at most 2 edges at the ports of each edge e, 2 only when both ports
+are on copies; those edges F' have every degree at most 2, since each
+vertex has two copies, so |M| <= 2|F'| + (m - |F'|) <= m + nu_2(H). A maximum M therefore has |F'| = nu_2(H): the
+edges with both ports on copies form a largest F, a 2-factor when M is
+perfect. ``find_two_factor`` seeds the split gadget from the greedy F of
+``_greedy_f`` (low-degree edges first), which leaves sum_v (2 - d_F(v))
+copies exposed, and without ``certify`` it stops at the first failed
+search. That settles "no": if a perfect matching P existed, the path of
+M xor P that starts at the failed root r with its P-edge would end after
+a P-edge at a vertex exposed in M (every vertex is covered by P), so it
+would be an augmenting path from r, which the search would have found.
 
-A certified negative answer carries a Tutte barrier (``Barrier``; the
-``barriers`` module states the deficiency), read off the failed matching
-by a rule (``_tutte_pair``) that is checked on every answer, not proved.
+The Tutte gadget (Tutte, 1954) carries the certificate. It has one block
+per vertex v, in index order: d(v) edge-slot vertices, one per neighbour
+of v in increasing order, then d(v) - 2 core vertices, joined completely
+bipartitely to the slots. Each edge joins the slots it occupies at its two
+endpoints, which are partners. A maximum matching of it has nu_2 + #cores
+edges: F's partner pairs plus one free slot per core give a matching that
+large, and an unmatched core has all its slots matched, so trading one of
+their partner pairs for the core turns M, core by core, into F plus the
+cores. So a largest F read off the split gadget, plus each core on a free
+slot, is already a maximum matching there. A certified negative reads its
+Tutte barrier (``Barrier``; the ``barriers`` module states the deficiency)
+off that matching by a rule (``_tutte_pair``) that is checked on every
+answer, not proved. The rule reads only D, the Gallai-Edmonds set of the
+vertices that some maximum matching misses, and its neighbours, so every
+maximum matching gives the same pair. For a maximum M, D is the set of
+outer vertices of the failed searches from M's exposed vertices: an even
+alternating path from an exposed r to v gives the maximum M xor P that
+misses v; and if a maximum M' misses v and M covers it, the path of
+M xor M' from v has even length (else it augments M'), so it is such a
+path from its other end, exposed in M. The search from r marks outer
+exactly the ends of the even alternating paths from r (Edmonds, "Paths,
+trees, and flowers", 1965).
+
+``max_matching(adj)`` computes a maximum matching of sorted neighbour
+lists, as a mate array, by an unweighted Edmonds blossom search from a
+greedy matching, each vertex on its first free neighbour. A contraction
+enqueues the vertices it makes outer in increasing index order, so the
+matching found is the one a full rescan of the blossom bases would find.
 
 ``brute_force_two_factor`` is the independent oracle: exhaustive per-vertex
 choice of 2 incident edges.
@@ -45,24 +67,23 @@ from .graphs import (CertificateError, Graph, GraphError, component_masks,
                      iter_bits)
 
 
-# The gadget ------------------------------------------------------------------------
+# The gadgets ------------------------------------------------------------------------
 
 class GadgetGraph(NamedTuple):
-    """The gadget's sorted neighbour lists, and per gadget vertex the host
-    edge that it images: a slot's edge, or None for a core."""
+    """The Tutte gadget's sorted neighbour lists, and per gadget vertex the
+    host edge that it images: a slot's edge, or None for a core."""
     adj: list
     host_edge: list
 
 
-def _layout(adj: list, mask: int, edges) -> GadgetGraph:
-    """The gadget of the subgraph that ``mask`` induces, given the host's
-    neighbour masks ``adj`` and the subgraph's edges (u, v), u < v, in
-    sorted order. A vertex outside ``mask`` gets an empty block."""
+def build_gadget(g: Graph) -> GadgetGraph:
     slot = []   # per host vertex: its next unused slot
     cores = []  # per host vertex: its cores
     lists: list = []
-    for v, nbrs in enumerate(adj):
-        d = (nbrs & mask).bit_count() if mask >> v & 1 else 0
+    for v in range(g.n):
+        d = g.degree(v)
+        if d < 2:
+            raise GraphError(f"vertex {v} has degree {d} < 2; no gadget exists")
         start = len(lists)
         slot.append(start)
         cores.append(list(range(start + d, start + 2 * d - 2)))
@@ -72,7 +93,7 @@ def _layout(adj: list, mask: int, edges) -> GadgetGraph:
     # the edges are sorted with u < v, so each vertex takes its slots in
     # increasing order of neighbour, and u's block lies below v's: the
     # partner goes last in the list of u's slot and first in v's
-    for u, v in edges:
+    for u, v in g.edges:
         a, b = slot[u], slot[v]
         slot[u] += 1
         slot[v] += 1
@@ -82,22 +103,40 @@ def _layout(adj: list, mask: int, edges) -> GadgetGraph:
     return GadgetGraph(lists, host_edge)
 
 
-def build_gadget(g: Graph) -> GadgetGraph:
-    for v in range(g.n):
-        if g.degree(v) < 2:
-            raise GraphError(
-                f"vertex {v} has degree {g.degree(v)} < 2; no gadget exists")
-    return _layout(g.adj, g.full_mask, g.edges)
+def _split(g: Graph, mask: int, f) -> tuple[list, list, list]:
+    """(neighbour lists, edges, mate) of the split gadget of the subgraph
+    on ``mask``, seeded from its subgraph ``f`` of degrees at most 2: the
+    ports of f's edges on copies, every other edge's ports on each other."""
+    f = set(f)
+    n2 = 2 * g.n
+    adj: list = [[] for _ in range(n2)]
+    mate = [-1] * n2
+    edges = [e for e in g.edges if mask >> e[0] & mask >> e[1] & 1]
+    for i, e in enumerate(edges):
+        p = n2 + 2 * i
+        for port, other, v in ((p, p + 1, e[0]), (p + 1, p, e[1])):
+            adj[2 * v].append(port)
+            adj[2 * v + 1].append(port)
+            adj.append([2 * v, 2 * v + 1, other])
+            mate.append(other)
+            if e in f:
+                copy = 2 * v if mate[2 * v] == -1 else 2 * v + 1
+                mate[port], mate[copy] = copy, port
+    return adj, edges, mate
 
 
 def two_matching_deficiency(g: Graph, mask: int) -> int:
-    """2|V(H)| - 2 nu_2(H) for the subgraph H of ``g`` that ``mask``
-    induces, from one maximum matching of its gadget."""
-    edges = [(u, v) for u, v in g.edges if mask >> u & mask >> v & 1]
-    gadget_adj, host_edge = _layout(g.adj, mask, edges)
-    mate = max_matching(gadget_adj)
+    """def_2(H) of the subgraph H of ``g`` that ``mask`` induces."""
+    return _split_deficiency(g, mask, _greedy_f(g, mask))
+
+
+def _split_deficiency(g: Graph, mask: int, f) -> int:
+    """def_2 of the subgraph on ``mask``, from one maximum matching of its
+    split gadget seeded from its subgraph ``f`` of degrees at most 2."""
+    adj, edges, mate = _split(g, mask, f)
+    _augment(adj, mate, False)
     matched = (len(mate) - mate.count(-1)) // 2
-    return 2 * mask.bit_count() - 2 * (matched - host_edge.count(None))
+    return 2 * mask.bit_count() - 2 * (matched - len(edges))
 
 
 # Edmonds blossom maximum matching ------------------------------------------------
@@ -208,12 +247,12 @@ def _searches(adj: list[list[int]], mate: list[int]):
 
 
 def _augment(adj: list[list[int]], mate: list[int], stop: bool) -> bool:
-    """Grow ``mate`` by one search per exposed vertex; whether it ends
-    perfect. With ``stop``, give up at the first failed search: its root is
-    exposed in some maximum matching, so none is perfect."""
+    """Grow ``mate`` by one search per exposed vertex with a neighbour;
+    whether it ends perfect. With ``stop``, give up at the first failed
+    search: its root stays exposed, so no matching is perfect."""
     search, _ = _searches(adj, mate)
     for v in range(len(adj)):
-        if mate[v] == -1 and not search(v) and stop:
+        if mate[v] == -1 and adj[v] and not search(v) and stop:
             return False
     return -1 not in mate
 
@@ -313,29 +352,34 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
 
     With ``certify`` set, a negative answer carries a barrier at every
     order: (empty, {v}) for the lowest v of degree below 2, else the pair
-    ``_tutte_pair`` reads off the gadget's matching (checked, not proved:
-    a pair that is no barrier raises CertificateError).
+    ``_tutte_pair`` reads off a maximum matching of the Tutte gadget
+    (checked, not proved: a pair that is no barrier raises
+    CertificateError).
     """
     low = next((v for v in range(g.n) if g.degree(v) < 2), None)
     if low is not None:
         return _negative(g, (0, 1 << low) if certify else None)
+    adj, edges, mate = _split(g, g.full_mask, _greedy_f(g, g.full_mask))
+    perfect = _augment(adj, mate, not certify)
+    if not (perfect or certify):
+        return _negative(g, None)
+    # _split matches every port and augmenting keeps it matched, so p_u is
+    # on a copy exactly when p_v is: a largest F, the factor if perfect
+    n2 = 2 * g.n
+    f = {e for i, e in enumerate(edges) if mate[n2 + 2 * i] < n2}
+    if perfect:
+        if not verify_two_factor(g, factor := TwoFactor(frozenset(f))):
+            raise CertificateError("the matched edges do not form a 2-factor")
+        return TwoFactorResult(factor)
+    # seed the Tutte gadget with F, then each core on its vertex's first
+    # free slot; u's slot of an edge (u, v) comes first and lists v's last
     adj, host_edge = build_gadget(g)
-    # seed: F's partner pairs, then each core on its vertex's first free
-    # slot; u's slot of an edge (u, v) comes first and lists v's last
-    f = set(_greedy_f(g, g.full_mask))
     mate = [-1] * len(adj)
     for x, e in enumerate(host_edge):
         if mate[x] == -1 and (e is None or e in f):
             y = adj[x][-1] if e else next(y for y in adj[x] if mate[y] == -1)
             mate[x], mate[y] = y, x
-    if not _augment(adj, mate, not certify):
-        return _negative(g, _tutte_pair(g, adj, mate) if certify else None)
-    # a slot is matched to a core or to its partner, which images its edge
-    factor = TwoFactor(frozenset(e for x, e in enumerate(host_edge)
-                                 if e is not None and host_edge[mate[x]] == e))
-    if not verify_two_factor(g, factor):
-        raise CertificateError("the matched edges do not form a 2-factor")
-    return TwoFactorResult(factor)
+    return _negative(g, _tutte_pair(g, adj, mate))
 
 
 def _as_barrier(a_mask: int, b_mask: int, d: int) -> Barrier:

@@ -186,7 +186,7 @@ def test_matching_covers():
 
 
 def test_find_two_factor_matches_each_gadget_once(monkeypatch):
-    calls = {"build_gadget": 0, "_augment": 0}
+    calls = {"_split": 0, "build_gadget": 0, "_augment": 0}
     for name in calls:
         def counted(*args, real=getattr(matching, name), name=name):
             calls[name] += 1
@@ -197,29 +197,48 @@ def test_find_two_factor_matches_each_gadget_once(monkeypatch):
         for g in (cycle(5), petersen(), path(4), k23,
                   build(FamilySpec.parse("H:n=1")).graph):
             find_two_factor(g, certify)
-    # path(4) has a vertex of degree 1, so no gadget is built for it; a
-    # certified negative reads its barrier off the same matching
-    assert calls == {"build_gadget": 8, "_augment": 8}
+    # path(4) has a vertex of degree 1, so no gadget is built for it; each
+    # other call matches one split gadget, and a certified negative (k23
+    # and H(1)) lays out the Tutte gadget already matched, for its barrier
+    assert calls == {"_split": 8, "build_gadget": 2, "_augment": 8}
 
 
-def test_find_two_factor_searches_from_the_seed(monkeypatch):
+def counted_searches(monkeypatch) -> list:
+    """The roots of every tree search, as (gadget order, root) pairs."""
     roots = []
 
     def counted(adj, mate, real=matching._searches):
         search, outer = real(adj, mate)
 
         def counted_search(root):
-            roots.append(root)
+            roots.append((len(adj), root))
             return search(root)
         return counted_search, outer
 
     monkeypatch.setattr(matching, "_searches", counted)
-    # the greedy F leaves 2 gadget vertices of Ghat(2,2) exposed (16 for
-    # the neighbour-order greedy matching, then 9 searches); the first
-    # search fails, and without a certificate that ends it
+    return roots
+
+
+def test_find_two_factor_searches_from_the_seed(monkeypatch):
+    roots = counted_searches(monkeypatch)
+    # the greedy F leaves 2 copies of Ghat(2,2)'s split gadget exposed;
+    # the first search fails, and without a certificate that ends it
     g = build(FamilySpec.parse("Ghat:n=2,k=2")).graph
     assert not find_two_factor(g).exists
     assert len(roots) == 1
+
+
+@pytest.mark.parametrize("text", ["Ghat:n=2,k=2", "G:n=1,k=1"])
+def test_certified_negative_searches_the_tutte_gadget_once(monkeypatch, text):
+    roots = counted_searches(monkeypatch)
+    g = build(FamilySpec.parse(text)).graph
+    result = find_two_factor(g, certify=True)
+    order = len(build_gadget(g).adj)
+    tutte = [root for size, root in roots if size == order]
+    # the seeded Tutte matching is maximum, so its def_2(G) exposed
+    # vertices are searched once each, by _tutte_pair alone
+    assert len(tutte) == len(set(tutte)) == -result.barrier.deficiency == 2
+    assert len(roots) - len(tutte) == 2  # the split gadget's failed searches
 
 
 # 2-factors ----------------------------------------------------------------------
@@ -378,3 +397,27 @@ def test_blossom_agrees_with_brute_force():
         g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.8))
         assert find_two_factor(g).exists == (
             brute_force_two_factor(g) is not None)
+
+
+def test_find_two_factor_matches_brute_force_from_every_seed(monkeypatch):
+    # orders 4-10 at densities 0.15-0.9, with and without a certificate,
+    # from the greedy seed and from every other edge of it, so the search
+    # must grow a seed that is not a largest subgraph of degrees at most 2
+    rng = random.Random(71)
+    graphs = [random_graph(rng, 4 + i % 7, rng.uniform(0.15, 0.9))
+              for i in range(600)]
+    wants = [brute_force_two_factor(g) is not None for g in graphs]
+    greedy = matching._greedy_f
+    short = {"greedy": 0, "halved": 0}
+    for seed, f in (("greedy", greedy),
+                    ("halved", lambda g, mask: greedy(g, mask)[::2])):
+        monkeypatch.setattr(matching, "_greedy_f", f)
+        for g, want in zip(graphs, wants):
+            assert find_two_factor(g).exists == want
+            result = find_two_factor(g, certify=True)
+            assert result.exists == want
+            assert_certified(g, result)
+            mask = g.full_mask
+            short[seed] += (2 * g.n - 2 * len(f(g, mask))
+                            > matching.two_matching_deficiency(g, mask))
+    assert short["greedy"] > 100 and short["halved"] > 500

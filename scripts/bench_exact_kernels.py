@@ -19,22 +19,30 @@ Measurements, each made on the tough2f tree given by ``--src`` (median of
 - ``two_factor_hunt_s``: ``find_two_factor`` on each graph of the same
   ``hunt-shared`` corpus;
 - ``connectivity_<spec>_s``: ``connectivity`` on Ghat(2,1) and Ghat(2,2),
-  order 62, and ``connectivity_hunt_s`` on each graph of the corpus.
+  order 62, and ``connectivity_hunt_s`` on each graph of the corpus;
+- ``forest_hunt_s``: the 12 forest clauses of the criterion-5 grid
+  (P_m + kP_1, ``workloads.hunt_grid``), pattern by pattern in grid order
+  over the corpus, through one fresh ``GraphFacts`` per graph, as a
+  chunked hunt asks them.
 
 Over one more, untimed, pass of ``connectivity`` on those graphs,
 ``connectivity_pairs`` counts the Esfahanian-Hakimi pairs tested,
 ``connectivity_flows`` the pairs that ran the exact flow
 (``invariants._local_connectivity``) and ``connectivity_greedy_settled``
 the pairs that the greedy paths (``invariants._greedy_paths``) settled; a
-tree without the greedy paths runs the flow on every pair.
+tree without the greedy paths runs the flow on every pair. Over one more,
+untimed, pass of the forest clauses, ``forest_find_induced_calls`` counts
+the calls of ``forbidden.find_induced``.
 
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
 2-factor answer with its edges, each gadget's edges and each gadget
-matching, as sorted pairs, each certified barrier and each kappa. Equal
-digests under two labels show that the two trees gave the same outputs.
+matching, as sorted pairs, each certified barrier, each kappa and each
+forest clause's answer. Equal digests under two labels show that the two
+trees gave the same outputs.
 ``two_factor_exists_sha256`` hashes only the existence bits of the
 2-factor answers (the hunt corpus, then Ghat(2,2) and Ghat(3,3)): it stays
-equal when two trees find different 2-factors of the same graphs. Results
+equal when two trees find different 2-factors of the same graphs.
+``forest_answers_sha256`` hashes only the forest clauses' answers. Results
 and the provenance of ``benchkit.provenance`` are merged into
 BENCH_exact_kernels.json under ``--label``:
 
@@ -62,7 +70,8 @@ def main(argv=None) -> int:
     from tough2f.families import FamilySpec, build
     from tough2f import invariants
     from tough2f.invariants import connectivity, independence_number
-    from tough2f import matching
+    from tough2f import forbidden, matching
+    from tough2f.theorems import GraphFacts
     from tough2f.matching import build_gadget, find_two_factor, max_matching
     import workloads
 
@@ -153,6 +162,31 @@ def main(argv=None) -> int:
     entry["connectivity_pairs"] = pairs
     entry["connectivity_flows"] = flows
     entry["connectivity_greedy_settled"] = pairs - flows
+
+    patterns = [forbidden.ForestPattern.parse(name.removesuffix("-free"))
+                for spec in workloads.hunt_grid() for name, _ in spec.clauses
+                if name.endswith("-free")]
+
+    def forest_pass():
+        facts = [GraphFacts(g) for g in corpus]
+        return [[f.is_free(p) for f in facts] for p in patterns]
+
+    forest = record("forest_hunt", forest_pass)
+    real_find = forbidden.find_induced
+    searches = []
+
+    def counted_find(*args):
+        searches.append(None)
+        return real_find(*args)
+
+    forbidden.find_induced = counted_find
+    try:
+        forest_pass()
+    finally:
+        forbidden.find_induced = real_find
+    entry["forest_find_induced_calls"] = len(searches)
+    entry["forest_answers_sha256"] = hashlib.sha256(
+        repr(forest).encode()).hexdigest()
 
     entry["answers_sha256"] = hashlib.sha256(
         repr(answers).encode()).hexdigest()

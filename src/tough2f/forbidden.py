@@ -6,15 +6,31 @@ copy count followed by P<order>. The induced search places path components
 longest first and isolated vertices last, drawing each vertex from a
 bitmask of the candidates that keep the embedding induced; path reversal
 and equal-length component permutation symmetries are broken to avoid
-duplicate work. ``contains`` orders the patterns themselves by induced
-containment, which lets a caller derive one pattern's answer on a host
-from another's (see ``theorems.GraphFacts``).
+duplicate work.
+
+``_sweep`` answers every P_m + kP_1 question about one host, for m up to
+``top`` and k up to ``cap``, from one walk of its induced paths. It keeps
+best[j] = min(cap, max over induced P_j called Q of alpha(G - N[Q])), -1
+while no induced P_j has been seen. Two facts make this exact:
+
+- G contains P_m + kP_1 iff best[m] >= k (for k <= cap). An induced copy
+  is an induced P_m, Q, with k vertices that are pairwise non-adjacent
+  and adjacent to no vertex of Q: an independent set of G - N[Q].
+  Conversely Q with such a set induces P_m + kP_1.
+- best is non-increasing in j. A subpath Q' of an induced path Q is an
+  induced path with N[Q'] a subset of N[Q], so G - N[Q] is an induced
+  subgraph of G - N[Q'] and alpha(G - N[Q']) >= alpha(G - N[Q]). A rise
+  of best[m] therefore lifts every best[j], j < m, to at least the same
+  value, and an extension of Q is worth no more than Q. Once best[top]
+  reaches cap, every entry has, and the sweep ends.
+
+``theorems.GraphFacts`` keeps one sweep per graph suspended between
+questions and advances it only until a question is decided.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
 from typing import NamedTuple
 
 from .graphs import Graph, GraphError, disjoint_union, edgeless, path
@@ -90,12 +106,6 @@ def find_induced(host: Graph, p: ForestPattern) -> tuple | None:
     before ``last``; a new component or isolated vertex starts outside the
     closed neighbourhood of everything placed, above its start bound.
     """
-    return _find_induced(host, p)
-
-
-def _find_induced(host: Graph, p: ForestPattern) -> tuple | None:
-    """The search behind ``find_induced``. ``contains`` calls it directly,
-    so that ``find_induced`` counts only searches of host graphs."""
     n = host.n
     if p.order > n:
         return None
@@ -171,15 +181,62 @@ def is_free(host: Graph, p: ForestPattern) -> bool:
     return find_induced(host, p) is None
 
 
-@cache
-def contains(p: ForestPattern, q: ForestPattern) -> bool:
-    """True iff pattern ``q`` is an induced subgraph of pattern ``p``.
+def _capped_alpha(adj: list, rest: int, cap: int) -> int:
+    """min(cap, alpha of the subgraph on ``rest``): take the lowest vertex
+    of ``rest``, or, when it has a neighbour there, leave it."""
+    if not rest or cap == 0:
+        return 0
+    bit = rest & -rest
+    rest ^= bit
+    nbrs = adj[bit.bit_length() - 1] & rest
+    alpha = 1 + _capped_alpha(adj, rest & ~nbrs, cap - 1)
+    if alpha < cap and nbrs:
+        alpha = max(alpha, _capped_alpha(adj, rest, cap))
+    return alpha
 
-    Induced containment is transitive, so a host that contains ``p``
-    contains ``q``, and a host free of ``q`` is free of ``p``. Memoised:
-    the patterns of a hunt are few and asked about once per graph.
+
+def _sweep(host: Graph, top: int, cap: int, best: list):
+    """Walk the induced paths of ``host`` on at most ``top`` vertices depth
+    first, raising ``best[j]`` to min(cap, alpha(host - N[Q])) for each
+    induced P_j called Q, and yield after each rise. ``best`` has ``top + 1``
+    entries, -1 where no induced path of that order has been seen; entry 0
+    is not used. When the generator is exhausted, ``best`` is exact.
+
+    A path grows at its end only, so each path of two or more vertices is
+    walked from both ends; it is evaluated from the end below its other
+    end. A subpath of Q has a smaller closed neighbourhood, so a rise at j
+    lifts every entry below j, and the value of Q bounds the value of every
+    path that extends it: the walk leaves a path whose bound is at most
+    ``best[top]``, and it returns once ``best[top]`` reaches ``cap``.
     """
-    return _find_induced(pattern_graph(p), q) is not None
+    adj = host.adj
+    full = host.full_mask
+    for first in range(host.n):
+        # (last vertex, closed neighbourhood of the vertices before it,
+        # order, bound on the value of the path)
+        stack = [(first, 0, 1, cap)]
+        while stack:
+            last, before, size, bound = stack.pop()
+            closed = before | adj[last] | 1 << last
+            # evaluate where the value can raise best[size], or prune the
+            # extensions: values are at least 0, so only once best[top] is
+            if last >= first and (bound > best[size] or best[top] >= 0):
+                bound = _capped_alpha(adj, full & ~closed, bound)
+                if bound > best[size]:
+                    j = size
+                    while j and best[j] < bound:
+                        best[j] = bound
+                        j -= 1
+                    yield
+                    if best[top] >= cap:
+                        return
+            if size < top and bound > best[top]:
+                cands = adj[last] & ~before
+                while cands:
+                    bit = cands & -cands
+                    cands ^= bit
+                    stack.append((bit.bit_length() - 1, closed, size + 1,
+                                  bound))
 
 
 def verify_embedding(host: Graph, p: ForestPattern, embedding) -> bool:

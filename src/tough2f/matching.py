@@ -292,11 +292,14 @@ def _tutte_pair(g: Graph, adj: list, mate: list) -> tuple[int, int]:
     the gadget ``adj`` of ``g``. D, the Gallai-Edmonds set, joins the outer
     vertices of the failed search from each exposed vertex; X = N(D) - D.
     v joins A when X holds all its slots, else B when X holds all its
-    cores (d(v) >= 3), or D meets its slots and X none of them (d(v) = 2)."""
+    cores (d(v) >= 3), or D meets its slots and X none of them (d(v) = 2).
+    A search that augments shows ``mate`` was not maximum, and raises
+    CertificateError."""
     search, outer = _searches(adj, mate)
     in_d = set()
     for root in [x for x, m in enumerate(mate) if m == -1]:
-        search(root)
+        if search(root):
+            raise CertificateError("the gadget matching is not maximum")
         in_d.update(outer)
     in_x = {y for x in in_d for y in adj[x]} - in_d
     a_mask = b_mask = start = 0

@@ -31,10 +31,14 @@ class GraphFacts:
     Monotone questions are answered from earlier answers where those decide
     them. tau is kept as an interval: a threshold that passed bounds it from
     below, one that failed bounds it strictly from above, and ``tough_at``
-    runs ``invariants.is_t_tough`` only for a threshold strictly inside. For
-    ``is_free``, a host that contains P contains every induced sub-pattern
-    of P, and a host free of Q is free of every pattern that contains Q
-    (``forbidden.contains``); only an undecided pattern is searched for.
+    runs ``invariants.is_t_tough`` only for a threshold strictly inside.
+
+    ``is_free`` answers P_m + kP_1 from one induced-path sweep
+    (``forbidden._sweep``), kept suspended between questions and advanced
+    only until the question is decided. It sweeps paths up to the longest
+    of the registry's forest theorems, or the longest m asked if that is
+    longer, with the largest k asked as its cap; a question beyond either
+    starts a new sweep. Other patterns go to ``forbidden.is_free``.
     """
 
     def __init__(self, graph: Graph, name: str = ""):
@@ -42,7 +46,10 @@ class GraphFacts:
         self.name = name or f"order-{graph.n}"
         self._tau_lo = None  # largest threshold asked with tau >= it
         self._tau_hi = None  # smallest threshold asked with tau < it
-        self._free: dict = {}  # pattern -> whether the host is free of it
+        self._top = _LONGEST_FOREST_PATH  # longest path the sweep walks
+        self._cap = -1  # largest k the sweep decides; -1 before the first
+        self._best: list = []  # the sweep's best[j], see forbidden._sweep
+        self._sweep = None  # the suspended sweep, None once exhausted
 
     @property
     def order(self) -> int:
@@ -80,20 +87,23 @@ class GraphFacts:
         return tough
 
     def is_free(self, pattern: forbidden.ForestPattern) -> bool:
-        free = self._free.get(pattern)
-        if free is not None:
-            return free
-        for known, known_free in self._free.items():
-            if known_free and forbidden.contains(pattern, known):
-                free = True
-                break
-            if not known_free and forbidden.contains(known, pattern):
-                free = False
-                break
-        else:
-            free = forbidden.is_free(self.graph, pattern)
-        self._free[pattern] = free
-        return free
+        if len(pattern.paths) != 1:
+            return forbidden.is_free(self.graph, pattern)
+        (m,), k = pattern
+        if m > self._top or k > self._cap:
+            self._top = max(self._top, m)
+            self._cap = max(self._cap, k)
+            self._best = [-1] * (self._top + 1)
+            self._sweep = forbidden._sweep(self.graph, self._top, self._cap,
+                                           self._best)
+        best = self._best
+        if best[m] < k and self._sweep is not None:
+            for _ in self._sweep:
+                if best[m] >= k:
+                    break
+            else:
+                self._sweep = None
+        return best[m] < k
 
     @cached_property
     def has_two_factor(self) -> bool:
@@ -131,6 +141,7 @@ _FOREST_THEOREMS = {
     ("THM4i", 2): (5, 1, Fraction(3, 2)), ("THM4i", 3): (7, 2, Fraction(3, 2)),
     ("THM4ii", None): (6, 2, Fraction(3, 2)),
 }
+_LONGEST_FOREST_PATH = max(m for m, _, _ in _FOREST_THEOREMS.values())
 
 
 def _param(params: dict, key: str, theorem_id: str, kind):
@@ -179,15 +190,17 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
                     "7t - 7 - t^2 is positive throughout [3/2, 2)")
             name = "(3t-2-t^2)n/(7t-7-t^2)"
             threshold = (3 * t - 2 - t * t) / denom
+        num, den = threshold.numerator, threshold.denominator
         clauses.append((f"delta >= {name}",
-                        lambda f: f.min_degree >= threshold * f.order))
+                        lambda f: den * f.min_degree >= num * f.order))
         tough = t
     elif theorem_id == "THM2":
         eps = values["eps"]
         if not 0 < eps <= 1:
             raise GraphError("THM2 needs rational eps with 0 < eps <= 1")
+        num, den = eps.numerator, eps.denominator
         clauses.append(("delta >= eps*alpha",
-                        lambda f: f.min_degree >= eps * f.alpha))
+                        lambda f: den * f.min_degree >= num * f.alpha))
         tough = 2 - eps
     elif "k" in kinds:  # a forbidden-forest theorem
         row = _FOREST_THEOREMS.get((theorem_id, values.get("ell")))

@@ -17,7 +17,7 @@ from tough2f import (
     pattern_graph,
 )
 from tough2f import forbidden
-from tough2f.forbidden import contains, verify_embedding
+from tough2f.forbidden import verify_embedding
 from tough2f.graphs import components
 
 from conftest import random_graph
@@ -158,24 +158,37 @@ def test_embedding_is_first_in_normal_form():
                 (g.edges, str(p))
 
 
-CRITERION_5_PATTERNS = [ForestPattern((m,), k)
-                        for m in (2, 3, 4, 5, 6, 7) for k in (1, 2)]
+def brute_best(host, top: int, cap: int) -> list:
+    """Oracle for the sweep: per order j, min(cap, the largest independent
+    set of host - N[Q]) over the vertex sets Q that induce P_j, or -1."""
+    best = [-1] * (top + 1)
+    for size in range(1, top + 1):
+        for q in combinations(range(host.n), size):
+            sub = induced(host, q)
+            if len(sub.edges) != size - 1 or not sub.is_connected() or \
+                    any(sub.degree(v) > 2 for v in range(size)):
+                continue
+            rest = [v for v in range(host.n) if v not in q
+                    and not any(host.has_edge(v, u) for u in q)]
+            alpha = max(r for r in range(len(rest) + 1)
+                        for s in combinations(rest, r)
+                        if not any(host.has_edge(u, v)
+                                   for u, v in combinations(s, 2)))
+            best[size] = max(best[size], min(cap, alpha))
+    return best
 
 
-def test_contains_matches_brute_force_oracle():
-    for p in CRITERION_5_PATTERNS:
-        for q in CRITERION_5_PATTERNS:
-            assert contains(p, q) == brute_contains(pattern_graph(p), q), \
-                (str(p), str(q))
-
-
-def test_contains_does_not_call_find_induced(monkeypatch):
-    # find_induced is the entry point that per-layer tracing counts; pattern
-    # against pattern searches must not show there, cached or not
-    def refuse(host, p):
-        raise AssertionError("contains went through find_induced")
-
-    monkeypatch.setattr(forbidden, "find_induced", refuse)
-    contains.cache_clear()
-    p, q = ForestPattern.parse("P5+2P1"), ForestPattern.parse("P3+P1")
-    assert contains(p, q) and not contains(q, p)
+def test_sweep_matches_brute_force_oracle():
+    rng = random.Random(67)
+    hosts = [complete(4), cycle(7), path(6), pattern_graph(
+        ForestPattern.parse("P4+2P1"))]
+    hosts += [random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.8))
+              for _ in range(40)]
+    for g in hosts:
+        for top, cap in ((1, 2), (3, 0), (4, 1), (5, 2), (5, 3)):
+            best = [-1] * (top + 1)
+            before = list(best)
+            for _ in forbidden._sweep(g, top, cap, best):
+                assert best != before  # each yield follows a rise
+                before = list(best)
+            assert best == brute_best(g, top, cap), (g.edges, top, cap)

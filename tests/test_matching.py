@@ -1,5 +1,6 @@
 """Gadget construction, blossom matching, and 2-factor search."""
 
+import faulthandler
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ import networkx as nx
 import pytest
 
 from tough2f import (
+    CertificateError,
     Graph,
     GraphError,
     TwoFactor,
@@ -239,6 +241,26 @@ def test_certified_negative_searches_the_tutte_gadget_once(monkeypatch, text):
     # vertices are searched once each, by _tutte_pair alone
     assert len(tutte) == len(set(tutte)) == -result.barrier.deficiency == 2
     assert len(roots) - len(tutte) == 2  # the split gadget's failed searches
+
+
+def test_tutte_pair_rejects_a_matching_that_is_not_maximum():
+    # G(1,1)'s Tutte gadget seeded from an empty F, each core on its
+    # vertex's first free slot: some search from an exposed vertex augments.
+    # A hang here ends the run with a traceback instead of stalling it.
+    g = build(FamilySpec.parse("G:n=1,k=1")).graph
+    adj, host_edge = build_gadget(g)
+    mate = [-1] * len(adj)
+    for x, e in enumerate(host_edge):
+        if e is None:
+            y = next(y for y in adj[x] if mate[y] == -1)
+            mate[x], mate[y] = y, x
+    assert -1 in mate
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        with pytest.raises(CertificateError):
+            matching._tutte_pair(g, adj, mate)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 # 2-factors ----------------------------------------------------------------------

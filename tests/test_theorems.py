@@ -19,6 +19,7 @@ from tough2f import (
     disjoint_union,
     edgeless,
     encode_graph6,
+    forbidden,
     hunt,
     invariants,
     is_free,
@@ -310,6 +311,45 @@ def test_graph_facts_match_direct_calls():
         for bad in (0, Fraction(-1, 2), Fraction(0)):
             with pytest.raises(GraphError):
                 facts.tough_at(bad)
+
+
+def test_graph_facts_forest_answers_match_the_search():
+    # every P_m + kP_1 with m <= 8 and k <= 3, in shuffled order, so that a
+    # larger k, or an m above the registry's 7, starts a new sweep
+    rng = random.Random(61)
+    patterns = [ForestPattern((m,), k) for m in range(2, 9) for k in range(4)]
+    hosts = [complete(n) for n in (1, 2, 5, 9)]
+    hosts += [edgeless(n) for n in (1, 4, 11)]
+    hosts += [cycle(n) for n in (3, 5, 8, 11)] + [h1_graph()]
+    hosts += [random_graph(rng, rng.randint(2, 11), rng.uniform(0.1, 0.9))
+              for _ in range(200)]
+    for g in hosts:
+        facts = GraphFacts(g)
+        queries = patterns * 2
+        rng.shuffle(queries)
+        for p in queries:
+            assert facts.is_free(p) == is_free(g, p), (g.edges, str(p))
+
+
+def test_graph_facts_grid_forest_clauses_do_not_search(monkeypatch,
+                                                       hunt_corpus):
+    real = forbidden.find_induced
+    calls = []
+
+    def counted(g, p):
+        calls.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(forbidden, "find_induced", counted)
+    patterns = [ForestPattern.parse(name.removesuffix("-free"))
+                for spec in hunt_grid() for name, _ in spec.clauses
+                if name.endswith("-free")]
+    assert len(patterns) == 12
+    for g in hunt_corpus[:200]:
+        facts = GraphFacts(g)
+        got = [facts.is_free(p) for p in patterns]
+        assert got == [real(g, p) is None for p in patterns], g.edges
+    assert calls == []
 
 
 def test_graph_facts_derive_monotone_answers(monkeypatch):

@@ -9,12 +9,18 @@ The measurements, each made on the tough2f tree given by ``--src``:
   replayed as ``is_t_tough(g, t)``, without the ``alpha`` and ``kappa``
   callables the hunt's ``GraphFacts`` pass: the median of 5 replays. So a
   replayed query pays for every search its walk asks for.
-- ``toughness_H2_s``, ``toughness_H3_s`` and ``toughness_R2213_s``:
-  ``toughness`` on H(2) (order 12), H(3) (order 17) and R(2,2,1,3)
-  (order 14), each with its value and witness. H(2) and R(2,2,1,3) are
-  timed over 100 calls a repeat, and the figure is per call.
-- ``toughness_H4_s``: ``toughness`` on H(4), order 22 (one run).
-- ``is_t_tough_H4_1_s``: ``is_t_tough(H(4), 1)``, order 22.
+- ``hunt_facts_s``: seconds for one such pass through fresh
+  ``GraphFacts``, as the workload runs it, so that the questions of one
+  graph share its cut walk: the median of 5 passes. ``hunt_facts_masks``
+  counts the ``component_masks`` calls the invariants module makes in one
+  pass, and ``hunt_reports_sha256`` digests the pass's ``HuntReport``s.
+- ``toughness_H2_s``, ``toughness_H3_s``, ``toughness_H4_s`` and
+  ``toughness_R2213_s``: ``toughness`` on H(2) (order 12), H(3) (order
+  17), H(4) (order 22) and R(2,2,1,3) (order 14), each with its value and
+  witness, and ``is_t_tough_H4_1_s``: ``is_t_tough(H(4), 1)``. Each is
+  timed over 100 calls a repeat, the median of 5, and the figure is per
+  call. Before the ``walk-parent`` and ``walk-change`` entries, H(3)
+  was the median of 3 single calls and the two H(4) figures one call.
 - ``toughness_G11_s`` and ``toughness_Ghat22_s``: ``toughness`` on G(1,1)
   (order 28) and Ghat(2,2) (order 62). The cut walk does not finish on
   them in hours, so they are measured only on a tree that has the clique
@@ -30,8 +36,8 @@ provenance of ``benchkit.provenance`` are merged into
 BENCH_cut_kernel.json under ``--label``, so a parent tree and a changed
 tree can be recorded side by side:
 
-    python3 scripts/bench_cut_kernel.py --src ../parent/src --label universal-parent
-    python3 scripts/bench_cut_kernel.py --label universal-change
+    python3 scripts/bench_cut_kernel.py --src ../parent/src --label walk-parent
+    python3 scripts/bench_cut_kernel.py --label walk-change
 """
 
 from __future__ import annotations
@@ -110,6 +116,18 @@ def main(argv=None) -> int:
 
     hunt_s, hunt_all, _ = timed(replay, REPEATS)
 
+    def hunt_pass():
+        return [call.run() for call in inputs.make_pass()]
+
+    before = masks
+    invariants.component_masks = counting
+    try:
+        reports = hunt_pass()
+    finally:
+        invariants.component_masks = component_masks
+    facts_masks = masks - before
+    facts_s, facts_all, _ = timed(hunt_pass, REPEATS)
+
     def tough(text: str, repeats: int, loops: int = 1) -> tuple:
         """``timed`` over ``loops`` calls a repeat, in seconds a call."""
         g = build(FamilySpec.parse(text)).graph
@@ -119,11 +137,13 @@ def main(argv=None) -> int:
         return seconds / loops, [s / loops for s in every], result
 
     h2_s, h2_all, tau_h2 = tough("H:n=2", REPEATS, 100)
-    h3_s, h3_all, tau = tough("H:n=3", 3)
+    h3_s, h3_all, tau = tough("H:n=3", REPEATS, 100)
     r_s, r_all, tau_r = tough("R:m=2,a=2,b=1,c=3", REPEATS, 100)
     h4 = build(FamilySpec.parse("H:n=4")).graph
-    h4_s, h4_all, h4_tough = timed(lambda: is_t_tough(h4, 1), 1)
-    tau_h4_s, _, tau_h4 = tough("H:n=4", 1)
+    h4_s, h4_all, h4_tough = timed(
+        lambda: [is_t_tough(h4, 1) for _ in range(100)][-1], REPEATS)
+    h4_s, h4_all = h4_s / 100, [s / 100 for s in h4_all]
+    tau_h4_s, tau_h4_all, tau_h4 = tough("H:n=4", REPEATS, 100)
     beyond_walk = {}
     for name, text in (("G11", "G:n=1,k=1"), ("Ghat22", "Ghat:n=2,k=2")):
         value = seconds = None
@@ -146,6 +166,11 @@ def main(argv=None) -> int:
         "hunt_masks_no": masks_by_answer[False],
         "hunt_is_t_tough_s": round(hunt_s, 4),
         "hunt_is_t_tough_repeats_s": [round(s, 4) for s in hunt_all],
+        "hunt_facts_masks": facts_masks,
+        "hunt_facts_s": round(facts_s, 4),
+        "hunt_facts_repeats_s": [round(s, 4) for s in facts_all],
+        "hunt_reports_sha256": hashlib.sha256(
+            repr(reports).encode()).hexdigest(),
         "hunt_kernel_queries": kernel_queries,
         "hunt_universal_queries": sum(
             any(g.degree(v) == g.n - 1 for v in range(g.n))
@@ -154,12 +179,14 @@ def main(argv=None) -> int:
         "toughness_H2_s": round(h2_s, 5),
         "toughness_H2_repeats_s": [round(s, 5) for s in h2_all],
         "toughness_H3": [str(tau.value), sorted(tau.witness)],
-        "toughness_H3_s": round(h3_s, 4),
-        "toughness_H3_repeats_s": [round(s, 4) for s in h3_all],
+        "toughness_H3_s": round(h3_s, 6),
+        "toughness_H3_repeats_s": [round(s, 6) for s in h3_all],
         "is_t_tough_H4_1": h4_tough,
-        "is_t_tough_H4_1_s": round(h4_s, 4),
+        "is_t_tough_H4_1_s": round(h4_s, 6),
+        "is_t_tough_H4_1_repeats_s": [round(s, 6) for s in h4_all],
         "toughness_H4": [str(tau_h4.value), sorted(tau_h4.witness)],
-        "toughness_H4_s": round(tau_h4_s, 4),
+        "toughness_H4_s": round(tau_h4_s, 6),
+        "toughness_H4_repeats_s": [round(s, 6) for s in tau_h4_all],
         "toughness_R2213": [str(tau_r.value), sorted(tau_r.witness)],
         "toughness_R2213_s": round(r_s, 5),
         "toughness_R2213_repeats_s": [round(s, 5) for s in r_all],

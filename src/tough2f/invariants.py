@@ -2,25 +2,25 @@
 connectivity and toughness.
 
 Toughness and the independence number are NP-hard in general; the searches
-here are exact and exhaustive with pruning. Toughness has one dispatch,
-``_toughness_records``: it walks the cut sets, which is practical up to
-roughly order 24, unless a clique X splits the graph into small pieces.
-Then a kernel (``separator``) optimises each piece of G - X alone and
-merges the results, with the same value and witness. Its work bound is
-2^|Y| * sum over pieces P of 2^(|P| + |private(P)|), where Y holds the
-X-vertices next to two or more pieces and private(P) those next to P
-alone. Both engines leave out the universal vertices U, those adjacent
-to every other, as every cut holds them. X is grown greedily by degree,
-so it holds U, and the kernel runs when the bound is below the walk's
-2^(n - |U|) by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
+here are exact and exhaustive with pruning. Toughness is read from one
+resumable ``CutWalk`` per graph: each threshold question walks the cut
+sets on from where the last stopped, and ``toughness`` walks to the end.
+The walk is practical up to roughly order 24, unless a clique X splits
+the graph into small pieces. Then a kernel (``separator``) optimises each
+piece of G - X alone and merges the results, with the same value and
+witness, and every question is answered from that one value. Its work
+bound is 2^|Y| * sum over pieces P of 2^(|P| + |private(P)|), where Y
+holds the X-vertices next to two or more pieces and private(P) those
+next to P alone. Both engines leave out the universal vertices U, those
+adjacent to every other, as every cut holds them. X is grown greedily by
+degree, so it holds U, and the kernel runs when the bound is below the
+walk's 2^(n - |U|) by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
 milliseconds on H(n) and G(1,1) and about 30 ms on Ghat(2,2), order 62.
-The cut walk starts at size kappa(G), as no smaller set cuts G. It asks
-for kappa only when its first size, max(1, |U|), gave no record and
-delta exceeds the next size: a record there makes that size kappa, and
-kappa <= delta, so otherwise a connectivity search would be wasted. The independence search also
-prunes on a greedy clique cover, which bounds alpha from above, and
-returns the same alpha and witness as without it; it takes well under a
-second on random graphs of order 80 and on the paper's constructions.
+The cut walk skips the sizes below kappa(G), as no smaller set cuts G.
+The independence search also prunes on a greedy clique cover, which
+bounds alpha from above, and returns the same alpha and witness as
+without it; it takes well under a second on random graphs of order 80
+and on the paper's constructions.
 Connectivity tests only the pairs that Esfahanian-Hakimi selection keeps
 (Networks 14, 1984): a vertex v of minimum degree against each
 non-neighbour, and each non-adjacent pair of neighbours of v. Each pair
@@ -270,111 +270,9 @@ def _reversed_adj(g: Graph) -> list[int]:
     return radj
 
 
-def _cut_records(g: Graph, radj: list[int], num: int, den: int,
-                 alpha=None, kappa=None, universal: int = 0):
-    """Yield (|S|, c(G - S), S) for each cut set S of a connected graph, in
-    (|S|, lexicographic) order, whose ratio |S|/c(G - S) is below num/den
-    and below the ratio of every cut yielded before it. den = 0 means no
-    bound. S is a mask in the labels of ``radj = _reversed_adj(g)``.
-
-    Cuts are walked through the vertices they leave. Gosper's hack steps
-    through those masks in increasing order on the graph relabelled by
-    v -> n-1-v, which is the lexicographic order of S in the original
-    labels. A cut beats num/den only with c_min = floor(|S| den/num) + 1
-    components.
-
-    The walk ends once c_min exceeds alpha(G). One vertex from each
-    component of G - S is an independent set, so c(G - S) <= alpha(G)
-    (Chvatal 1973), and c_min never falls: it grows with |S|, and a yield
-    only lowers num/den. So every cut the stop skips has too few
-    components to be yielded, and the records, the last of which is the
-    toughness witness, are the ones the full walk gives. alpha(G) comes
-    from the callable ``alpha``, or else ``independence_number``, called
-    the first time c_min exceeds 2, since alpha >= 2 for a connected
-    non-complete graph, and never on a walk that ends before.
-
-    The walk also skips the sizes below kappa(G). For |S| < kappa,
-    c(G - S) = 1 < 2 <= c_min, so no such S is yielded; c_min and num/den
-    change only on a yield, and both stop tests grow with |S|, so skipping
-    these sizes keeps every record and the last one. kappa(G) comes from
-    the callable ``kappa``, or else ``connectivity``. It is asked for only
-    once the first size walked, max(1, |U|) (U below), has yielded no
-    record, the next size has passed the stop tests and delta(G) exceeds
-    it. Otherwise no size is left to skip: a record at the first size
-    makes that size kappa, and kappa <= delta. With U empty these are
-    sizes 1 and 2; many graphs without a 2-factor have a cut vertex or a
-    vertex of degree 2, and the search would be wasted on them.
-
-    ``universal`` is the mask of the universal vertices U, those adjacent
-    to every other vertex. Every cut contains U, since G - S is connected
-    while a vertex of U is kept; so kappa >= |U|. The walk takes
-    S = U + S' for S' in V - U, on G - U relabelled in increasing order:
-    |S| = |U| + |S'| and G - S = (G - U) - S'. Of two cuts of one size
-    that contain U, the first in lexicographic order holds the least
-    vertex of their symmetric difference, which lies in V - U, and an
-    order-preserving relabelling keeps it least. So the walk meets the
-    cuts in the same (|S|, lexicographic) order, and gives the same
-    records and the same last record. The stops read |S|, as before. With
-    U empty nothing is relabelled or copied.
-    """
-    n, full = g.n, g.full_mask
-    known = 0  # alpha(G), once asked for
-    floor = 0  # kappa(G), once asked for; 1 after a record
-    offset = universal.bit_count()
-    if universal:  # walk G - U: drop each u of U and close the gap
-        for u in sorted(iter_bits(universal), reverse=True):
-            low = (1 << u) - 1
-            radj = [a & low | a >> 1 & ~low for a in radj[:u] + radj[u + 1:]]
-        full >>= offset
-    first = max(1, offset)
-
-    def beyond_alpha(c_min: int) -> bool:
-        nonlocal known
-        if c_min <= 2:
-            return False
-        if not known:
-            known = (alpha() if alpha is not None
-                     else independence_number(g)[0])
-        return c_min > known
-
-    for size in range(first, n - 1):
-        if size < floor:
-            continue  # G - S is connected
-        left = n - size
-        if size * den >= num * left:
-            return  # every cut of this size has ratio >= size/left
-        c_min = max(2, size * den // num + 1)
-        if beyond_alpha(c_min):
-            return
-        if (not floor and size == first + 1
-                and min(map(int.bit_count, radj)) + offset > size):
-            floor = kappa() if kappa is not None else connectivity(g)
-            if floor > size:
-                continue
-        rest = (1 << left) - 1
-        while rest <= full:
-            count = len(component_masks(radj, rest))
-            if count >= c_min:
-                cut = full & ~rest
-                if universal:  # back to the labels of G, U included
-                    for u in sorted(iter_bits(universal)):
-                        low = (1 << u) - 1
-                        cut = cut & low | (cut & ~low) << 1
-                    cut |= universal
-                yield size, count, cut
-                num, den = size, count
-                c_min = count + 1
-                floor = floor or 1
-                if beyond_alpha(c_min):
-                    return
-            low = rest & -rest
-            ripple = rest + low
-            rest = (((ripple ^ rest) >> 2) // low) | ripple
-
-
 # Clique separators ----------------------------------------------------------------
 
-# The toughness records come from the clique kernel (``separator``) only
+# ``CutWalk`` takes tau from the clique kernel (``separator``) only
 # when its cost bound is below the cut walk's 2^(n - |U|) by this many
 # bits, U the universal vertices. Each of them neighbours every piece, so
 # taking U out of the shared and private sets divides the bound by 2^|U|,
@@ -433,71 +331,173 @@ def _kernel_split(radj: list[int], universal: int) -> tuple | None:
     return clique, shared, pieces
 
 
-def _toughness_records(g: Graph, num: int, den: int, alpha=None,
-                       kappa=None):
-    """The records of ``_cut_records`` for a connected non-complete graph,
-    each cut as a vertex set; ``alpha`` and ``kappa`` go to the cut walk.
-    Where the clique kernel is cheap, it gives the last record alone, if
-    its ratio is below num/den; its module is imported only then. Both
-    engines leave out the universal vertices, which every cut holds."""
-    n = g.n
-    radj = _reversed_adj(g)
-    universal = sum(1 << v for v, a in enumerate(radj)
-                    if a.bit_count() == n - 1)
-    split = _kernel_split(radj, universal)
-    if split is None:
-        records = _cut_records(g, radj, num, den, alpha, kappa, universal)
-    else:
-        from .separator import clique_toughness
-        size, count, cut = clique_toughness(radj, universal, *split)
-        records = [(size, count, cut)] if size * den < num * count else []
-    for size, count, cut in records:
-        yield size, count, frozenset(n - 1 - v for v in iter_bits(cut))
+class CutWalk:
+    """The cut sets of one graph, walked on demand. ``at_least(t)`` answers
+    tau(G) >= t, resuming where the last question stopped; ``result()``
+    gives tau(G) and its witness, the first minimum-ratio cut in
+    (|S|, lexicographic) order. Complete and disconnected graphs are
+    settled at once, and so is a graph the clique kernel takes. ``alpha``
+    and ``kappa``, if given, are callables that return alpha(G) and
+    kappa(G); each is called at most once a walk, and never stored.
+
+    The walk steps by Gosper's hack through the masks of the vertices that
+    cuts leave, size by size, on G - U relabelled v -> n-1-v in increasing
+    order, U the universal vertices. It adds U to each cut: every cut
+    holds U, as G - S is connected while a vertex of U is kept, and an
+    order-preserving relabelling keeps the order of the cuts that hold U.
+    So the masks come in the (|S|, lexicographic) order of the cuts. Each
+    is counted, and the record kept: the least ratio over the cuts
+    counted, and the first cut that attains it. A cut beats a ratio r only
+    with floor(|S|/r) + 1 components, and c(G - S) is at most n - |S| and
+    at most alpha(G) (Chvatal 1973). So once s/(n - s) >= r or
+    floor(s/r) + 1 > alpha(G), s the size of the next mask, no cut still
+    to come beats r: these stop tests for r grow with s.
+
+    A question t is answered False once the record is below t, and True
+    once it is not and the stop tests hold for t. Walked to the end
+    (t = None), the walk stops once they hold for the record, or at size
+    n - 1, and is done. The record is then that of the plain walk, which
+    counts every mask of sizes 1 to n - 2 in the same order and takes each
+    strict improvement:
+    - the masks come in one order whatever is asked, and a question only
+      moves where the walk pauses; the next resumes at the mask after it,
+      so no mask is counted twice;
+    - the sets it leaves out, those without U and the sizes below
+      kappa(G) (below), have c(G - S) = 1, so it meets a prefix of the
+      plain walk's cuts, in order;
+    - so on that prefix its record is the plain walk's, which changes only
+      on a strict improvement, and none comes once the tests hold for it.
+    No question walks past that end: for t <= tau the tests for t hold
+    there, as they hold for the record, and for t > tau the record falls
+    below t no later than it reaches tau.
+
+    alpha is asked for only when floor(s/r) + 1 > 2, as alpha >= 2. The
+    walk starts at size max(1, |U|) <= kappa, and asks for kappa only at
+    the start of the next size, with no cut yet and delta(G) above it, to
+    skip to size kappa: a cut at the first size makes it kappa, and
+    kappa <= delta, so otherwise the search would be wasted, as on the
+    many graphs without a 2-factor with a cut vertex or degree-2 vertex.
+    """
+
+    __slots__ = ("g", "radj", "full", "universal", "size", "rest", "num",
+                 "den", "cut", "alpha", "kappa", "done")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.universal = self.size = self.alpha = self.kappa = 0
+        # the record num/den (1/0: no cut yet) and its cut, in walk labels
+        self.num, self.den, self.cut, self.done = 1, 0, 0, True
+        if g.is_complete():
+            return
+        if not g.is_connected():
+            self.num, self.den = 0, 1
+            return
+        n = g.n
+        radj = _reversed_adj(g)
+        universal = sum(1 << v for v, a in enumerate(radj)
+                        if a.bit_count() == n - 1)
+        split = _kernel_split(radj, universal)
+        if split is not None:  # its cut holds U, in G's labels
+            from .separator import clique_toughness
+            self.num, self.den, self.cut = clique_toughness(radj, universal,
+                                                            *split)
+            return
+        for u in sorted(iter_bits(universal), reverse=True):
+            low = (1 << u) - 1  # walk G - U: drop u and close the gap
+            radj = [a & low | a >> 1 & ~low for a in radj[:u] + radj[u + 1:]]
+        self.radj, self.universal, self.done = radj, universal, False
+        self.full = (1 << len(radj)) - 1
+        self.size = max(1, universal.bit_count())
+        self.rest = (1 << n - self.size) - 1
+
+    def at_least(self, t, alpha=None, kappa=None) -> bool:
+        """tau(G) >= t, for a positive ``Fraction`` or ``INF``; t = None
+        walks to the end and answers True."""
+        if t is INF:
+            return self.done and not self.den
+        p, q = (0, 1) if t is None else (t.numerator, t.denominator)
+        num, den, cut = self.num, self.den, self.cut
+        if self.done:
+            return num * q >= p * den
+        g, radj, full = self.g, self.radj, self.full
+        n, size, rest = g.n, self.size, self.rest
+        while num * q >= p * den:
+            left = n - size
+            a, b = (p, q) if p else (num, den)  # the stop tests' ratio
+            c_stop = size * b // a + 1
+            if c_stop > 2 and not self.alpha and size * b < a * left:
+                self.alpha = (alpha() if alpha is not None
+                              else independence_number(g)[0])
+            if size == n - 1 or size * b >= a * left or (
+                    c_stop > max(2, self.alpha)):
+                self.done = not p
+                break
+            # n - len(radj) = |U|: the start of the second size, no cut yet
+            if (not den and not self.kappa and size > max(1, n - len(radj))
+                    and min(map(int.bit_count, radj)) + n - len(radj) > size):
+                self.kappa = kappa() if kappa is not None else connectivity(g)
+                if self.kappa > size:
+                    size = self.kappa
+                    rest = (1 << n - size) - 1
+                    continue
+            c_min = max(2, size * den // num + 1)
+            while rest <= full:
+                kept = rest
+                low = rest & -rest
+                ripple = rest + low
+                rest = (((ripple ^ rest) >> 2) // low) | ripple
+                count = len(component_masks(radj, kept))
+                if count >= c_min:
+                    num, den, cut = size, count, full & ~kept
+                    break
+            else:
+                size += 1
+                rest = (1 << n - size) - 1
+        self.size, self.rest, self.num, self.den, self.cut = (
+            size, rest, num, den, cut)
+        return num * q >= p * den
+
+    def result(self) -> ToughnessResult:
+        """tau(G) and its witness, once the walk is done."""
+        if not self.den:
+            return ToughnessResult(INF, None)
+        cut = self.cut
+        for u in sorted(iter_bits(self.universal)):  # back to G's labels
+            low = (1 << u) - 1
+            cut = cut & low | (cut & ~low) << 1
+        n = self.g.n
+        return ToughnessResult(Fraction(self.num, self.den), frozenset(
+            n - 1 - v for v in iter_bits(cut | self.universal)))
 
 
-def toughness(g: Graph, *, alpha=None, kappa=None) -> ToughnessResult:
-    """min |S| / c(G - S) over all cut sets, as a reduced rational. The
-    witness is the first minimum-ratio cut in (|S|, lexicographic) order,
-    from the clique kernel where it is cheap and from the cut walk
-    elsewhere. ``alpha`` and ``kappa``, if given, are callables that return
-    alpha(g) and kappa(g); the cut walk calls each at most once, in place
-    of a search."""
-    if g.is_complete():
-        return ToughnessResult(INF, None)
-    if not g.is_connected():
-        return ToughnessResult(Fraction(0), frozenset())
-    *_, (size, comps, cut) = _toughness_records(g, 1, 0, alpha, kappa)
-    return ToughnessResult(Fraction(size, comps), cut)
+def toughness(g: Graph, *, alpha=None, kappa=None,
+              walk: CutWalk | None = None) -> ToughnessResult:
+    """min |S| / c(G - S) over all cut sets, as a reduced rational, and the
+    first cut of that ratio in (|S|, lexicographic) order, from the
+    ``CutWalk`` of g, if given, walked on to its end, or a fresh one."""
+    if walk is None:
+        walk = CutWalk(g)
+    walk.at_least(None, alpha, kappa)
+    return walk.result()
 
 
-def _threshold(t) -> Fraction | float:
-    """A toughness threshold as a positive ``Fraction``, or ``INF``; any
-    other value raises ``GraphError``."""
+def is_t_tough(g: Graph, t, *, alpha=None, kappa=None,
+               walk: CutWalk | None = None) -> bool:
+    """tau(G) >= t, for a positive rational t (a number or a string that
+    ``Fraction`` reads) or ``INF``, from the ``CutWalk`` of g, if given,
+    or a fresh one, walked on only until t is decided. Any other t raises
+    ``GraphError``."""
     if not isinstance(t, Fraction):  # a hunt asks with Fractions: no copy
         if t == INF:
-            return INF
+            return g.is_complete() if walk is None else walk.at_least(INF)
         try:
             t = Fraction(t)
         except (TypeError, ValueError, OverflowError,
                 ZeroDivisionError) as exc:
             raise GraphError(f"toughness threshold must be a finite "
                              f"rational or INF, not {t!r}") from exc
-    if t <= 0:
+    if t.numerator <= 0:
         raise GraphError("toughness threshold must be positive")
-    return t
-
-
-def is_t_tough(g: Graph, t, *, alpha=None, kappa=None) -> bool:
-    """tau(G) >= t, for a positive rational t (a number or a string that
-    ``Fraction`` reads) or ``INF``. The cut walk ends as soon as a cut
-    certifies tau < t; where the clique kernel is cheap, it computes tau
-    instead. ``alpha`` and ``kappa`` are as in ``toughness``."""
-    t = _threshold(t)
-    if t == INF:
-        return g.is_complete()
-    if g.is_complete():
-        return True
-    if not g.is_connected():
-        return False
-    return next(_toughness_records(g, t.numerator, t.denominator, alpha,
-                                   kappa), None) is None
+    if walk is None:
+        walk = CutWalk(g)
+    return walk.at_least(t, alpha, kappa)

@@ -24,8 +24,8 @@ entry it had before, so the least entry, the value and the witness, is
 unchanged. With U out of the shared and private sets, the work is at
 most 2^|shared| * sum over P of 2^(|private(P)| + |P|) component counts.
 
-``invariants._toughness_records`` picks X, splits the graph along it and
-calls this kernel, on masks in its reversed labels, when that bound is
+``invariants.CutWalk`` picks X, splits the graph along it and calls
+this kernel, on masks in its reversed labels, when that bound is
 small against the cut walk's 2^(n - |U|); see
 ``CLIQUE_KERNEL_MARGIN_BITS``.
 """

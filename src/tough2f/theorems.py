@@ -25,13 +25,12 @@ if TYPE_CHECKING:
 
 class GraphFacts:
     """Lazily computed, cached invariants of one graph, the ``toughness``
-    result among them. Toughness queries pass ``alpha`` and ``kappa`` to
-    the cut walk, so a graph's alpha and kappa are searched for once.
+    result among them.
 
-    Monotone questions are answered from earlier answers where those decide
-    them. tau is kept as an interval: a threshold that passed bounds it from
-    below, one that failed bounds it strictly from above, and ``tough_at``
-    runs ``invariants.is_t_tough`` only for a threshold strictly inside.
+    ``tough_at`` and ``toughness`` read one ``invariants.CutWalk`` of the
+    graph, each question going on from where the last stopped. They pass
+    ``alpha`` and ``kappa`` on each call, so a graph's alpha and kappa
+    are searched for once, and the walk holds no reference to the facts.
 
     ``is_free`` answers P_m + kP_1 from one induced-path sweep
     (``forbidden._sweep``), kept suspended between questions and advanced
@@ -44,8 +43,6 @@ class GraphFacts:
     def __init__(self, graph: Graph, name: str = ""):
         self.graph = graph
         self.name = name or f"order-{graph.n}"
-        self._tau_lo = None  # largest threshold asked with tau >= it
-        self._tau_hi = None  # smallest threshold asked with tau < it
         self._top = _LONGEST_FOREST_PATH  # longest path the sweep walks
         self._cap = -1  # largest k the sweep decides; -1 before the first
         self._best: list = []  # the sweep's best[j], see forbidden._sweep
@@ -68,23 +65,17 @@ class GraphFacts:
         return invariants.connectivity(self.graph)
 
     @cached_property
+    def _walk(self) -> invariants.CutWalk:
+        return invariants.CutWalk(self.graph)
+
+    @cached_property
     def toughness(self) -> invariants.ToughnessResult:
         return invariants.toughness(self.graph, alpha=lambda: self.alpha,
-                                    kappa=lambda: self.kappa)
+                                    kappa=lambda: self.kappa, walk=self._walk)
 
     def tough_at(self, t) -> bool:
-        t = invariants._threshold(t)
-        if self._tau_lo is not None and t <= self._tau_lo:
-            return True
-        if self._tau_hi is not None and t >= self._tau_hi:
-            return False
-        tough = invariants.is_t_tough(self.graph, t, alpha=lambda: self.alpha,
-                                      kappa=lambda: self.kappa)
-        if tough:
-            self._tau_lo = t
-        else:
-            self._tau_hi = t
-        return tough
+        return invariants.is_t_tough(self.graph, t, alpha=lambda: self.alpha,
+                                     kappa=lambda: self.kappa, walk=self._walk)
 
     def is_free(self, pattern: forbidden.ForestPattern) -> bool:
         if len(pattern.paths) != 1:

@@ -315,9 +315,10 @@ def test_is_t_tough_rejects_bad_thresholds(t):
 
 def test_kappa_floor_keeps_every_record(atlas_connected, monkeypatch):
     # sizes below kappa(G) cannot cut G, so starting there gives the full
-    # walk's records; thresholds below 1 let a cut vertex go unrecorded
-    thresholds = [(1, 3), (1, 2), (1, 1), (5, 4), (3, 2), (7, 4), (2, 1),
-                  (3, 1), (1, 0)]
+    # walk's answers and records; None walks to the end
+    thresholds = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 4),
+                  Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(3),
+                  None]
     masks = []
 
     def counted(adj, avail, real=component_masks):
@@ -329,15 +330,16 @@ def test_kappa_floor_keeps_every_record(atlas_connected, monkeypatch):
     for g in atlas_connected:
         if g.is_complete():
             continue
-        radj = invariants._reversed_adj(g)
-        for num, den in thresholds:
+        for t in thresholds:
             masks.clear()
-            full = list(invariants._cut_records(g, radj, num, den,
-                                                kappa=lambda: 1))
+            full = invariants.CutWalk(g)
+            answer = full.at_least(t, kappa=lambda: 1)
             walked += len(masks)
             masks.clear()
-            assert list(invariants._cut_records(g, radj, num, den)) == full, (
-                g.edges, num, den)
+            walk = invariants.CutWalk(g)
+            assert walk.at_least(t) == answer, (g.edges, t)
+            assert (walk.num, walk.den, walk.cut) == (full.num, full.den,
+                                                      full.cut), (g.edges, t)
             floored += len(masks)
     assert floored < walked
 
@@ -444,13 +446,12 @@ def takes_kernel(g: Graph) -> bool:
 
 
 def walk_toughness(g: Graph):
-    """(tau, witness) from the last record of the cut walk, which leaves
-    the universal vertices out of the search as the dispatch does."""
-    n = g.n
-    radj = invariants._reversed_adj(g)
-    *_, (size, comps, cut) = invariants._cut_records(
-        g, radj, 1, 0, universal=universal_mask(g))
-    return Fraction(size, comps), frozenset(n - 1 - v for v in iter_bits(cut))
+    """(tau, witness) from the cut walk, which leaves the universal vertices
+    out of the search as the dispatch does, also on a graph the dispatch
+    sends to the clique kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_kernel_split", lambda radj, universal: None)
+        return tuple(toughness(g))
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Theorem registry, corpus hunting, the ratio inequality, and whole-family
 verification."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -33,7 +35,7 @@ from tough2f import (
 from tough2f.families import FamilySpec, build
 from tough2f.theorems import THEOREM_IDS
 
-from conftest import random_graph
+from conftest import random_connected_graph, random_graph
 from test_acceptance import hunt_grid
 
 
@@ -352,29 +354,86 @@ def test_graph_facts_grid_forest_clauses_do_not_search(monkeypatch,
     assert calls == []
 
 
+def masks_counted(monkeypatch) -> list:
+    """The component sets the cut walk counts from here on, one entry each."""
+    masks = []
+
+    def counted(adj, avail, real=invariants.component_masks):
+        masks.append(avail)
+        return real(adj, avail)
+
+    monkeypatch.setattr(invariants, "component_masks", counted)
+    return masks
+
+
 def test_graph_facts_derive_monotone_answers(monkeypatch):
-    asked = []
-
-    def counted(g, t, **kwargs):
-        asked.append(t)
-        return is_t_tough(g, t, **kwargs)
-
-    monkeypatch.setattr(invariants, "is_t_tough", counted)
+    # the walk pauses where tau >= 1 and tau < 3/2 were decided; the
+    # answers below are decided at that point, so nothing more is counted
+    masks = masks_counted(monkeypatch)
     facts = GraphFacts(cycle(5))  # tau = 1
     assert facts.tough_at(Fraction(1)) and not facts.tough_at(Fraction(3, 2))
+    assert masks
+    masks.clear()
     assert facts.tough_at(Fraction(1, 2))
     assert not facts.tough_at(Fraction(7, 4))
     assert not facts.tough_at(INF)
-    assert asked == [Fraction(1), Fraction(3, 2)]
     assert not facts.tough_at(Fraction(5, 4))
-    assert len(asked) == 3
+    assert masks == []
+
+
+def test_graph_facts_walk_once(monkeypatch, atlas_connected):
+    # each answer of one walk, asked in shuffled order, is that of a fresh
+    # call, and the questions together count no more component sets than
+    # one full toughness walk: no mask is counted twice
+    rng = random.Random(67)
+    thresholds = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 4),
+                  Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(3),
+                  INF]
+    hosts = [g for g in atlas_connected if not g.is_complete()]
+    hosts += [random_connected_graph(rng, rng.randint(8, 11))
+              for _ in range(200)]
+    masks = masks_counted(monkeypatch)
+    for g in hosts:
+        queries = thresholds * 2 + ["toughness"]
+        rng.shuffle(queries)
+        facts = GraphFacts(g)
+        asked = 0
+        for q in queries:
+            before = len(masks)
+            got = facts.toughness if q == "toughness" else facts.tough_at(q)
+            asked += len(masks) - before
+            if q == "toughness":
+                assert got == toughness(g), g.edges
+            else:
+                assert got == is_t_tough(g, q), (g.edges, q)
+        masks.clear()
+        toughness(g)
+        assert asked <= len(masks), g.edges
+
+
+def test_graph_facts_leave_no_cycle(hunt_corpus):
+    # the walk is given alpha and kappa on each call and keeps no reference
+    # to the facts, so they are freed without a garbage collection
+    grid = hunt_grid()
+    gc.disable()
+    try:
+        for g in hunt_corpus[:20]:
+            facts = GraphFacts(g)
+            for spec in grid:
+                check_theorem(spec, facts)
+            facts.toughness
+            ref = weakref.ref(facts)
+            del facts
+            assert ref() is None, g.edges
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("t", ["abc", None, [1], -1, float("nan"),
                                float("-inf")])
 def test_graph_facts_reject_bad_thresholds(t):
     facts = GraphFacts(cycle(5))
-    assert facts.tough_at(1) and not facts.tough_at(2)  # both bounds cached
+    assert facts.tough_at(1) and not facts.tough_at(2)  # the walk is paused
     with pytest.raises(GraphError):
         facts.tough_at(t)
 

@@ -6,14 +6,20 @@ The measurements, each made on the tough2f tree given by ``--src``:
   that one pass of the benchmark's ``hunt-shared`` workload makes, as
   ``bench/workloads.py`` sets it up for seed 3 and the default ``Sizes``.
   The queries are recorded while the pass runs once, untimed, and then
-  replayed as ``is_t_tough(g, t)``, without the ``alpha`` and ``kappa``
-  callables the hunt's ``GraphFacts`` pass: the median of 5 replays. So a
-  replayed query pays for every search its walk asks for.
+  replayed in their order, each graph's through one ``CutWalk`` of that
+  graph (``walk=``), as ``GraphFacts`` asks them, but without the
+  ``alpha`` and ``kappa`` callables it passes: the median of 5 replays.
+  So a replayed graph pays for every search its walk asks for, once.
+  Before the ``hunt-parent`` and ``hunt-change`` entries, each query was
+  replayed on a fresh walk, which a hunt does not pay for since its
+  questions share one walk a graph.
 - ``hunt_facts_s``: seconds for one such pass through fresh
-  ``GraphFacts``, as the workload runs it, so that the questions of one
-  graph share its cut walk: the median of 5 passes. ``hunt_facts_masks``
-  counts the ``component_masks`` calls the invariants module makes in one
-  pass, and ``hunt_reports_sha256`` digests the pass's ``HuntReport``s.
+  ``GraphFacts``, as the workload runs it: the median of 5 passes.
+  ``hunt_facts_masks`` counts the ``component_masks`` calls the
+  invariants module makes in one pass, ``hunt_reports_sha256`` digests
+  the pass's ``HuntReport``s, and ``hunt_sweeps`` and
+  ``hunt_sweeps_exhausted`` count the induced-path sweeps
+  (``forbidden._sweep``) the pass starts and walks to their end.
 - ``toughness_H2_s``, ``toughness_H3_s``, ``toughness_H4_s`` and
   ``toughness_R2213_s``: ``toughness`` on H(2) (order 12), H(3) (order
   17), H(4) (order 22) and R(2,2,1,3) (order 14), each with its value and
@@ -36,8 +42,8 @@ provenance of ``benchkit.provenance`` are merged into
 BENCH_cut_kernel.json under ``--label``, so a parent tree and a changed
 tree can be recorded side by side:
 
-    python3 scripts/bench_cut_kernel.py --src ../parent/src --label walk-parent
-    python3 scripts/bench_cut_kernel.py --label walk-change
+    python3 scripts/bench_cut_kernel.py --src ../parent/src --label hunt-parent
+    python3 scripts/bench_cut_kernel.py --label hunt-change
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ REPEATS = 5
 
 def main(argv=None) -> int:
     args = parse_args(__doc__.splitlines()[0], argv)
-    from tough2f import invariants
+    from tough2f import forbidden, invariants
     from tough2f.families import FamilySpec, build
     import workloads
 
@@ -95,36 +101,51 @@ def main(argv=None) -> int:
             kernel_queries += 1
             return kernel(*args)
 
+    def replay():
+        """The answer to each query, asked of its graph's one walk."""
+        walks = {}
+        for g, t in queries:
+            if id(g) not in walks:
+                walks[id(g)] = invariants.CutWalk(g)
+            yield is_t_tough(g, t, walk=walks[id(g)])
+
     answers = []
     masks_by_answer = {True: 0, False: 0}
     invariants.component_masks = counting
     if separator is not None:
         separator.clique_toughness = counting_kernel
     try:
-        for g, t in queries:
+        before = masks
+        for answer in replay():
+            answers.append(answer)
+            masks_by_answer[answer] += masks - before
             before = masks
-            answers.append(is_t_tough(g, t))
-            masks_by_answer[answers[-1]] += masks - before
     finally:
         invariants.component_masks = component_masks
         if separator is not None:
             separator.clique_toughness = kernel
 
-    def replay():
-        for g, t in queries:
-            is_t_tough(g, t)
-
-    hunt_s, hunt_all, _ = timed(replay, REPEATS)
+    hunt_s, hunt_all, _ = timed(lambda: list(replay()), REPEATS)
 
     def hunt_pass():
         return [call.run() for call in inputs.make_pass()]
 
+    sweep = forbidden._sweep
+    sweeps = [0, 0]  # started, exhausted
+
+    def counting_sweep(*args):
+        sweeps[0] += 1
+        yield from sweep(*args)
+        sweeps[1] += 1
+
     before = masks
     invariants.component_masks = counting
+    forbidden._sweep = counting_sweep
     try:
         reports = hunt_pass()
     finally:
         invariants.component_masks = component_masks
+        forbidden._sweep = sweep
     facts_masks = masks - before
     facts_s, facts_all, _ = timed(hunt_pass, REPEATS)
 
@@ -171,6 +192,8 @@ def main(argv=None) -> int:
         "hunt_facts_repeats_s": [round(s, 4) for s in facts_all],
         "hunt_reports_sha256": hashlib.sha256(
             repr(reports).encode()).hexdigest(),
+        "hunt_sweeps": sweeps[0],
+        "hunt_sweeps_exhausted": sweeps[1],
         "hunt_kernel_queries": kernel_queries,
         "hunt_universal_queries": sum(
             any(g.degree(v) == g.n - 1 for v in range(g.n))

@@ -7,6 +7,14 @@ cheapest first and evaluation short-circuits on the first failure; a graph
 is a counterexample exactly when every hypothesis holds and the conclusion
 fails. The registry also carries a deliberately false statement (1-tough
 implies a 2-factor) used as a harness self-test.
+
+One loop, ``_failed_clause``, finds the first clause that fails:
+``check_theorem`` builds its report from that index, and ``hunt`` counts
+from it and the 2-factor answer, with no report per graph. A
+forbidden-forest theorem asks its connectivity level before the forest:
+kappa is one search per graph, shared with the cut walk, while a
+P_m + kP_1-free clause that holds walks every induced path on up to 7
+vertices. So a graph below the level never starts that walk.
 """
 
 from __future__ import annotations
@@ -203,9 +211,9 @@ def make_theorem(theorem_id: str, **params) -> TheoremSpec:
         pattern = forbidden.ForestPattern((m,), values["k"])
         level += values["k"]
         clauses += [
-            (f"{pattern}-free", lambda f: f.is_free(pattern)),
             (f"order > {level}", lambda f: f.order > level),
             (f"kappa >= {level}", lambda f: f.kappa >= level),
+            (f"{pattern}-free", lambda f: f.is_free(pattern)),
         ]
     elif theorem_id == "NIESSEN":
         return TheoremSpec(theorem_id, shown, (
@@ -224,16 +232,24 @@ class CheckReport(NamedTuple):
     verdict: str                   # "confirms" | "vacuous" | "COUNTEREXAMPLE"
 
 
+def _failed_clause(spec: TheoremSpec, facts: GraphFacts) -> int:
+    """The index of the first hypothesis clause of ``spec`` that fails on
+    ``facts``, or -1 if every one holds."""
+    for i, (_, predicate) in enumerate(spec.clauses):
+        if not predicate(facts):
+            return i
+    return -1
+
+
 def check_theorem(spec: TheoremSpec, facts) -> CheckReport:
     if isinstance(facts, Graph):
         facts = GraphFacts(facts)
-    clause_results: dict = {name: None for name, _ in spec.clauses}
-    for name, predicate in spec.clauses:
-        ok = bool(predicate(facts))
-        clause_results[name] = ok
-        if not ok:
-            return CheckReport(facts.name, clause_results, False, None,
-                               "vacuous")
+    failed = _failed_clause(spec, facts)
+    held = len(spec.clauses) if failed < 0 else failed
+    clause_results = {name: i < held if i <= held else None
+                      for i, (name, _) in enumerate(spec.clauses)}
+    if failed >= 0:
+        return CheckReport(facts.name, clause_results, False, None, "vacuous")
     conclusion = facts.has_two_factor
     verdict = "confirms" if conclusion else "COUNTEREXAMPLE"
     return CheckReport(facts.name, clause_results, True, conclusion, verdict)
@@ -270,11 +286,10 @@ def hunt(corpus, spec: TheoremSpec) -> HuntReport:
                 continue
         else:
             facts = item if isinstance(item, GraphFacts) else GraphFacts(item)
-        verdict = check_theorem(spec, facts).verdict
-        if verdict == "confirms":
-            confirms += 1
-        elif verdict == "vacuous":
+        if _failed_clause(spec, facts) >= 0:
             vacuous += 1
+        elif facts.has_two_factor:
+            confirms += 1
         else:
             counterexamples.append(facts.name)
     return HuntReport(spec.describe(), total, confirms, vacuous, malformed,

@@ -33,7 +33,7 @@ from tough2f import (
     verify_family,
 )
 from tough2f.families import FamilySpec, build
-from tough2f.theorems import THEOREM_IDS
+from tough2f.theorems import THEOREM_IDS, HuntReport
 
 from conftest import random_connected_graph, random_graph
 from test_acceptance import hunt_grid
@@ -116,41 +116,41 @@ REGISTRY_PIN = [
     ("THM2", {"eps": F(1)}, "THM2[eps=1]", {"eps": "1"},
      "order >= 3 | delta >= eps*alpha | tau >= 1", "111 111 100 101"),
     ("THM3i", {"ell": 1, "k": 1}, "THM3i[ell=1,k=1]", {"ell": 1, "k": 1},
-     "order >= 3 | P2+P1-free | order > 1 | kappa >= 1 | tau >= 1",
-     "10111 11111 11110 10111"),
+     "order >= 3 | order > 1 | kappa >= 1 | P2+P1-free | tau >= 1",
+     "11101 11111 11110 11101"),
     ("THM3i", {"ell": 1, "k": 2}, "THM3i[ell=1,k=2]", {"ell": 1, "k": 2},
-     "order >= 3 | P2+2P1-free | order > 2 | kappa >= 2 | tau >= 1",
-     "11111 11111 11100 10111"),
+     "order >= 3 | order > 2 | kappa >= 2 | P2+2P1-free | tau >= 1",
+     "11111 11111 11010 11101"),
     ("THM3i", {"ell": 2, "k": 1}, "THM3i[ell=2,k=1]", {"ell": 2, "k": 1},
-     "order >= 3 | P4+P1-free | order > 2 | kappa >= 2 | tau >= 1",
-     "11111 11111 11100 10111"),
+     "order >= 3 | order > 2 | kappa >= 2 | P4+P1-free | tau >= 1",
+     "11111 11111 11010 11101"),
     ("THM3i", {"ell": 2, "k": 2}, "THM3i[ell=2,k=2]", {"ell": 2, "k": 2},
-     "order >= 3 | P4+2P1-free | order > 3 | kappa >= 3 | tau >= 1",
-     "11101 11111 11000 11101"),
+     "order >= 3 | order > 3 | kappa >= 3 | P4+2P1-free | tau >= 1",
+     "11011 11111 10010 11011"),
     ("THM3ii", {"k": 1}, "THM3ii[k=1]", {"k": 1},
-     "order >= 3 | P3+P1-free | order > 2 | kappa >= 2 | tau >= 1",
-     "11111 11111 11100 10111"),
+     "order >= 3 | order > 2 | kappa >= 2 | P3+P1-free | tau >= 1",
+     "11111 11111 11010 11101"),
     ("THM3ii", {"k": 2}, "THM3ii[k=2]", {"k": 2},
-     "order >= 3 | P3+2P1-free | order > 3 | kappa >= 3 | tau >= 1",
-     "11101 11111 11000 11101"),
+     "order >= 3 | order > 3 | kappa >= 3 | P3+2P1-free | tau >= 1",
+     "11011 11111 10010 11011"),
     ("THM4i", {"ell": 2, "k": 1}, "THM4i[ell=2,k=1]", {"ell": 2, "k": 1},
-     "order >= 3 | P5+P1-free | order > 2 | kappa >= 2 | tau >= 3/2",
-     "11110 11111 11100 11110"),
+     "order >= 3 | order > 2 | kappa >= 2 | P5+P1-free | tau >= 3/2",
+     "11110 11111 11010 11110"),
     ("THM4i", {"ell": 2, "k": 2}, "THM4i[ell=2,k=2]", {"ell": 2, "k": 2},
-     "order >= 3 | P5+2P1-free | order > 3 | kappa >= 3 | tau >= 3/2",
-     "11100 11111 11000 11100"),
+     "order >= 3 | order > 3 | kappa >= 3 | P5+2P1-free | tau >= 3/2",
+     "11010 11111 10010 11010"),
     ("THM4i", {"ell": 3, "k": 1}, "THM4i[ell=3,k=1]", {"ell": 3, "k": 1},
-     "order >= 3 | P7+P1-free | order > 3 | kappa >= 3 | tau >= 3/2",
-     "11100 11111 11000 11100"),
+     "order >= 3 | order > 3 | kappa >= 3 | P7+P1-free | tau >= 3/2",
+     "11010 11111 10010 11010"),
     ("THM4i", {"ell": 3, "k": 2}, "THM4i[ell=3,k=2]", {"ell": 3, "k": 2},
-     "order >= 3 | P7+2P1-free | order > 4 | kappa >= 4 | tau >= 3/2",
-     "11100 11001 11000 11100"),
+     "order >= 3 | order > 4 | kappa >= 4 | P7+2P1-free | tau >= 3/2",
+     "11010 10011 10010 11010"),
     ("THM4ii", {"k": 1}, "THM4ii[k=1]", {"k": 1},
-     "order >= 3 | P6+P1-free | order > 3 | kappa >= 3 | tau >= 3/2",
-     "11100 11111 11000 11100"),
+     "order >= 3 | order > 3 | kappa >= 3 | P6+P1-free | tau >= 3/2",
+     "11010 11111 10010 11010"),
     ("THM4ii", {"k": 2}, "THM4ii[k=2]", {"k": 2},
-     "order >= 3 | P6+2P1-free | order > 4 | kappa >= 4 | tau >= 3/2",
-     "11100 11001 11000 11100"),
+     "order >= 3 | order > 4 | kappa >= 4 | P6+2P1-free | tau >= 3/2",
+     "11010 10011 10010 11010"),
     ("THM1i", {"t": F(1)}, "THM1i[t=1]", {"t": "1"},
      "order >= 3 | delta >= (2-t)n/(1+t) | tau >= 1", "101 111 100 101"),
     ("THM1i", {"t": F(5, 4)}, "THM1i[t=5/4]", {"t": "5/4"},
@@ -285,6 +285,67 @@ def test_hunt_reuses_graph_facts():
     r2 = hunt(facts, make_theorem("EJKS2"))
     assert r1.clean and r2.clean
     assert r1.confirms == 2 and r2.confirms == 1
+
+
+def test_hunt_agrees_with_check_theorem(hunt_corpus):
+    # hunt tallies from the loop check_theorem reports from: the same
+    # counts, graph by graph, on fresh facts for each side
+    def tallied(items, spec):
+        verdicts = [(f.name, check_theorem(spec, f).verdict) for f in items]
+        return HuntReport(
+            spec.describe(), len(verdicts),
+            sum(v == "confirms" for _, v in verdicts),
+            sum(v == "vacuous" for _, v in verdicts), 0,
+            sorted(name for name, v in verdicts if v == "COUNTEREXAMPLE"))
+
+    def named(graphs):
+        return [GraphFacts(g, name=f"g{i}") for i, g in enumerate(graphs)]
+
+    hunted, checked = named(hunt_corpus), named(hunt_corpus)
+    for start in range(0, len(hunt_corpus), 100):
+        for spec in hunt_grid():
+            assert (hunt(hunted[start:start + 100], spec)
+                    == tallied(checked[start:start + 100], spec)), (
+                spec.describe(), start)
+    spec = make_theorem("FALSE1T")
+    report = hunt([GraphFacts(h1_graph(), name="H:n=1")], spec)
+    assert report == tallied([GraphFacts(h1_graph(), name="H:n=1")], spec)
+    assert report.counterexamples == ["H:n=1"]
+
+
+def test_forest_clause_waits_for_the_kappa_level(monkeypatch, hunt_corpus):
+    # a forest theorem asks kappa >= L before P_m + kP_1-free, so no graph
+    # below its level starts the induced-path sweep
+    real = GraphFacts.is_free
+    asked = []
+
+    def recorded(facts, pattern):
+        asked.append(facts.graph)
+        return real(facts, pattern)
+
+    monkeypatch.setattr(GraphFacts, "is_free", recorded)
+    kappas = [invariants.connectivity(g) for g in hunt_corpus]
+    facts = [GraphFacts(g) for g in hunt_corpus]
+    forest = [spec for spec in hunt_grid()
+              if any(name.endswith("-free") for name, _ in spec.clauses)]
+    assert len(forest) == 12
+    below = 0
+    for spec in forest:
+        names = [name for name, _ in spec.clauses]
+        (level,) = [int(name.split(">= ")[1]) for name in names
+                    if name.startswith("kappa >= ")]
+        (free,) = [name for name in names if name.endswith("-free")]
+        for f, kappa in zip(facts, kappas):
+            asked.clear()
+            report = check_theorem(spec, f)
+            if kappa < level:
+                below += 1
+                assert asked == [], (spec.describe(), f.graph.edges)
+                assert report.clause_results[free] is None
+                assert report.clause_results[f"kappa >= {level}"] is False
+            else:
+                assert asked == [f.graph], (spec.describe(), f.graph.edges)
+    assert below >= 1000
 
 
 def test_graph_facts_match_direct_calls():

@@ -1,4 +1,4 @@
-"""2-factor existence via perfect matching in two gadgets.
+"""2-factor existence and its certificate via perfect matching in a gadget.
 
 Let nu_2(H) be the most edges of a subgraph F of H with every degree at
 most 2, and def_2(H) = 2|V(H)| - 2 nu_2(H), which is 0 exactly when H has
@@ -24,34 +24,54 @@ M xor P that starts at the failed root r with its P-edge would end after
 a P-edge at a vertex exposed in M (every vertex is covered by P), so it
 would be an augmenting path from r, which the search would have found.
 
-The Tutte gadget (Tutte, 1954) carries the certificate. It has one block
-per vertex v, in index order: d(v) edge-slot vertices, one per neighbour
-of v in increasing order, then d(v) - 2 core vertices, joined completely
-bipartitely to the slots. Each edge joins the slots it occupies at its two
-endpoints, which are partners. A maximum matching of it has nu_2 + #cores
-edges: F's partner pairs plus one free slot per core give a matching that
-large, and an unmatched core has all its slots matched, so trading one of
-their partner pairs for the core turns M, core by core, into F plus the
-cores. So a largest F read off the split gadget, plus each core on a free
-slot, is already a maximum matching there. A certified negative reads its
-Tutte barrier (``Barrier``; the ``barriers`` module states the deficiency)
-off that matching by a rule (``_tutte_pair``) that is checked on every
-answer, not proved. The rule reads only D, the Gallai-Edmonds set of the
-vertices that some maximum matching misses, and its neighbours, so every
-maximum matching gives the same pair. For a maximum M, D is the set of
-outer vertices of the failed searches from M's exposed vertices: an even
-alternating path from an exposed r to v gives the maximum M xor P that
-misses v; and if a maximum M' misses v and M covers it, the path of
-M xor M' from v has even length (else it augments M'), so it is such a
-path from its other end, exposed in M. The search from r marks outer
-exactly the ends of the even alternating paths from r (Edmonds, "Paths,
-trees, and flowers", 1965).
+The same gadget carries the certificate. Let M be a maximum matching of
+it, not perfect, and D, X = N(D) - D and C the Gallai-Edmonds sets: D
+holds the vertices that some maximum matching misses. Every maximum
+matching is near-perfect on each component of D, perfect on C, and matches
+X into distinct components of D (Lovasz and Plummer, "Matching Theory",
+1986, Thm 3.2.1). So those components have odd order, M misses c(D) - |X|
+vertices, a vertex of C has a neighbour in C, and each x in X sees two
+components of D (if one only, every maximum matching would match x into it
+and cover it). D is the set of outer vertices of the failed searches from
+M's exposed vertices, so M does not change it: an even alternating path P
+from an exposed r to v gives the maximum M xor P that misses v; and if a
+maximum M' misses v and M covers it, the path of M xor M' from v has even
+length (else it augments M'), so it is such a path from its other end,
+exposed in M. A search from r marks outer exactly the ends of even
+alternating paths from r (Edmonds, "Paths, trees, and flowers", 1965).
 
-``max_matching(adj)`` computes a maximum matching of sorted neighbour
-lists, as a mate array, by an unweighted Edmonds blossom search from a
-greedy matching, each vertex on its first free neighbour. A contraction
-enqueues the vertices it makes outer in increasing index order, so the
-matching found is the one a full rescan of the blossom bases would find.
+``_split_pair`` reads the barrier (``Barrier``; ``barriers`` states the
+deficiency): v joins A when its copies are in X, B when they are in D and
+X holds all of v's ports; swapping 2v and 2v + 1 is an automorphism, so
+the copies share a set. Claim: -deficiency(A, B) >= c(D) - |X| = def_2(G),
+so (A, B) is a barrier, of the largest deficit by the weak half of Tutte's
+f-factor theorem (``barriers``). Proof: a port in X sees at most one
+component of D through its partner, so its copies are in D. Let R_D and
+R_C hold the other vertices, with copies in D and in C. So the ports of
+R_C are in C. A v in R_D has a port in D, so its copies lie in one
+component K_v, and a port of v in X, seeing K_v only through them, has its
+partner in D outside K_v: at A or R_D, as the ports of B are in X and those
+of R_C in C. So no edge joins R_C and R_D, and an edge at R_D has a port
+in D. The components of D are the copies of B, alone; ports at A alone,
+with the partner in X (two would form an even component): one per edge
+from A to B (that port sees only X, so is not in C) and one per port of
+R_D in X with its partner at A; and those holding copies of R_D, each
+within one component H of G - A - B, as it passes between copies only by
+the two ports of an edge inside R_D. Counting X likewise, c(D) - |X| =
+2|B| - 2|A| - sum_{v in B} d_{G-A}(v) + sum_H (k_H - r_H) over the H in
+R_D, where k_H components of D hold copies of H and r_H ports of H in X
+have their partner in H. An edge of H with both ports in D stays in one
+component and the others are the r_H, so, H being connected, k_H - r_H <=
+1. The k_H odd components hold 2|H| + e(H, B) + r_H + (an even number)
+vertices, so k_H = r_H + 1 makes e(H, B) odd: H counts in o(A, B).
+
+``build_gadget`` lays out Tutte's gadget (Tutte, 1954): per vertex v, d(v)
+edge slots and d(v) - 2 cores joined to them, each edge between the slots
+it occupies. ``max_matching(adj)`` matches sorted neighbour lists (a mate
+array) by the blossom search from a greedy matching, each vertex on its
+first free neighbour. The package calls neither; the tests pin both. A
+contraction enqueues the vertices it makes outer in increasing index
+order, so the matching found is the one a full rescan of the bases finds.
 
 ``brute_force_two_factor`` is the independent oracle: exhaustive per-vertex
 choice of 2 incident edges.
@@ -287,14 +307,10 @@ def _greedy_f(g: Graph, mask: int) -> list:
     return f
 
 
-def _tutte_pair(g: Graph, adj: list, mate: list) -> tuple[int, int]:
+def _split_pair(g: Graph, adj: list, mate: list) -> tuple[int, int]:
     """(A, B) masks read off a maximum matching ``mate``, not perfect, of
-    the gadget ``adj`` of ``g``. D, the Gallai-Edmonds set, joins the outer
-    vertices of the failed search from each exposed vertex; X = N(D) - D.
-    v joins A when X holds all its slots, else B when X holds all its
-    cores (d(v) >= 3), or D meets its slots and X none of them (d(v) = 2).
-    A search that augments shows ``mate`` was not maximum, and raises
-    CertificateError."""
+    the split gadget ``adj`` of ``g`` (module docstring). A search that
+    augments shows ``mate`` is not maximum and raises CertificateError."""
     search, outer = _searches(adj, mate)
     in_d = set()
     for root in [x for x, m in enumerate(mate) if m == -1]:
@@ -302,16 +318,11 @@ def _tutte_pair(g: Graph, adj: list, mate: list) -> tuple[int, int]:
             raise CertificateError("the gadget matching is not maximum")
         in_d.update(outer)
     in_x = {y for x in in_d for y in adj[x]} - in_d
-    a_mask = b_mask = start = 0
+    a_mask = b_mask = 0
     for v in range(g.n):
-        d = g.degree(v)
-        slots = range(start, start + d)
-        cores = range(start + d, start + 2 * d - 2)
-        start += 2 * d - 2
-        if in_x.issuperset(slots):
+        if 2 * v in in_x:
             a_mask |= 1 << v
-        elif (in_x.issuperset(cores) if cores else
-              in_x.isdisjoint(slots) and not in_d.isdisjoint(slots)):
+        elif 2 * v in in_d and in_x.issuperset(adj[2 * v]):
             b_mask |= 1 << v
     return a_mask, b_mask
 
@@ -355,34 +366,22 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
 
     With ``certify`` set, a negative answer carries a barrier at every
     order: (empty, {v}) for the lowest v of degree below 2, else the pair
-    ``_tutte_pair`` reads off a maximum matching of the Tutte gadget
-    (checked, not proved: a pair that is no barrier raises
-    CertificateError).
+    ``_split_pair`` reads off the split gadget, proved a barrier in the
+    module docstring; a pair of deficiency above -2 raises CertificateError.
     """
     low = next((v for v in range(g.n) if g.degree(v) < 2), None)
     if low is not None:
         return _negative(g, (0, 1 << low) if certify else None)
     adj, edges, mate = _split(g, g.full_mask, _greedy_f(g, g.full_mask))
-    perfect = _augment(adj, mate, not certify)
-    if not (perfect or certify):
-        return _negative(g, None)
+    if not _augment(adj, mate, not certify):
+        return _negative(g, _split_pair(g, adj, mate) if certify else None)
     # _split matches every port and augmenting keeps it matched, so p_u is
-    # on a copy exactly when p_v is: a largest F, the factor if perfect
+    # on a copy exactly when p_v is
     n2 = 2 * g.n
-    f = {e for i, e in enumerate(edges) if mate[n2 + 2 * i] < n2}
-    if perfect:
-        if not verify_two_factor(g, factor := TwoFactor(frozenset(f))):
-            raise CertificateError("the matched edges do not form a 2-factor")
-        return TwoFactorResult(factor)
-    # seed the Tutte gadget with F, then each core on its vertex's first
-    # free slot; u's slot of an edge (u, v) comes first and lists v's last
-    adj, host_edge = build_gadget(g)
-    mate = [-1] * len(adj)
-    for x, e in enumerate(host_edge):
-        if mate[x] == -1 and (e is None or e in f):
-            y = adj[x][-1] if e else next(y for y in adj[x] if mate[y] == -1)
-            mate[x], mate[y] = y, x
-    return _negative(g, _tutte_pair(g, adj, mate))
+    f = frozenset(e for i, e in enumerate(edges) if mate[n2 + 2 * i] < n2)
+    if not verify_two_factor(g, factor := TwoFactor(f)):
+        raise CertificateError("the matched edges do not form a 2-factor")
+    return TwoFactorResult(factor)
 
 
 def _as_barrier(a_mask: int, b_mask: int, d: int) -> Barrier:

@@ -201,8 +201,8 @@ def test_find_two_factor_matches_each_gadget_once(monkeypatch):
             find_two_factor(g, certify)
     # path(4) has a vertex of degree 1, so no gadget is built for it; each
     # other call matches one split gadget, and a certified negative (k23
-    # and H(1)) lays out the Tutte gadget already matched, for its barrier
-    assert calls == {"_split": 8, "build_gadget": 2, "_augment": 8}
+    # and H(1)) reads its barrier off that gadget too
+    assert calls == {"_split": 8, "build_gadget": 0, "_augment": 8}
 
 
 def counted_searches(monkeypatch) -> list:
@@ -231,34 +231,30 @@ def test_find_two_factor_searches_from_the_seed(monkeypatch):
 
 
 @pytest.mark.parametrize("text", ["Ghat:n=2,k=2", "G:n=1,k=1"])
-def test_certified_negative_searches_the_tutte_gadget_once(monkeypatch, text):
+def test_certified_negative_searches_the_split_gadget_once(monkeypatch, text):
     roots = counted_searches(monkeypatch)
     g = build(FamilySpec.parse(text)).graph
     result = find_two_factor(g, certify=True)
-    order = len(build_gadget(g).adj)
-    tutte = [root for size, root in roots if size == order]
-    # the seeded Tutte matching is maximum, so its def_2(G) exposed
-    # vertices are searched once each, by _tutte_pair alone
-    assert len(tutte) == len(set(tutte)) == -result.barrier.deficiency == 2
-    assert len(roots) - len(tutte) == 2  # the split gadget's failed searches
+    order = 2 * g.n + 2 * len(g.edges)
+    assert {size for size, _ in roots} == {order}
+    # the greedy seed leaves 2 copies exposed and both searches fail, so
+    # the matching is maximum; _split_pair searches those def_2(G) exposed
+    # copies again, once each
+    assert len(roots) == 4 and roots[:2] == roots[2:]
+    assert len(set(roots)) == -result.barrier.deficiency == 2
 
 
-def test_tutte_pair_rejects_a_matching_that_is_not_maximum():
-    # G(1,1)'s Tutte gadget seeded from an empty F, each core on its
-    # vertex's first free slot: some search from an exposed vertex augments.
-    # A hang here ends the run with a traceback instead of stalling it.
+def test_split_pair_rejects_a_matching_that_is_not_maximum():
+    # G(1,1)'s split gadget seeded from an empty F: every copy is exposed,
+    # and a search from one augments through a port pair. A hang here ends
+    # the run with a traceback instead of stalling it.
     g = build(FamilySpec.parse("G:n=1,k=1")).graph
-    adj, host_edge = build_gadget(g)
-    mate = [-1] * len(adj)
-    for x, e in enumerate(host_edge):
-        if e is None:
-            y = next(y for y in adj[x] if mate[y] == -1)
-            mate[x], mate[y] = y, x
+    adj, _, mate = matching._split(g, g.full_mask, [])
     assert -1 in mate
     faulthandler.dump_traceback_later(60, exit=True)
     try:
         with pytest.raises(CertificateError):
-            matching._tutte_pair(g, adj, mate)
+            matching._split_pair(g, adj, mate)
     finally:
         faulthandler.cancel_dump_traceback_later()
 
@@ -421,6 +417,25 @@ def test_blossom_agrees_with_brute_force():
             brute_force_two_factor(g) is not None)
 
 
+def min_degree_two_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """A random graph of order ``n`` and density about ``p``, then a random
+    edge added at each vertex of degree below 2 until it has 2."""
+    edges = set(random_graph(rng, n, p).edges)
+    degree = [0] * n
+    for e in edges:
+        for v in e:
+            degree[v] += 1
+    for v in range(n):
+        while degree[v] < 2:
+            u = rng.randrange(n)
+            e = (min(u, v), max(u, v))
+            if u != v and e not in edges:
+                edges.add(e)
+                degree[u] += 1
+                degree[v] += 1
+    return Graph(n, sorted(edges))
+
+
 def test_find_two_factor_matches_brute_force_from_every_seed(monkeypatch):
     # orders 4-10 at densities 0.15-0.9, with and without a certificate,
     # from the greedy seed and from every other edge of it, so the search
@@ -429,17 +444,28 @@ def test_find_two_factor_matches_brute_force_from_every_seed(monkeypatch):
     graphs = [random_graph(rng, 4 + i % 7, rng.uniform(0.15, 0.9))
               for i in range(600)]
     wants = [brute_force_two_factor(g) is not None for g in graphs]
+    # sparse graphs with minimum degree 2 at orders 12-40, beyond the
+    # brute force's caps, that have no 2-factor: the barrier proves it
+    large = [min_degree_two_graph(rng, n, rng.uniform(1, 3) / n)
+             for n in (rng.randint(12, 40) for _ in range(200))]
+    large = [g for g in large if not find_two_factor(g).exists]
     greedy = matching._greedy_f
     short = {"greedy": 0, "halved": 0}
+    certified = {}
     for seed, f in (("greedy", greedy),
                     ("halved", lambda g, mask: greedy(g, mask)[::2])):
         monkeypatch.setattr(matching, "_greedy_f", f)
-        for g, want in zip(graphs, wants):
+        certified[seed] = []
+        for g, want in zip(graphs + large, wants + [False] * len(large)):
             assert find_two_factor(g).exists == want
             result = find_two_factor(g, certify=True)
             assert result.exists == want
             assert_certified(g, result)
+            certified[seed].append(result.barrier)
             mask = g.full_mask
             short[seed] += (2 * g.n - 2 * len(f(g, mask))
                             > matching.two_matching_deficiency(g, mask))
     assert short["greedy"] > 100 and short["halved"] > 500
+    # the barrier is read off D, which no maximum matching changes
+    assert certified["halved"] == certified["greedy"]
+    assert len(large) > 100

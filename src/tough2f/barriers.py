@@ -37,8 +37,8 @@ from typing import NamedTuple
 from .graphs import (CertificateError, Graph, GraphError, component_masks,
                      iter_bits, vertex_mask)
 from .invariants import is_t_tough
-from .matching import (Barrier, _as_barrier, _deficiency_masks, _greedy_f,
-                       _split_deficiency)
+from .matching import (Barrier, _as_barrier, _deficiency_from,
+                       _deficiency_masks, _greedy_f, _split_deficiency)
 
 EXHAUSTIVE_BARRIER_CAP = 14  # the (A,B) search space is 3^n
 
@@ -286,7 +286,7 @@ def _barrier_decomposition(g: Graph, barrier: Barrier) -> BarrierDecomposition:
     """The decomposition of ``barrier``'s pair, which must be a barrier
     whose deficiency the record states."""
     dec = decompose(g, barrier.a, barrier.b)
-    d = _deficiency_masks(g, dec.a_mask, dec.b_mask)
+    d = _deficiency_from(g, dec.a_mask, dec.b_mask, dec.odd_count)
     if d > -2:
         raise GraphError("pair is not a barrier")
     if d != barrier.deficiency:

@@ -331,6 +331,57 @@ def _kernel_split(radj: list[int], universal: int) -> tuple | None:
     return clique, shared, pieces
 
 
+# ``CutWalk`` builds the families of disconnected kept sets once it has
+# counted FAMILY_AFTER_SETS more connected kept sets than disconnected
+# ones, on at most FAMILY_MAX_ORDER vertices besides U. A family has 2^n'
+# bits, and at n' = 12 the build takes about 110 us, some 100 counts.
+# Only connected sets are skipped, so H(2)'s walk (96 connected of 382)
+# never builds, and a hunt graph (orders 8-11) builds after some 70 sets.
+FAMILY_AFTER_SETS = 64
+FAMILY_MAX_ORDER = 12
+
+
+def _disconnected_families(radj: list[int], top: int) -> list[int]:
+    """D with D[k], for k <= top, the integer whose bit K is set exactly
+    when K is a k-set of the vertices of the graph ``radj`` that induces a
+    disconnected subgraph; D[0] = D[1] = 0. See ``CutWalk`` for the proof.
+
+    P_k, every k-set, is built one vertex at a time (P_k |= P_{k-1} << 2^j
+    adds vertex j), and C_k, the connected k-sets, level by level from the
+    singletons: C_k is the union over v of the sets of C_{k-1} that miss v
+    and meet N(v) (``grow[v]``), each with v added (<< 2^v). D_k = P_k - C_k.
+    """
+    n = len(radj)
+    width = 1 << n  # one bit per vertex set
+    sel = []  # sel[v]: the sets that hold v
+    for v in range(n):
+        step = 1 << v
+        family, period = ((1 << step) - 1) << step, 2 * step
+        while period < width:
+            family |= family << period
+            period *= 2
+        sel.append(family)
+    grow = []
+    for v in range(n):
+        hit = 0
+        for u in iter_bits(radj[v]):
+            hit |= sel[u]
+        grow.append(hit & ~sel[v])
+    sets = [1] + [0] * top
+    for j in range(n):
+        for k in range(min(j + 1, top), 0, -1):
+            sets[k] |= sets[k - 1] << (1 << j)
+    families = [0, 0]
+    connected = sum(1 << (1 << v) for v in range(n))
+    for k in range(2, top + 1):
+        grown = 0
+        for v in range(n):
+            grown |= (connected & grow[v]) << (1 << v)
+        connected = grown
+        families.append(sets[k] ^ connected)
+    return families
+
+
 class CutWalk:
     """The cut sets of one graph, walked on demand. ``at_least(t)`` answers
     tau(G) >= t, resuming where the last question stopped; ``result()``
@@ -340,10 +391,10 @@ class CutWalk:
     and ``kappa``, if given, are callables that return alpha(G) and
     kappa(G); each is called at most once a walk, and never stored.
 
-    The walk steps by Gosper's hack through the masks of the vertices that
-    cuts leave, size by size, on G - U relabelled v -> n-1-v in increasing
-    order, U the universal vertices. It adds U to each cut: every cut
-    holds U, as G - S is connected while a vertex of U is kept, and an
+    The walk steps through the masks of the vertices that cuts leave, size
+    by size, on G - U relabelled v -> n-1-v in increasing order, U the
+    universal vertices. It adds U to each cut: every cut holds U, as
+    G - S is connected while a vertex of U is kept, and an
     order-preserving relabelling keeps the order of the cuts that hold U.
     So the masks come in the (|S|, lexicographic) order of the cuts. Each
     is counted, and the record kept: the least ratio over the cuts
@@ -362,9 +413,9 @@ class CutWalk:
     - the masks come in one order whatever is asked, and a question only
       moves where the walk pauses; the next resumes at the mask after it,
       so no mask is counted twice;
-    - the sets it leaves out, those without U and the sizes below
-      kappa(G) (below), have c(G - S) = 1, so it meets a prefix of the
-      plain walk's cuts, in order;
+    - the sets it leaves out, those without U, the sizes below kappa(G)
+      (below) and the connected kept sets, have c(G - S) = 1, so it meets
+      a prefix of the plain walk's cuts, in order;
     - so on that prefix its record is the plain walk's, which changes only
       on a strict improvement, and none comes once the tests hold for it.
     No question walks past that end: for t <= tau the tests for t hold
@@ -377,16 +428,46 @@ class CutWalk:
     skip to size kappa: a cut at the first size makes it kappa, and
     kappa <= delta, so otherwise the search would be wasted, as on the
     many graphs without a 2-factor with a cut vertex or degree-2 vertex.
+
+    Within a size, the masks of k = n - s kept vertices come by Gosper's
+    hack, in increasing order. Once it has counted FAMILY_AFTER_SETS more
+    connected masks than disconnected ones, on at most FAMILY_MAX_ORDER
+    vertices, the walk builds the families D_k of the disconnected kept
+    sets (``_disconnected_families``), up to the current k, and from then
+    on jumps: kept is the lowest set bit of D_k at or
+    above the next mask, found as the lowest set bit of D_k >> next, and
+    the walk resumes at kept + 1. The masks it jumps over are connected
+    kept sets, left out above: with one component none reaches c_min >= 2.
+    So the order, the pauses and the records are those of the Gosper walk.
+    The families are exact. P_k, built one vertex at a time, holds every
+    k-set: a k-set of the first j + 1 vertices either misses vertex j or is
+    a (k-1)-set of the first j plus j, bit K + 2^j. C_k holds the connected
+    k-sets: if G'[K] is connected and |K| >= 2, a spanning tree of it has a
+    leaf v, and K - v is connected and meets N(v); conversely such a K - v
+    and v make a connected K. So C_k is the union over v of the sets of
+    C_{k-1} that miss v and meet N(v), shifted by 2^v, from C_1 the
+    singletons, and D_k = P_k - C_k. The families are dropped once the
+    walk is done.
+
+    A question t is answered False at once, the walk left where it was,
+    when a cheap cut of G, non-complete here, shows tau < t: N(v) for v of
+    minimum degree leaves v and another vertex in different components, so
+    tau <= delta/2; and the complement of a maximum independent set leaves
+    alpha isolated vertices, alpha >= 2, so tau <= (n - alpha)/alpha. The
+    alpha bound is used only when the caller passes ``alpha``, so a lone
+    question does not start an alpha search for it.
     """
 
     __slots__ = ("g", "radj", "full", "universal", "size", "rest", "num",
-                 "den", "cut", "alpha", "kappa", "done")
+                 "den", "cut", "alpha", "kappa", "delta", "budget",
+                 "families", "done")
 
     def __init__(self, g: Graph):
         self.g = g
         self.universal = self.size = self.alpha = self.kappa = 0
         # the record num/den (1/0: no cut yet) and its cut, in walk labels
         self.num, self.den, self.cut, self.done = 1, 0, 0, True
+        self.families = None
         if g.is_complete():
             return
         if not g.is_connected():
@@ -402,6 +483,7 @@ class CutWalk:
             self.num, self.den, self.cut = clique_toughness(radj, universal,
                                                             *split)
             return
+        self.delta = min(map(int.bit_count, radj))
         for u in sorted(iter_bits(universal), reverse=True):
             low = (1 << u) - 1  # walk G - U: drop u and close the gap
             radj = [a & low | a >> 1 & ~low for a in radj[:u] + radj[u + 1:]]
@@ -409,6 +491,10 @@ class CutWalk:
         self.full = (1 << len(radj)) - 1
         self.size = max(1, universal.bit_count())
         self.rest = (1 << n - self.size) - 1
+        # the families are built when this falls to 0: it drops by 1 on each
+        # connected kept set counted and rises by 1 on each disconnected one
+        self.budget = (FAMILY_AFTER_SETS if len(radj) <= FAMILY_MAX_ORDER
+                       else INF)
 
     def at_least(self, t, alpha=None, kappa=None) -> bool:
         """tau(G) >= t, for a positive ``Fraction`` or ``INF``; t = None
@@ -417,10 +503,19 @@ class CutWalk:
             return self.done and not self.den
         p, q = (0, 1) if t is None else (t.numerator, t.denominator)
         num, den, cut = self.num, self.den, self.cut
-        if self.done:
+        if self.done or num * q < p * den:
             return num * q >= p * den
         g, radj, full = self.g, self.radj, self.full
         n, size, rest = g.n, self.size, self.rest
+        if p:  # the cheap cuts
+            if self.delta * q < 2 * p:
+                return False
+            if alpha is not None:
+                if not self.alpha:
+                    self.alpha = alpha()
+                if (n - self.alpha) * q < self.alpha * p:
+                    return False
+        families, budget = self.families, self.budget
         while num * q >= p * den:
             left = n - size
             a, b = (p, q) if p else (num, den)  # the stop tests' ratio
@@ -434,27 +529,46 @@ class CutWalk:
                 break
             # n - len(radj) = |U|: the start of the second size, no cut yet
             if (not den and not self.kappa and size > max(1, n - len(radj))
-                    and min(map(int.bit_count, radj)) + n - len(radj) > size):
+                    and self.delta > size):
                 self.kappa = kappa() if kappa is not None else connectivity(g)
                 if self.kappa > size:
                     size = self.kappa
                     rest = (1 << n - size) - 1
                     continue
             c_min = max(2, size * den // num + 1)
-            while rest <= full:
-                kept = rest
-                low = rest & -rest
-                ripple = rest + low
-                rest = (((ripple ^ rest) >> 2) // low) | ripple
-                count = len(component_masks(radj, kept))
-                if count >= c_min:
-                    num, den, cut = size, count, full & ~kept
-                    break
+            count = 0
+            if families is None:
+                while rest <= full and budget:
+                    kept = rest
+                    low = rest & -rest
+                    ripple = rest + low
+                    rest = (((ripple ^ rest) >> 2) // low) | ripple
+                    count = len(component_masks(radj, kept))
+                    if count >= c_min:
+                        break
+                    budget += 1 if count > 1 else -1
+                else:
+                    if rest <= full:  # the budget is spent: jump from here
+                        families = _disconnected_families(radj, left)
+            if families is not None:
+                del families[left + 1:]  # the sizes walked
+                disconnected = families[left]
+                while count < c_min:
+                    ahead = disconnected >> rest
+                    if not ahead:
+                        break
+                    kept = rest + (ahead & -ahead).bit_length() - 1
+                    rest = kept + 1
+                    count = len(component_masks(radj, kept))
+            if count >= c_min:
+                num, den, cut = size, count, full & ~kept
             else:
                 size += 1
                 rest = (1 << n - size) - 1
         self.size, self.rest, self.num, self.den, self.cut = (
             size, rest, num, den, cut)
+        self.budget = budget
+        self.families = None if self.done else families
         return num * q >= p * den
 
     def result(self) -> ToughnessResult:

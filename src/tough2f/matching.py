@@ -39,6 +39,9 @@ maximum M' misses v and M covers it, the path of M xor M' from v has even
 length (else it augments M'), so it is such a path from its other end,
 exposed in M. A search from r marks outer exactly the ends of even
 alternating paths from r (Edmonds, "Paths, trees, and flowers", 1965).
+A failed search does not change the matching, so the searches that
+``_augment`` ran after its last augmentation ran on M itself: their outer
+sets are reused, and only the other exposed vertices are searched again.
 
 ``_split_pair`` reads the barrier (``Barrier``; ``barriers`` states the
 deficiency): v joins A when its copies are in X, B when they are in D and
@@ -266,15 +269,23 @@ def _searches(adj: list[list[int]], mate: list[int]):
     return search, outer
 
 
-def _augment(adj: list[list[int]], mate: list[int], stop: bool) -> bool:
-    """Grow ``mate`` by one search per exposed vertex with a neighbour;
-    whether it ends perfect. With ``stop``, give up at the first failed
-    search: its root stays exposed, so no matching is perfect."""
-    search, _ = _searches(adj, mate)
+def _augment(adj: list[list[int]], mate: list[int], stop: bool) -> dict:
+    """Grow ``mate`` by one search per exposed vertex with a neighbour.
+    Returns the outer vertices of each failed search made after the last
+    search that augmented, by root: an augmentation changes the matching
+    the searches before it ran on. With ``stop``, give up at the first
+    failed search: its root stays exposed, so no matching is perfect."""
+    search, outer = _searches(adj, mate)
+    failed: dict = {}
     for v in range(len(adj)):
-        if mate[v] == -1 and adj[v] and not search(v) and stop:
-            return False
-    return -1 not in mate
+        if mate[v] == -1 and adj[v]:
+            if search(v):
+                failed.clear()
+            else:
+                failed[v] = outer.copy()
+                if stop:
+                    break
+    return failed
 
 
 def max_matching(adj: list[list[int]]) -> list[int]:
@@ -307,16 +318,24 @@ def _greedy_f(g: Graph, mask: int) -> list:
     return f
 
 
-def _split_pair(g: Graph, adj: list, mate: list) -> tuple[int, int]:
+def _split_pair(g: Graph, adj: list, mate: list,
+                failed: dict | None = None) -> tuple[int, int]:
     """(A, B) masks read off a maximum matching ``mate``, not perfect, of
-    the split gadget ``adj`` of ``g`` (module docstring). A search that
-    augments shows ``mate`` is not maximum and raises CertificateError."""
+    the split gadget ``adj`` of ``g`` (module docstring). The exposed
+    vertices in ``failed``, as ``_augment`` returns it for ``mate``, keep
+    the outer sets of their searches there; the others are searched here.
+    A search that augments shows ``mate`` is not maximum and raises
+    CertificateError."""
+    failed = failed or {}
     search, outer = _searches(adj, mate)
     in_d = set()
     for root in [x for x, m in enumerate(mate) if m == -1]:
-        if search(root):
+        if root in failed:
+            in_d.update(failed[root])
+        elif search(root):
             raise CertificateError("the gadget matching is not maximum")
-        in_d.update(outer)
+        else:
+            in_d.update(outer)
     in_x = {y for x in in_d for y in adj[x]} - in_d
     a_mask = b_mask = 0
     for v in range(g.n):
@@ -373,8 +392,10 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     if low is not None:
         return _negative(g, (0, 1 << low) if certify else None)
     adj, edges, mate = _split(g, g.full_mask, _greedy_f(g, g.full_mask))
-    if not _augment(adj, mate, not certify):
-        return _negative(g, _split_pair(g, adj, mate) if certify else None)
+    failed = _augment(adj, mate, not certify)
+    if -1 in mate:
+        return _negative(g, _split_pair(g, adj, mate, failed)
+                         if certify else None)
     # _split matches every port and augmenting keeps it matched, so p_u is
     # on a copy exactly when p_v is
     n2 = 2 * g.n
@@ -391,16 +412,21 @@ def _as_barrier(a_mask: int, b_mask: int, d: int) -> Barrier:
 
 def _deficiency_masks(g: Graph, a_mask: int, b_mask: int) -> int:
     adj = g.adj
-    rest = g.full_mask & ~a_mask & ~b_mask
-    degree_sum = 0
-    for v in iter_bits(b_mask):
-        degree_sum += (adj[v] & ~a_mask).bit_count()
     odd = 0
-    for comp in component_masks(adj, rest):
+    for comp in component_masks(adj, g.full_mask & ~a_mask & ~b_mask):
         e_hb = 0
         for v in iter_bits(comp):
             e_hb += (adj[v] & b_mask).bit_count()
         odd += e_hb & 1
+    return _deficiency_from(g, a_mask, b_mask, odd)
+
+
+def _deficiency_from(g: Graph, a_mask: int, b_mask: int, odd: int) -> int:
+    """deficiency(A, B) of the masks, given o(A, B) = ``odd``."""
+    adj = g.adj
+    degree_sum = 0
+    for v in iter_bits(b_mask):
+        degree_sum += (adj[v] & ~a_mask).bit_count()
     return (2 * a_mask.bit_count() - 2 * b_mask.bit_count()
             + degree_sum - odd)
 

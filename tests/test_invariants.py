@@ -602,3 +602,152 @@ def test_each_kernel_query_splits_once(monkeypatch, kernel_calls):
         is_t_tough(g, Fraction(3, 2))
     assert len(kernel_calls) == 9
     assert len(splits) == len(kernel_calls)
+
+
+# The cut walk's families of disconnected kept sets, and its cheap cuts ------------
+
+def joined(g: Graph, u: int) -> Graph:
+    """g with u universal vertices put in front, labels 0 to u - 1."""
+    edges = [(x, y) for x in range(u) for y in range(x + 1, g.n + u)]
+    return Graph(g.n + u, edges + [(x + u, y + u) for x, y in g.edges])
+
+
+@pytest.fixture
+def family_builds(monkeypatch):
+    """The (order, top level) of every family build made in the test."""
+    builds = []
+
+    def counted(radj, top, real=invariants._disconnected_families):
+        builds.append((len(radj), top))
+        return real(radj, top)
+
+    monkeypatch.setattr(invariants, "_disconnected_families", counted)
+    return builds
+
+
+def test_families_match_component_masks():
+    rng = random.Random(67)
+    for n in range(1, 11):
+        for u in (0, 1, 2):
+            g = joined(random_graph(rng, n - u, rng.uniform(0.1, 0.9)), u) \
+                if u < n else complete(n)
+            families = invariants._disconnected_families(g.adj, n)
+            assert len(families) == n + 1
+            for mask in range(1 << n):
+                disconnected = len(component_masks(g.adj, mask)) >= 2
+                assert (families[mask.bit_count()] >> mask & 1
+                        == disconnected), (g.edges, mask)
+            # a lower top builds the same levels, and no others
+            for top in range(2, n):
+                assert invariants._disconnected_families(g.adj, top) == \
+                    families[:top + 1]
+
+
+def test_dense_walks_jump_between_disconnected_sets(family_builds):
+    # orders 9-14, with universal vertices above order 12 so that the walk
+    # has at most FAMILY_MAX_ORDER vertices; thresholds asked in shuffled
+    # order of one walk, half with alpha given, then the walk to its end
+    rng = random.Random(71)
+    grid = [Fraction(p, q) for q in (1, 2, 3, 4) for p in range(q, 5 * q)]
+    built = 0
+    for order in range(9, 15):
+        u = max(0, order - invariants.FAMILY_MAX_ORDER)
+        for _ in range(3):
+            g = joined(random_graph(rng, order - u, rng.uniform(0.6, 0.85)), u)
+            if g.is_complete() or not g.is_connected():
+                continue
+            assert not takes_kernel(g)
+            expected = brute_toughness(g)
+            family_builds.clear()
+            assert tuple(toughness(g)) == expected, g.edges
+            built += bool(family_builds)
+            assert walk_toughness(g) == expected, g.edges
+            tau = expected[0]
+            alpha = independence_number(g)[0]
+            thresholds = grid + [tau]
+            rng.shuffle(thresholds)
+            walk = invariants.CutWalk(g)
+            for i, t in enumerate(thresholds):
+                given = (lambda: alpha) if i % 2 else None
+                assert is_t_tough(g, t, alpha=given, walk=walk) == (
+                    tau >= t), (g.edges, t)
+            assert tuple(toughness(g, walk=walk)) == expected, g.edges
+            assert walk.families is None  # dropped once done
+    assert built >= 12  # of 18 graphs
+
+
+def test_walk_above_the_family_cap_stays_on_gospers_loop(family_builds):
+    rng = random.Random(73)
+    order = invariants.FAMILY_MAX_ORDER + 3
+    g = random_graph(rng, order, 0.7)
+    assert g.is_connected() and not any(
+        g.degree(v) == order - 1 for v in range(order))
+    assert not takes_kernel(g)
+    tau, witness = brute_toughness(g)
+    assert tuple(toughness(g)) == (tau, witness)
+    for t in (Fraction(1), Fraction(3, 2), tau, Fraction(2)):
+        assert is_t_tough(g, t) == (tau >= t)
+    assert family_builds == []
+
+
+def test_h2_walk_meets_too_few_connected_sets_to_build(family_builds):
+    # 96 of the 382 kept sets of H(2)'s walk are connected: jumps over them
+    # would not repay the build, so the walk stays on Gosper's loop
+    g = build(FamilySpec.parse("H:n=2")).graph
+    assert toughness(g).value == Fraction(6, 5)
+    assert is_t_tough(g, 1)
+    assert family_builds == []
+
+
+def k_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(x, a + y) for x in range(a) for y in range(b)])
+
+
+def two_k24() -> Graph:
+    """Two K_{2,4} glued at vertex 5, on the larger side of both: delta = 2,
+    alpha = 7, and 5 is a cut vertex."""
+    return Graph(11, [(x, y) for x in (0, 1) for y in (2, 3, 4, 5)]
+                 + [(x, y) for x in (6, 7) for y in (5, 8, 9, 10)])
+
+
+@pytest.mark.parametrize("g, t, with_alpha", [
+    (petersen(), Fraction(7, 4), False),  # delta/2 = 3/2
+    (k_bipartite(3, 6), Fraction(1), True),  # (n - alpha)/alpha = 1/2
+    (joined(k_bipartite(4, 7), 1), Fraction(3, 4), True),  # 5/7
+    (two_k24(), Fraction(1), True),  # 4/7
+])
+def test_cheap_cuts_refute_before_the_walk(monkeypatch, g, t, with_alpha):
+    masks = []
+
+    def counted(adj, avail, real=component_masks):
+        masks.append(avail)
+        return real(adj, avail)
+
+    alpha = independence_number(g)[0]
+    delta = min_degree(g)
+    assert t > (Fraction(delta, 2) if not with_alpha
+                else Fraction(g.n - alpha, alpha))
+    if with_alpha:
+        assert t <= Fraction(delta, 2)  # the delta bound alone leaves it
+    monkeypatch.setattr(invariants, "component_masks", counted)
+    walk = invariants.CutWalk(g)
+    state = (walk.size, walk.rest, walk.num, walk.den, walk.cut)
+    asked = []
+    given = (lambda: asked.append(1) or alpha) if with_alpha else None
+    assert not walk.at_least(t, alpha=given)
+    assert masks == [] and len(asked) == with_alpha
+    assert (walk.size, walk.rest, walk.num, walk.den, walk.cut) == state
+    assert toughness(g, walk=walk) == toughness(g)
+    assert len(asked) == with_alpha  # alpha is asked once a walk
+
+
+def test_a_lone_question_starts_no_alpha_search(monkeypatch):
+    # its cut vertex answers tau >= 1 at size 1, below every alpha stop,
+    # while the alpha bound (4/7) would refute it: a standalone question,
+    # with no alpha given, must not search for alpha to use that bound
+    g = two_k24()
+    searched = []
+    monkeypatch.setattr(invariants, "independence_number",
+                        lambda g: searched.append(g) or (0, frozenset()))
+    assert not is_t_tough(g, 1)
+    assert searched == []

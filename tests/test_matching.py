@@ -238,9 +238,9 @@ def test_certified_negative_searches_the_split_gadget_once(monkeypatch, text):
     order = 2 * g.n + 2 * len(g.edges)
     assert {size for size, _ in roots} == {order}
     # the greedy seed leaves 2 copies exposed and both searches fail, so
-    # the matching is maximum; _split_pair searches those def_2(G) exposed
-    # copies again, once each
-    assert len(roots) == 4 and roots[:2] == roots[2:]
+    # the matching is maximum; _split_pair reuses the outer sets of those
+    # def_2(G) searches and searches no copy again
+    assert len(roots) == 2
     assert len(set(roots)) == -result.barrier.deficiency == 2
 
 

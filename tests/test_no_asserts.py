@@ -47,7 +47,7 @@ def test_two_factor_check_fires_under_optimize():
 def test_barrier_check_fires_under_optimize():
     # a derived pair that is no barrier: (empty, empty) has deficiency 0
     assert raises_under_optimize(
-        "m._split_pair = lambda g, adj, mate: (0, 0)",
+        "m._split_pair = lambda g, adj, mate, failed: (0, 0)",
         "m.find_two_factor(build(FamilySpec.parse('H:n=1')).graph, True)")
 
 

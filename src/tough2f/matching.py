@@ -16,13 +16,23 @@ has at most 2 edges at the ports of each edge e, 2 only when both ports
 are on copies; those edges F' have every degree at most 2, since each
 vertex has two copies, so |M| <= 2|F'| + (m - |F'|) <= m + nu_2(H). A maximum M therefore has |F'| = nu_2(H): the
 edges with both ports on copies form a largest F, a 2-factor when M is
-perfect. ``find_two_factor`` seeds the split gadget from the greedy F of
-``_greedy_f`` (low-degree edges first), which leaves sum_v (2 - d_F(v))
-copies exposed, and without ``certify`` it stops at the first failed
-search. That settles "no": if a perfect matching P existed, the path of
-M xor P that starts at the failed root r with its P-edge would end after
-a P-edge at a vertex exposed in M (every vertex is covered by P), so it
-would be an augmenting path from r, which the search would have found.
+perfect. ``find_two_factor`` takes the greedy F of ``_greedy_f``
+(low-degree edges first) and grows it on the host (``_grow``): from each
+u with room (d_F(u) < 2) it flips an alternating path u-v-w-x, adding uv
+and wx and dropping the F-edge vw, where x has room (x = u when u has
+room for both edges). A flip adds one edge and keeps every degree at
+most 2. No edge outside the greedy F joins two vertices with room, and a
+flip keeps that: v and w, each joined outside F to a vertex with room,
+are full, so the dropped vw joins two full vertices, and only the ends
+gain. So no shorter path u-v, with v in room, ever arises. An F of n
+edges is a 2-factor, as its degrees, each at most 2, sum to 2n: no
+gadget is built. Otherwise F seeds the split gadget, leaving
+sum_v (2 - d_F(v)) copies exposed, and without ``certify`` the search
+stops at the first failed search. That settles "no" from any seed: if a
+perfect matching P existed, the path of M xor P that starts at the
+failed root r with its P-edge would end after a P-edge at a vertex
+exposed in M (every vertex is covered by P), so it would be an
+augmenting path from r, which the search would have found.
 
 The same gadget carries the certificate. Let M be a maximum matching of
 it, not perfect, and D, X = N(D) - D and C the Gallai-Edmonds sets: D
@@ -39,9 +49,11 @@ maximum M' misses v and M covers it, the path of M xor M' from v has even
 length (else it augments M'), so it is such a path from its other end,
 exposed in M. A search from r marks outer exactly the ends of even
 alternating paths from r (Edmonds, "Paths, trees, and flowers", 1965).
-A failed search does not change the matching, so the searches that
-``_augment`` ran after its last augmentation ran on M itself: their outer
-sets are reused, and only the other exposed vertices are searched again.
+So the seed that M grew from changes neither D nor the barrier read off
+it below. A failed search does not change the matching, so the searches
+that ``_augment`` ran after its last augmentation ran on M itself: their
+outer sets are reused, and only the other exposed vertices are searched
+again.
 
 ``_split_pair`` reads the barrier (``Barrier``; ``barriers`` states the
 deficiency): v joins A when its copies are in X, B when they are in D and
@@ -318,6 +330,52 @@ def _greedy_f(g: Graph, mask: int) -> list:
     return f
 
 
+def _grow(g: Graph, f: list) -> list:
+    """``f``, the edges (u, v), u < v, of a subgraph of ``g`` of degrees at
+    most 2, grown by one edge along each alternating path u-v-w-x found
+    from a vertex u with room (module docstring); ``f`` itself if none is
+    found."""
+    adj = g.adj
+    fadj = [0] * g.n
+    for u, v in f:
+        fadj[u] |= 1 << v
+        fadj[v] |= 1 << u
+    room = sum(1 << v for v in range(g.n) if fadj[v].bit_count() < 2)
+    size = len(f)
+    for u in iter_bits(room):
+        while room >> u & 1:
+            # x = u closes a triangle, so u needs room for both edges
+            ends = room & ~(fadj[u] and 1 << u)
+            # ws: each w joined outside F to an end x; vs: their
+            # F-neighbours
+            ws = vs = 0
+            for x in iter_bits(ends):
+                ws |= adj[x] & ~fadj[x]
+            for w in iter_bits(ws):
+                vs |= fadj[w]
+            if not (vs := vs & adj[u] & ~fadj[u]):
+                break
+            v = _low(vs)
+            w = _low(fadj[v] & ws)
+            x = _low(adj[w] & ~fadj[w] & ends)
+            fadj[u] |= 1 << v
+            fadj[v] ^= 1 << u | 1 << w
+            fadj[w] ^= 1 << v | 1 << x
+            fadj[x] |= 1 << w
+            for y in (u, x):
+                if fadj[y].bit_count() == 2:
+                    room &= ~(1 << y)
+            size += 1
+    if size == len(f):
+        return f
+    return [(u, v) for u in range(g.n)
+            for v in iter_bits(fadj[u] >> u + 1 << u + 1)]
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _split_pair(g: Graph, adj: list, mate: list,
                 failed: dict | None = None) -> tuple[int, int]:
     """(A, B) masks read off a maximum matching ``mate``, not perfect, of
@@ -391,17 +449,22 @@ def find_two_factor(g: Graph, certify: bool = False) -> TwoFactorResult:
     low = next((v for v in range(g.n) if g.degree(v) < 2), None)
     if low is not None:
         return _negative(g, (0, 1 << low) if certify else None)
-    adj, edges, mate = _split(g, g.full_mask, _greedy_f(g, g.full_mask))
-    failed = _augment(adj, mate, not certify)
-    if -1 in mate:
-        return _negative(g, _split_pair(g, adj, mate, failed)
-                         if certify else None)
-    # _split matches every port and augmenting keeps it matched, so p_u is
-    # on a copy exactly when p_v is
-    n2 = 2 * g.n
-    f = frozenset(e for i, e in enumerate(edges) if mate[n2 + 2 * i] < n2)
-    if not verify_two_factor(g, factor := TwoFactor(f)):
-        raise CertificateError("the matched edges do not form a 2-factor")
+    f = _greedy_f(g, g.full_mask)
+    if len(f) < g.n:
+        f = _grow(g, f)
+    # n edges of degrees at most 2 meet every vertex twice: no gadget
+    if len(f) < g.n:
+        adj, edges, mate = _split(g, g.full_mask, f)
+        failed = _augment(adj, mate, not certify)
+        if -1 in mate:
+            return _negative(g, _split_pair(g, adj, mate, failed)
+                             if certify else None)
+        # _split matches every port and augmenting keeps it matched, so
+        # p_u is on a copy exactly when p_v is
+        n2 = 2 * g.n
+        f = [e for i, e in enumerate(edges) if mate[n2 + 2 * i] < n2]
+    if not verify_two_factor(g, factor := TwoFactor(frozenset(f))):
+        raise CertificateError("the edges found do not form a 2-factor")
     return TwoFactorResult(factor)
 
 

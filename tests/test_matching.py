@@ -199,10 +199,12 @@ def test_find_two_factor_matches_each_gadget_once(monkeypatch):
         for g in (cycle(5), petersen(), path(4), k23,
                   build(FamilySpec.parse("H:n=1")).graph):
             find_two_factor(g, certify)
-    # path(4) has a vertex of degree 1, so no gadget is built for it; each
-    # other call matches one split gadget, and a certified negative (k23
-    # and H(1)) reads its barrier off that gadget too
-    assert calls == {"_split": 8, "build_gadget": 0, "_augment": 8}
+    # path(4) has a vertex of degree 1, so no gadget is built for it; the
+    # subgraph grown on the host is already a 2-factor of cycle(5) and the
+    # Petersen graph, so none is built for them either; each call on k23
+    # and H(1), which have no 2-factor, matches one split gadget, and a
+    # certified one reads its barrier off that gadget too
+    assert calls == {"_split": 4, "build_gadget": 0, "_augment": 4}
 
 
 def counted_searches(monkeypatch) -> list:
@@ -285,6 +287,34 @@ def test_find_two_factor_positive():
         result = find_two_factor(g)
         assert result.exists
         assert verify_two_factor(g, result.factor)
+
+
+def test_grown_seed_keeps_degrees_at_most_two():
+    # orders 3-30 at densities 0.1-0.9, grown from the greedy F and from
+    # every other edge of it
+    rng = random.Random(73)
+    closed = {"greedy": 0, "halved": 0}
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(3, 30), rng.uniform(0.1, 0.9))
+        greedy = matching._greedy_f(g, g.full_mask)
+        for seed, start in (("greedy", greedy), ("halved", greedy[::2])):
+            f = matching._grow(g, start)
+            assert set(f) <= set(g.edges) and all(u < v for u, v in f)
+            assert len(set(f)) == len(f) >= len(start)
+            degree = [0] * g.n
+            for u, v in f:
+                degree[u] += 1
+                degree[v] += 1
+            assert max(degree, default=0) <= 2
+            if len(f) == g.n:
+                assert verify_two_factor(g, TwoFactor(frozenset(f)))
+            closed[seed] += len(start) < g.n == len(f)
+        if g.n <= BRUTE_FORCE_ORDER_CAP or len(g.edges) <= BRUTE_FORCE_EDGE_CAP:
+            assert find_two_factor(g).exists == (
+                brute_force_two_factor(g) is not None)
+    # the growth closes F on the host, with no gadget, where the greedy F
+    # (or half of it) was short of a 2-factor
+    assert closed["greedy"] > 100 and closed["halved"] > 100
 
 
 def test_find_two_factor_negative():
@@ -449,12 +479,17 @@ def test_find_two_factor_matches_brute_force_from_every_seed(monkeypatch):
     large = [min_degree_two_graph(rng, n, rng.uniform(1, 3) / n)
              for n in (rng.randint(12, 40) for _ in range(200))]
     large = [g for g in large if not find_two_factor(g).exists]
-    greedy = matching._greedy_f
+    greedy, grow = matching._greedy_f, matching._grow
     short = {"greedy": 0, "halved": 0}
     certified = {}
-    for seed, f in (("greedy", greedy),
-                    ("halved", lambda g, mask: greedy(g, mask)[::2])):
+    # the greedy leg grows its seed on the host before any gadget; the
+    # halved leg hands its seed to the gadget as it is, so the blossom
+    # search grows it
+    for seed, f, grown in (("greedy", greedy, grow),
+                           ("halved", lambda g, mask: greedy(g, mask)[::2],
+                            lambda g, f: f)):
         monkeypatch.setattr(matching, "_greedy_f", f)
+        monkeypatch.setattr(matching, "_grow", grown)
         certified[seed] = []
         for g, want in zip(graphs + large, wants + [False] * len(large)):
             assert find_two_factor(g).exists == want
@@ -465,6 +500,8 @@ def test_find_two_factor_matches_brute_force_from_every_seed(monkeypatch):
             mask = g.full_mask
             short[seed] += (2 * g.n - 2 * len(f(g, mask))
                             > matching.two_matching_deficiency(g, mask))
+    # short counts the seeds from _greedy_f that are not largest: the
+    # growth's input in the greedy leg, the blossom search's in the halved
     assert short["greedy"] > 100 and short["halved"] > 500
     # the barrier is read off D, which no maximum matching changes
     assert certified["halved"] == certified["greedy"]

@@ -44,6 +44,15 @@ def test_two_factor_check_fires_under_optimize():
                                  "m.find_two_factor(cycle(5))")
 
 
+def test_grown_two_factor_check_fires_under_optimize():
+    # K4's greedy F is a triangle, so the growth runs and its n edges end
+    # the call on the host; these four meet vertex 0 three times
+    assert raises_under_optimize(
+        "from tough2f import complete\n"
+        "m._grow = lambda g, f: [(0, 1), (0, 2), (0, 3), (1, 2)]",
+        "m.find_two_factor(complete(4))")
+
+
 def test_barrier_check_fires_under_optimize():
     # a derived pair that is no barrier: (empty, empty) has deficiency 0
     assert raises_under_optimize(

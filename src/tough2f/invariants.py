@@ -5,16 +5,17 @@ Toughness and the independence number are NP-hard in general; the searches
 here are exact and exhaustive with pruning. Toughness is read from one
 resumable ``CutWalk`` per graph: each threshold question walks the cut
 sets on from where the last stopped, and ``toughness`` walks to the end.
-The walk is practical up to roughly order 24, unless a clique X splits
-the graph into small pieces. Then a kernel (``separator``) optimises each
-piece of G - X alone and merges the results, with the same value and
-witness, and every question is answered from that one value. Its work
-bound is 2^|Y| * sum over pieces P of 2^(|P| + |private(P)|), where Y
-holds the X-vertices next to two or more pieces and private(P) those
-next to P alone. Both engines leave out the universal vertices U, those
-adjacent to every other, as every cut holds them. X is grown greedily by
-degree, so it holds U, and the kernel runs when the bound is below the
-walk's 2^(n - |U|) by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
+The universal vertices U, adjacent to every other, lie in every cut, so
+U is stripped once and both engines search G - U, which may be
+disconnected. The walk is practical up to roughly order 24, unless a
+clique X splits G - U into small pieces. Then a kernel (``separator``)
+optimises each piece alone and merges the results, with |U| added to
+every |S|, for the same value and witness; every question is answered
+from that one value. Its work bound is 2^|Y| * sum over pieces P of
+2^(|P| + |private(P)|), where Y holds the X-vertices next to two or more
+pieces and private(P) those next to P alone. X is grown greedily by
+degree, and the kernel runs when the bound is below the walk's
+2^(n - |U|) by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
 milliseconds on H(n) and G(1,1) and about 30 ms on Ghat(2,2), order 62.
 The cut walk skips the sizes below kappa(G), as no smaller set cuts G.
 The independence search also prunes on a greedy clique cover, which
@@ -258,38 +259,42 @@ class ToughnessResult(NamedTuple):
     witness: frozenset | None
 
 
-def _reversed_adj(g: Graph) -> list[int]:
-    """g's adjacency masks relabelled by v -> n-1-v. Among vertex sets of one
-    size, the lexicographically first is the one whose relabelled mask is
-    the largest."""
+def _drop_universal(g: Graph) -> tuple:
+    """(radj, U): U the mask of g's universal vertices, those adjacent to
+    every other, in the labels v -> n-1-v, and radj the adjacency masks of
+    G - U in those labels, each gap closed. Among vertex sets of one size,
+    the lexicographically first is the one whose mask is the largest."""
     n = g.n
-    radj = [0] * n
+    label = [-1] * n  # v's label in radj, -1 for a vertex of U
+    universal = k = 0
+    for v in reversed(range(n)):
+        if g.degree(v) == n - 1:
+            universal |= 1 << n - 1 - v
+        else:
+            label[v], k = k, k + 1
+    radj = [0] * k
     for u, v in g.edges:
-        radj[n - 1 - u] |= 1 << (n - 1 - v)
-        radj[n - 1 - v] |= 1 << (n - 1 - u)
-    return radj
+        a, b = label[u], label[v]
+        if a >= 0 <= b:
+            radj[a] |= 1 << b
+            radj[b] |= 1 << a
+    return radj, universal
 
 
 # Clique separators ----------------------------------------------------------------
 
-# ``CutWalk`` takes tau from the clique kernel (``separator``) only
-# when its cost bound is below the cut walk's 2^(n - |U|) by this many
-# bits, U the universal vertices. Each of them neighbours every piece, so
-# taking U out of the shared and private sets divides the bound by 2^|U|,
-# as it divides the walk's, and leaves each margin as it was. The hunt
-# graphs of the benchmark's seeds 1-3 (orders 8-11) fall at least 2^2.3
-# short, and on such graphs the cut walk, with its early stops, is faster;
+# ``CutWalk`` takes tau from the clique kernel (``separator``) only when
+# its cost bound on G - U is below the walk's 2^(n - |U|) by this many
+# bits. The hunt graphs of the benchmark's seeds 1-3 (orders 8-11) fall at
+# least 2^2.3 short, and there the walk, with its early stops, is faster;
 # H(3) clears the margin by 2^1.2, H(4) by 2^4.8 and G(1,1) by 2^8.4.
 CLIQUE_KERNEL_MARGIN_BITS = 8
 
 
-def _clique_split(adj: list[int], clique: int, universal: int) -> tuple:
-    """(shared, pieces, cost) of the graph ``adj`` cut along a clique X.
-
-    ``pieces`` pairs each component P of G - X with A(P) = N(P) & X - U,
-    where U is ``universal``, universal vertices of X, which every cut
-    holds; ``shared`` holds the X-vertices in two or more A(P), and an
-    X-vertex of one A(P) is private to that piece. ``cost`` is the clique
+def _clique_split(adj: list[int], clique: int) -> tuple:
+    """(shared, pieces, cost) of the graph ``adj`` cut along a clique X:
+    the X-vertices in two or more A(P), the others of an A(P) private to P;
+    each component P of G - X paired with A(P) = N(P) & X; and the clique
     kernel's work bound, 2^|shared| * sum over P of 2^(|private(P)| + |P|).
     """
     pieces = []
@@ -298,7 +303,7 @@ def _clique_split(adj: list[int], clique: int, universal: int) -> tuple:
         touch = 0
         for v in iter_bits(piece):
             touch |= adj[v]
-        touch &= clique & ~universal
+        touch &= clique
         shared |= seen & touch
         seen |= touch
         pieces.append((piece, touch))
@@ -307,17 +312,15 @@ def _clique_split(adj: list[int], clique: int, universal: int) -> tuple:
     return shared, pieces, cost
 
 
-def _kernel_split(radj: list[int], universal: int) -> tuple | None:
+def _kernel_split(radj: list[int]) -> tuple | None:
     """(clique, shared, pieces) of the reversed-label adjacency of a
-    connected non-complete graph if the clique kernel is cheap on it, else
-    None. The clique is grown by descending degree, ties to the lower
-    vertex of the graph, which is the higher one in ``radj``; so it holds
-    the universal vertices U (``universal``). The kernel's cost is weighed
-    against the cut walk's 2^(n - |U|)."""
+    non-complete graph if the clique kernel is cheap on it against the cut
+    walk's 2^n, else None. The clique is grown by descending degree, ties
+    to the lower vertex of the graph, which is the higher one in ``radj``."""
     n = len(radj)
-    # a vertex v of piece P has its neighbours in P, U and A(P), so the cost
-    # bound is at least 2^(|P| + |A(P)|) >= 2^(deg(v) + 1 - |U|), and the
-    # test against 2^(n - |U|) below fails when delta + 1 + margin >= n
+    # a vertex v of piece P has its neighbours in P and A(P), so the cost
+    # bound is at least 2^(|P| + |A(P)|) >= 2^(deg(v) + 1), and the test
+    # against 2^n below fails when delta + 1 + margin >= n
     if min(map(int.bit_count, radj)) + 1 + CLIQUE_KERNEL_MARGIN_BITS >= n:
         return None
     clique, common = 0, (1 << n) - 1
@@ -325,8 +328,8 @@ def _kernel_split(radj: list[int], universal: int) -> tuple | None:
         if common >> v & 1:
             clique |= 1 << v
             common &= radj[v]
-    shared, pieces, cost = _clique_split(radj, clique, universal)
-    if cost << CLIQUE_KERNEL_MARGIN_BITS >= 1 << n - universal.bit_count():
+    shared, pieces, cost = _clique_split(radj, clique)
+    if cost << CLIQUE_KERNEL_MARGIN_BITS >= 1 << n:
         return None
     return clique, shared, pieces
 
@@ -391,12 +394,12 @@ class CutWalk:
     and ``kappa``, if given, are callables that return alpha(G) and
     kappa(G); each is called at most once a walk, and never stored.
 
-    The walk steps through the masks of the vertices that cuts leave, size
-    by size, on G - U relabelled v -> n-1-v in increasing order, U the
-    universal vertices. It adds U to each cut: every cut holds U, as
-    G - S is connected while a vertex of U is kept, and an
-    order-preserving relabelling keeps the order of the cuts that hold U.
-    So the masks come in the (|S|, lexicographic) order of the cuts. Each
+    Every cut holds the universal vertices U, as G - S is connected while
+    a vertex of U is kept. Both engines search G - U, relabelled
+    v -> n-1-v in increasing order, which keeps the order of the cuts that
+    hold U, and ``result()`` alone maps the cut back and adds U. The walk
+    steps through the masks of the vertices that cuts leave, size by size,
+    so they come in the (|S|, lexicographic) order of the cuts. Each
     is counted, and the record kept: the least ratio over the cuts
     counted, and the first cut that attains it. A cut beats a ratio r only
     with floor(|S|/r) + 1 components, and c(G - S) is at most n - |S| and
@@ -473,34 +476,26 @@ class CutWalk:
         if not g.is_connected():
             self.num, self.den = 0, 1
             return
-        n = g.n
-        radj = _reversed_adj(g)
-        universal = sum(1 << v for v, a in enumerate(radj)
-                        if a.bit_count() == n - 1)
-        split = _kernel_split(radj, universal)
-        if split is not None:  # its cut holds U, in G's labels
+        radj, self.universal = _drop_universal(g)
+        u = g.n - len(radj)
+        split = _kernel_split(radj)
+        if split is not None:
             from .separator import clique_toughness
-            self.num, self.den, self.cut = clique_toughness(radj, universal,
-                                                            *split)
+            self.num, self.den, self.cut = clique_toughness(radj, u, *split)
             return
-        self.delta = min(map(int.bit_count, radj))
-        for u in sorted(iter_bits(universal), reverse=True):
-            low = (1 << u) - 1  # walk G - U: drop u and close the gap
-            radj = [a & low | a >> 1 & ~low for a in radj[:u] + radj[u + 1:]]
-        self.radj, self.universal, self.done = radj, universal, False
+        self.radj, self.done = radj, False
+        self.delta = min(map(int.bit_count, radj)) + u
         self.full = (1 << len(radj)) - 1
-        self.size = max(1, universal.bit_count())
-        self.rest = (1 << n - self.size) - 1
+        self.size = max(1, u)
+        self.rest = (1 << g.n - self.size) - 1
         # the families are built when this falls to 0: it drops by 1 on each
         # connected kept set counted and rises by 1 on each disconnected one
         self.budget = (FAMILY_AFTER_SETS if len(radj) <= FAMILY_MAX_ORDER
                        else INF)
 
     def at_least(self, t, alpha=None, kappa=None) -> bool:
-        """tau(G) >= t, for a positive ``Fraction`` or ``INF``; t = None
-        walks to the end and answers True."""
-        if t is INF:
-            return self.done and not self.den
+        """tau(G) >= t, for a positive ``Fraction``; t = None walks to the
+        end and answers True."""
         p, q = (0, 1) if t is None else (t.numerator, t.denominator)
         num, den, cut = self.num, self.den, self.cut
         if self.done or num * q < p * den:
@@ -572,7 +567,7 @@ class CutWalk:
         return num * q >= p * den
 
     def result(self) -> ToughnessResult:
-        """tau(G) and its witness, once the walk is done."""
+        """tau(G) and its witness, with U added, once the walk is done."""
         if not self.den:
             return ToughnessResult(INF, None)
         cut = self.cut
@@ -603,7 +598,7 @@ def is_t_tough(g: Graph, t, *, alpha=None, kappa=None,
     ``GraphError``."""
     if not isinstance(t, Fraction):  # a hunt asks with Fractions: no copy
         if t == INF:
-            return g.is_complete() if walk is None else walk.at_least(INF)
+            return g.is_complete()
         try:
             t = Fraction(t)
         except (TypeError, ValueError, OverflowError,

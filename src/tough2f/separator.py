@@ -15,19 +15,14 @@ alone into a frontier keyed by (count, keeps a private vertex), and the
 frontiers are merged by min-plus convolution. A vertex of X in no A(P) is
 kept at no cost: in S it would add to |S| and never to c(G - S).
 
-A universal vertex u of X, one adjacent to every other vertex, lies in
-every cut: while u is kept, G - S is connected. So the kernel puts the
-universal vertices U in every S: they are neither shared nor private,
-and every merge starts with them in S. The sets it leaves out have
-c(G - S) = 1 and were never candidates, and each cut it keeps has the
-entry it had before, so the least entry, the value and the witness, is
-unchanged. With U out of the shared and private sets, the work is at
-most 2^|shared| * sum over P of 2^(|private(P)| + |P|) component counts.
+The graph need not be connected: a piece with A(P) empty counts all of
+its components. The work is at most 2^|shared| * sum over P of
+2^(|private(P)| + |P|) component counts.
 
-``invariants.CutWalk`` picks X, splits the graph along it and calls
-this kernel, on masks in its reversed labels, when that bound is
-small against the cut walk's 2^(n - |U|); see
-``CLIQUE_KERNEL_MARGIN_BITS``.
+``invariants.CutWalk`` runs this kernel on G - U, U the universal
+vertices, with |U| as the ``offset`` of every |S|, on masks in its
+reversed labels, when the work bound is small against the cut walk's
+2^|G - U|; see ``CLIQUE_KERNEL_MARGIN_BITS``.
 """
 
 from __future__ import annotations
@@ -61,18 +56,17 @@ def _min_plus(a: dict, b: dict) -> dict:
     return out
 
 
-def clique_toughness(radj: list[int], universal: int, clique: int,
+def clique_toughness(radj: list[int], offset: int, clique: int,
                      shared: int, pieces: list) -> tuple:
-    """The cut walk's last record (|S|, c(G - S), S) of a connected
-    non-complete graph, from a clique and its ``invariants._clique_split``
-    with ``universal``, universal vertices of the graph in the clique.
+    """The cut walk's last record (|S| + ``offset``, c(G - S), S) of a
+    non-complete graph, from a clique and its ``invariants._clique_split``.
 
     Masks are in the reversed labels of ``radj``, so each entry
     (|S|, -mask) is least for the (|S|, lexicographic)-first cut, and both
     parts add over disjoint parts of S. Over all keys, the least
     (|S|/c, |S|, -mask) is the walk's last record.
     """
-    free = clique & ~universal
+    free = clique
     frontiers = []
     for piece, touch in pieces:
         free &= ~touch
@@ -102,9 +96,8 @@ def clique_toughness(radj: list[int], universal: int, clique: int,
     best = None
     for removed_shared in _submasks(shared):
         kept_shared = shared ^ removed_shared
-        removed = removed_shared | universal
         total = {(0, bool(kept_shared or free)):
-                 (removed.bit_count(), -removed)}
+                 (offset + removed_shared.bit_count(), -removed_shared)}
         for touch_shared, fronts in frontiers:
             total = _min_plus(total, fronts[kept_shared & touch_shared])
         for (count, kept), (size, neg) in total.items():

@@ -396,7 +396,7 @@ def test_walk_with_universal_vertices_matches_oracle(atlas_connected, u):
         h = Graph(n, [(label[x], label[y]) for x, y in edges])
         if h.is_complete():
             continue
-        universal = universal_mask(h)
+        universal = invariants._drop_universal(h)[1]
         shuffled += universal != ((1 << n) - 1) ^ ((1 << n - u) - 1)
         tau, witness = brute_toughness(h)
         assert walk_toughness(h) == (tau, witness), h.edges
@@ -417,32 +417,29 @@ def greedy_clique(g: Graph) -> list:
     return clique
 
 
-def universal_mask(g: Graph) -> int:
-    """The universal vertices of g, as a mask in reversed labels."""
-    n = g.n
-    return sum(1 << (n - 1 - v) for v in range(n) if g.degree(v) == n - 1)
-
-
 def clique_kernel(g: Graph, clique=None):
     """The kernel's (tau, witness) through ``clique``, a list of vertices,
-    by default the greedy one, with the universal vertices in it left out
-    of the search as the dispatch leaves them out."""
+    by default the greedy one, run as the dispatch runs it: on G - U, U the
+    universal vertices, with |U| added to every cut."""
     n = g.n
-    radj = invariants._reversed_adj(g)
+    radj, universal = invariants._drop_universal(g)
     if clique is None:
         clique = greedy_clique(g)
-    mask = sum(1 << (n - 1 - v) for v in clique)
-    universal = universal_mask(g) & mask
-    shared, pieces, _ = invariants._clique_split(radj, mask, universal)
-    size, comps, cut = separator.clique_toughness(radj, universal, mask,
-                                                  shared, pieces)
-    return Fraction(size, comps), frozenset(n - 1 - v for v in iter_bits(cut))
+    keep = [r for r in range(n) if not universal >> r & 1]  # G - U's labels
+    mask = sum(1 << keep.index(n - 1 - v) for v in clique
+               if not universal >> (n - 1 - v) & 1)
+    shared, pieces, _ = invariants._clique_split(radj, mask)
+    size, comps, cut = separator.clique_toughness(
+        radj, universal.bit_count(), mask, shared, pieces)
+    witness = [n - 1 - keep[v] for v in iter_bits(cut)]
+    witness += [n - 1 - r for r in iter_bits(universal)]
+    return Fraction(size, comps), frozenset(witness)
 
 
 def takes_kernel(g: Graph) -> bool:
     """Whether the dispatch sends g to the clique kernel."""
-    return invariants._kernel_split(invariants._reversed_adj(g),
-                                    universal_mask(g)) is not None
+    radj, _ = invariants._drop_universal(g)
+    return invariants._kernel_split(radj) is not None
 
 
 def walk_toughness(g: Graph):
@@ -450,7 +447,7 @@ def walk_toughness(g: Graph):
     out of the search as the dispatch does, also on a graph the dispatch
     sends to the clique kernel."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "_kernel_split", lambda radj, universal: None)
+        patch.setattr(invariants, "_kernel_split", lambda radj: None)
         return tuple(toughness(g))
 
 
@@ -582,6 +579,22 @@ def test_clique_kernel_with_universal_vertices_matches_walk():
             dispatched += 1
             assert toughness(g) == expected, g.edges
     assert dispatched >= 2
+
+
+def test_clique_kernel_on_disconnected_graph_minus_universal():
+    # K_u joined to H(3) and K_4 or C_5, orders 22-24: G - U is disconnected,
+    # and the kernel's clique lies in one component, so the other is a
+    # piece with no clique neighbours; tau = u/2, witness U
+    h3 = build(FamilySpec.parse("H:n=3")).graph
+    for other in (complete(4), cycle(5)):
+        for u in (1, 2):
+            g = joined(disjoint_union(h3, other), u)
+            assert takes_kernel(g), (other.edges, u)
+            result = toughness(g)
+            assert tuple(result) == walk_toughness(g), (other.edges, u)
+            assert result == (Fraction(u, 2), frozenset(range(u)))
+            assert is_t_tough(g, result.value)
+            assert not is_t_tough(g, result.value + Fraction(1, 97))
 
 
 def test_each_kernel_query_splits_once(monkeypatch, kernel_calls):

@@ -25,7 +25,9 @@ kept):
 - ``forest_hunt_s``: the 12 forest clauses of the criterion-5 grid
   (P_m + kP_1, ``workloads.hunt_grid``), pattern by pattern in grid order
   over the corpus, through one fresh ``GraphFacts`` per graph, as a
-  chunked hunt asks them.
+  chunked hunt asks them; ``forest_hunt_alpha_read_s``: the same, with
+  each graph's alpha read before the clock starts, as the THM2 clauses
+  of a hunt read it before its forest clauses.
 
 Over one more, untimed, pass of ``connectivity`` on those graphs,
 ``connectivity_pairs`` counts the Esfahanian-Hakimi pairs tested,
@@ -34,7 +36,12 @@ Over one more, untimed, pass of ``connectivity`` on those graphs,
 the pairs that the greedy paths (``invariants._greedy_paths``) settled; a
 tree without the greedy paths runs the flow on every pair. Over one more,
 untimed, pass of the forest clauses, ``forest_find_induced_calls`` counts
-the calls of ``forbidden.find_induced``.
+the calls of ``forbidden.find_induced``, ``forest_sweeps_started`` the
+induced-path sweeps (``forbidden._sweep``) started, and
+``forest_bound_settled`` the questions that the counting bound decides
+(n < m + k or alpha < ceil(m/2) + k) and that are answered with no sweep
+started or advanced. On a tree without the bound, that counts only the
+bound's questions that an exhausted sweep had already answered.
 
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
 2-factor answer with its edges, each gadget's edges and each gadget
@@ -90,11 +97,15 @@ def main(argv=None) -> int:
     entry = {**provenance(), "corpus_seed": SEED}
     answers = []
 
-    def record(name, fn, answer=lambda result: result):
+    def time_it(name, fn):
         median, runs, result = timed(fn, REPEATS)
         entry[f"{name}_s"] = round(median, 5)
         entry[f"{name}_best_s"] = round(min(runs), 5)
         entry[f"{name}_repeats_s"] = [round(s, 5) for s in runs]
+        return result
+
+    def record(name, fn, answer=lambda result: result):
+        result = time_it(name, fn)
         answers.append((name, answer(result)))
         return result
 
@@ -186,24 +197,51 @@ def main(argv=None) -> int:
                 for spec in workloads.hunt_grid() for name, _ in spec.clauses
                 if name.endswith("-free")]
 
-    def forest_pass():
-        facts = [GraphFacts(g) for g in corpus]
+    def forest_pass(facts=None):
+        facts = facts or [GraphFacts(g) for g in corpus]
         return [[f.is_free(p) for f in facts] for p in patterns]
 
     forest = record("forest_hunt", forest_pass)
-    real_find = forbidden.find_induced
+    primed = []  # fresh facts for each repeat, alpha read before the clock
+    for _ in range(REPEATS):
+        primed.append([GraphFacts(g) for g in corpus])
+        for f in primed[-1]:
+            f.alpha
+    time_it("forest_hunt_alpha_read", lambda: forest_pass(primed.pop()))
+    real_find, real_sweep = forbidden.find_induced, forbidden._sweep
     searches = []
+    sweeps = [0, 0]  # started, advanced
 
     def counted_find(*args):
         searches.append(None)
         return real_find(*args)
 
+    def counted_sweep(*args):
+        sweeps[0] += 1
+        for _ in real_sweep(*args):
+            sweeps[1] += 1
+            yield
+
+    alphas = [independence_number(g)[0] for g in corpus]
+    settled = 0
     forbidden.find_induced = counted_find
+    forbidden._sweep = counted_sweep
     try:
-        forest_pass()
+        facts = [GraphFacts(g) for g in corpus]
+        for p in patterns:
+            (m,), k = p
+            for f, a in zip(facts, alphas):
+                before = sweeps.copy()
+                f.is_free(p)
+                bound = f.order < m + k or a < (m + 1) // 2 + k
+                if bound and sweeps == before:
+                    settled += 1
     finally:
         forbidden.find_induced = real_find
+        forbidden._sweep = real_sweep
     entry["forest_find_induced_calls"] = len(searches)
+    entry["forest_sweeps_started"] = sweeps[0]
+    entry["forest_bound_settled"] = settled
     entry["forest_answers_sha256"] = hashlib.sha256(
         repr(forest).encode()).hexdigest()
 

@@ -22,15 +22,18 @@ The independence search also prunes on a greedy clique cover, which
 bounds alpha from above, and returns the same alpha and witness as
 without it; it takes well under a second on random graphs of order 80
 and on the paper's constructions.
-Connectivity tests only the pairs that Esfahanian-Hakimi selection keeps
+Connectivity is read off the minimum degree when it is 1 or 2 (kappa <=
+delta; with delta = 2, kappa is 1 exactly when G has a cut vertex).
+Otherwise it tests only the pairs that Esfahanian-Hakimi selection keeps
 (Networks 14, 1984): a vertex v of minimum degree against each
 non-neighbour, and each non-adjacent pair of neighbours of v. Each pair
 is tried first with greedy shortest paths over bitmasks; when they reach
 the best value so far, the pair cannot lower it (Menger's theorem, easy
 direction). Only the other pairs run an exact unit-capacity flow on the
 vertex-split network, so the answer is exact. The greedy paths settle
-most pairs: all but 48 of the 5,689 pairs of 800 random graphs of orders
-8-11, and every pair of Ghat(2,2), order 62, which takes about 2 ms.
+most pairs: all but 24 of the 2,175 pairs that 800 random graphs of
+orders 8-11 test, and every pair of Ghat(2,2), order 62, which takes
+about 2 ms.
 """
 
 from __future__ import annotations
@@ -215,10 +218,17 @@ def _greedy_paths(adj, s: int, t: int, cutoff: int) -> list[tuple]:
 def connectivity(g: Graph) -> int:
     """kappa(G); convention kappa(K_n) = n - 1, kappa(disconnected) = 0.
 
-    Only the Esfahanian-Hakimi pairs are tested. Take v of minimum degree.
-    A minimum separator S that misses v separates v from a non-neighbour; one
-    that contains v separates two non-adjacent neighbours of v, because v
-    has neighbours in two components of G - S (else S - v would separate).
+    A connected graph that is not complete has kappa <= delta: the
+    neighbours of a vertex v of minimum degree separate v from a
+    non-neighbour. So delta = 1 gives kappa = 1, and delta = 2 gives
+    kappa = 1 when some G - u is disconnected (u is a cut vertex) and
+    kappa = 2 otherwise. No pair is tested then.
+
+    For delta >= 3 only the Esfahanian-Hakimi pairs are tested. Take v of
+    minimum degree. A minimum separator S that misses v separates v from a
+    non-neighbour; one that contains v separates two non-adjacent
+    neighbours of v, because v has neighbours in two components of G - S
+    (else S - v would separate).
 
     Each pair is tried first with ``_greedy_paths``, capped at the best
     value so far. By the easy direction of Menger's theorem, that many
@@ -235,6 +245,12 @@ def connectivity(g: Graph) -> int:
     adj = g.adj
     v = min(range(g.n), key=g.degree)
     best = g.degree(v)  # kappa <= delta for non-complete graphs
+    if best == 1:
+        return 1
+    if best == 2:
+        full = g.full_mask
+        return 1 if any(len(component_masks(adj, full & ~(1 << u))) > 1
+                        for u in range(g.n)) else 2
     pairs = [(v, w) for w in iter_bits(g.full_mask & ~adj[v] & ~(1 << v))]
     pairs += [(x, y) for x in iter_bits(adj[v])
               for y in iter_bits(adj[v] & ~adj[x] & ~((2 << x) - 1))]

@@ -13,8 +13,9 @@ One loop, ``_failed_clause``, finds the first clause that fails:
 from it and the 2-factor answer, with no report per graph. A
 forbidden-forest theorem asks its connectivity level before the forest:
 kappa is one search per graph, shared with the cut walk, while a
-P_m + kP_1-free clause that holds walks every induced path on up to 7
-vertices. So a graph below the level never starts that walk.
+P_m + kP_1-free clause that the counting bound of ``GraphFacts.is_free``
+leaves open may walk every induced path on up to 7 vertices. So a graph
+below the level never starts that walk.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class GraphFacts:
     ``alpha`` and ``kappa`` on each call, so a graph's alpha and kappa
     are searched for once, and the walk holds no reference to the facts.
 
-    ``is_free`` answers P_m + kP_1 from one induced-path sweep
+    ``is_free`` answers P_m + kP_1 by counting when n or alpha is too
+    small for the pattern, and otherwise from one induced-path sweep
     (``forbidden._sweep``), kept suspended between questions and advanced
     only until the question is decided. It sweeps paths up to the longest
     of the registry's forest theorems, or the longest m asked if that is
@@ -86,9 +88,20 @@ class GraphFacts:
                                      kappa=lambda: self.kappa, walk=self._walk)
 
     def is_free(self, pattern: forbidden.ForestPattern) -> bool:
+        """Whether the graph has no induced copy of ``pattern``.
+
+        P_m + kP_1 is settled by counting first. An induced copy has
+        m + k vertices, and it holds ceil(m/2) + k pairwise non-adjacent
+        ones: every other vertex of the P_m, from an end, and the k
+        isolated vertices, which see no vertex of the path. So n < m + k
+        or alpha(G) < ceil(m/2) + k proves the graph free, and then no
+        sweep is started or advanced. Otherwise the sweep decides.
+        """
         if len(pattern.paths) != 1:
             return forbidden.is_free(self.graph, pattern)
         (m,), k = pattern
+        if self.order < m + k or self.alpha < (m + 1) // 2 + k:
+            return True
         if m > self._top or k > self._cap:
             self._top = max(self._top, m)
             self._cap = max(self._cap, k)

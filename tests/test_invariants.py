@@ -267,13 +267,41 @@ def test_greedy_paths_are_disjoint_paths(atlas_connected):
 
 
 def test_greedy_paths_fall_short_and_the_flow_decides(flow_calls):
-    # s-a-d-t and s-b-c-t with the chord a-c: the first shortest s-t path,
-    # s-a-c-t, blocks both others, so only the flow finds kappa(s, t) = 2
-    s, a, b, c, d, t = range(6)
-    g = Graph(6, [(s, a), (a, d), (d, t), (s, b), (b, c), (c, t), (a, c)])
-    assert invariants._greedy_paths(g.adj, s, t, 2) == [(s, a, c, t)]
-    assert connectivity(g) == brute_kappa(g) == 2
+    # the cube Q3 with s and t antipodal: s sees a, b, c, t sees x, y, z,
+    # and a-x-c-y-b-z-a is a 6-cycle. The greedy paths s-a-x-t, then
+    # s-b-y-t, leave c no free neighbour, so only the flow finds
+    # kappa(s, t) = 3, by s-a-z-t, s-b-y-t and s-c-x-t
+    s, a, b, c, x, y, z, t = range(8)
+    g = Graph(8, [(s, a), (s, b), (s, c), (x, t), (y, t), (z, t),
+                  (a, x), (x, c), (c, y), (y, b), (b, z), (z, a)])
+    assert min_degree(g) == 3
+    assert invariants._greedy_paths(g.adj, s, t, 3) == [(s, a, x, t),
+                                                       (s, b, y, t)]
+    assert connectivity(g) == brute_kappa(g) == 3
     assert flow_calls == [(s, t)]
+
+
+@pytest.mark.parametrize("g,kappa", [
+    # s-a-d-t and s-b-c-t with the chord a-c
+    pytest.param(Graph(6, [(0, 1), (1, 4), (4, 5), (0, 2), (2, 3), (3, 5),
+                           (1, 3)]), 2, id="theta"),
+    pytest.param(Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+                 1, id="bowtie"),
+    pytest.param(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)]),
+                 1, id="pendant"),
+    *(pytest.param(cycle(n), 2, id=f"C{n}") for n in (4, 5, 8, 11)),
+])
+def test_min_degree_at_most_two_tests_no_pair(monkeypatch, flow_calls, g,
+                                             kappa):
+    # kappa <= delta <= 2 leaves kappa = 1 exactly at a cut vertex, so
+    # neither the greedy paths nor the flow run
+    def refused(*args):
+        raise AssertionError("_greedy_paths called")
+
+    monkeypatch.setattr(invariants, "_greedy_paths", refused)
+    assert min_degree(g) <= 2
+    assert connectivity(g) == brute_kappa(g) == kappa
+    assert flow_calls == []
 
 
 def test_kappa_matches_networkx_beyond_the_oracle(hunt_corpus):

@@ -394,6 +394,45 @@ def test_graph_facts_forest_answers_match_the_search():
             assert facts.is_free(p) == is_free(g, p), (g.edges, str(p))
 
 
+def test_forest_questions_settled_by_counting_leave_the_sweep_alone(
+        monkeypatch):
+    # every P_m + kP_1, 2 <= m <= 7 and 0 <= k <= 3, in grid order and in
+    # reverse, each order on fresh facts: the answers are those of the
+    # search, and a question with n < m + k or alpha < ceil(m/2) + k
+    # neither starts a sweep nor advances one
+    real = forbidden._sweep
+    steps = []  # one entry per sweep started, counting its advances
+
+    def counted(*args):
+        steps.append(0)
+        index = len(steps) - 1
+        for _ in real(*args):
+            steps[index] += 1
+            yield
+
+    monkeypatch.setattr(forbidden, "_sweep", counted)
+    rng = random.Random(73)
+    hosts = [cycle(n) for n in (5, 9)] + [h1_graph(), edgeless(4)]
+    hosts += [random_graph(rng, rng.randint(2, 11), rng.uniform(0.1, 0.9))
+              for _ in range(120)]
+    grid = [ForestPattern((m,), k) for m in range(2, 8) for k in range(4)]
+    settled = searched = 0
+    for g in hosts:
+        alpha = invariants.independence_number(g)[0]
+        for patterns in (grid, grid[::-1]):
+            facts = GraphFacts(g)
+            for p in patterns:
+                (m,), k = p
+                before = steps.copy()
+                assert facts.is_free(p) == is_free(g, p), (g.edges, str(p))
+                if g.n < m + k or alpha < (m + 1) // 2 + k:
+                    settled += 1
+                    assert steps == before, (g.edges, str(p))
+                else:
+                    searched += 1
+    assert settled >= 1000 and searched >= 1000, (settled, searched)
+
+
 def test_graph_facts_grid_forest_clauses_do_not_search(monkeypatch,
                                                        hunt_corpus):
     real = forbidden.find_induced

@@ -39,6 +39,7 @@ about 2 ms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .graphs import Graph, GraphError, component_masks, iter_bits
@@ -350,14 +351,26 @@ def _kernel_split(radj: list[int]) -> tuple | None:
     return clique, shared, pieces
 
 
-# ``CutWalk`` builds the families of disconnected kept sets once it has
-# counted FAMILY_AFTER_SETS more connected kept sets than disconnected
-# ones, on at most FAMILY_MAX_ORDER vertices besides U. A family has 2^n'
-# bits, and at n' = 12 the build takes about 110 us, some 100 counts.
-# Only connected sets are skipped, so H(2)'s walk (96 connected of 382)
-# never builds, and a hunt graph (orders 8-11) builds after some 70 sets.
-FAMILY_AFTER_SETS = 64
+# ``CutWalk`` builds the families of disconnected kept sets at the first
+# connected kept set it counts, on at most FAMILY_MAX_ORDER vertices besides
+# U, so a walk decided among disconnected sets builds none. A family has
+# 2^n' bits; at n' = 12 a build takes under 0.1 ms.
 FAMILY_MAX_ORDER = 12
+
+
+@cache
+def _vertex_sets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sel, sets) on n vertices, a bit per vertex set: sel[v] marks the
+    sets that hold v, sets[k] the k-sets. Made once an order, never changed."""
+    every = (1 << (1 << n)) - 1
+    # sel[v]: 2^v clear bits then 2^v set, repeated over the 2^n sets
+    sel = tuple(every // ((1 << 2 * s) - 1) * ((1 << 2 * s) - (1 << s))
+                for s in (1 << v for v in range(n)))
+    sets = [1] + [0] * n
+    for j in range(n):
+        for k in range(j + 1, 0, -1):
+            sets[k] |= sets[k - 1] << (1 << j)
+    return sel, tuple(sets)
 
 
 def _disconnected_families(radj: list[int], top: int) -> list[int]:
@@ -366,32 +379,21 @@ def _disconnected_families(radj: list[int], top: int) -> list[int]:
     disconnected subgraph; D[0] = D[1] = 0. See ``CutWalk`` for the proof.
 
     P_k, every k-set, is built one vertex at a time (P_k |= P_{k-1} << 2^j
-    adds vertex j), and C_k, the connected k-sets, level by level from the
-    singletons: C_k is the union over v of the sets of C_{k-1} that miss v
-    and meet N(v) (``grow[v]``), each with v added (<< 2^v). D_k = P_k - C_k.
+    adds vertex j), once an order (``_vertex_sets``), and C_k, the
+    connected k-sets, level by level from the singletons P_1: C_k is the
+    union over v of the sets of C_{k-1} that miss v and meet N(v)
+    (``grow[v]``), each with v added (<< 2^v). D_k = P_k - C_k.
     """
     n = len(radj)
-    width = 1 << n  # one bit per vertex set
-    sel = []  # sel[v]: the sets that hold v
-    for v in range(n):
-        step = 1 << v
-        family, period = ((1 << step) - 1) << step, 2 * step
-        while period < width:
-            family |= family << period
-            period *= 2
-        sel.append(family)
+    sel, sets = _vertex_sets(n)
     grow = []
     for v in range(n):
         hit = 0
         for u in iter_bits(radj[v]):
             hit |= sel[u]
         grow.append(hit & ~sel[v])
-    sets = [1] + [0] * top
-    for j in range(n):
-        for k in range(min(j + 1, top), 0, -1):
-            sets[k] |= sets[k - 1] << (1 << j)
     families = [0, 0]
-    connected = sum(1 << (1 << v) for v in range(n))
+    connected = sets[1]
     for k in range(2, top + 1):
         grown = 0
         for v in range(n):
@@ -449,15 +451,16 @@ class CutWalk:
     many graphs without a 2-factor with a cut vertex or degree-2 vertex.
 
     Within a size, the masks of k = n - s kept vertices come by Gosper's
-    hack, in increasing order. Once it has counted FAMILY_AFTER_SETS more
-    connected masks than disconnected ones, on at most FAMILY_MAX_ORDER
-    vertices, the walk builds the families D_k of the disconnected kept
-    sets (``_disconnected_families``), up to the current k, and from then
-    on jumps: kept is the lowest set bit of D_k at or
-    above the next mask, found as the lowest set bit of D_k >> next, and
-    the walk resumes at kept + 1. The masks it jumps over are connected
-    kept sets, left out above: with one component none reaches c_min >= 2.
-    So the order, the pauses and the records are those of the Gosper walk.
+    hack, in increasing order. On at most FAMILY_MAX_ORDER vertices, at
+    the first connected mask it counts that is not the last of its size,
+    the walk builds the families D_k of the disconnected kept sets
+    (``_disconnected_families``), up to the current k, and from the next
+    mask on jumps: kept is the lowest set bit of D_k at or above the next
+    mask, found as the lowest set bit of D_k >> next, and the walk resumes
+    at kept + 1. The masks it jumps over are connected kept sets, left out
+    above: with one component none reaches c_min >= 2. So the order, the
+    pauses and the records are those of the Gosper walk, whatever mask
+    the walk switches at.
     The families are exact. P_k, built one vertex at a time, holds every
     k-set: a k-set of the first j + 1 vertices either misses vertex j or is
     a (k-1)-set of the first j plus j, bit K + 2^j. C_k holds the connected
@@ -478,8 +481,8 @@ class CutWalk:
     """
 
     __slots__ = ("g", "radj", "full", "universal", "size", "rest", "num",
-                 "den", "cut", "alpha", "kappa", "delta", "budget",
-                 "families", "done")
+                 "den", "cut", "alpha", "kappa", "delta", "families",
+                 "done")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -504,10 +507,6 @@ class CutWalk:
         self.full = (1 << len(radj)) - 1
         self.size = max(1, u)
         self.rest = (1 << g.n - self.size) - 1
-        # the families are built when this falls to 0: it drops by 1 on each
-        # connected kept set counted and rises by 1 on each disconnected one
-        self.budget = (FAMILY_AFTER_SETS if len(radj) <= FAMILY_MAX_ORDER
-                       else INF)
 
     def at_least(self, t, alpha=None, kappa=None) -> bool:
         """tau(G) >= t, for a positive ``Fraction``; t = None walks to the
@@ -526,7 +525,7 @@ class CutWalk:
                     self.alpha = alpha()
                 if (n - self.alpha) * q < self.alpha * p:
                     return False
-        families, budget = self.families, self.budget
+        families, small = self.families, len(radj) <= FAMILY_MAX_ORDER
         while num * q >= p * den:
             left = n - size
             a, b = (p, q) if p else (num, den)  # the stop tests' ratio
@@ -549,7 +548,7 @@ class CutWalk:
             c_min = max(2, size * den // num + 1)
             count = 0
             if families is None:
-                while rest <= full and budget:
+                while rest <= full:
                     kept = rest
                     low = rest & -rest
                     ripple = rest + low
@@ -557,10 +556,9 @@ class CutWalk:
                     count = len(component_masks(radj, kept))
                     if count >= c_min:
                         break
-                    budget += 1 if count > 1 else -1
-                else:
-                    if rest <= full:  # the budget is spent: jump from here
+                    if count == 1 and small and rest <= full:  # jump on
                         families = _disconnected_families(radj, left)
+                        break
             if families is not None:
                 del families[left + 1:]  # the sizes walked
                 disconnected = families[left]
@@ -578,7 +576,6 @@ class CutWalk:
                 rest = (1 << n - size) - 1
         self.size, self.rest, self.num, self.den, self.cut = (
             size, rest, num, den, cut)
-        self.budget = budget
         self.families = None if self.done else families
         return num * q >= p * den
 

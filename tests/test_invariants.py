@@ -666,22 +666,44 @@ def family_builds(monkeypatch):
     return builds
 
 
+def assert_families_exact(g: Graph) -> None:
+    """The families of g, every level, bit for bit against
+    ``component_masks``."""
+    families = invariants._disconnected_families(g.adj, g.n)
+    assert len(families) == g.n + 1
+    for mask in range(1 << g.n):
+        disconnected = len(component_masks(g.adj, mask)) >= 2
+        assert (families[mask.bit_count()] >> mask & 1
+                == disconnected), (g.edges, mask)
+    # a lower top builds the same levels, and no others
+    for top in range(2, g.n):
+        assert invariants._disconnected_families(g.adj, top) == \
+            families[:top + 1]
+
+
 def test_families_match_component_masks():
     rng = random.Random(67)
-    for n in range(1, 11):
+    for n in range(1, invariants.FAMILY_MAX_ORDER + 1):
         for u in (0, 1, 2):
-            g = joined(random_graph(rng, n - u, rng.uniform(0.1, 0.9)), u) \
-                if u < n else complete(n)
-            families = invariants._disconnected_families(g.adj, n)
-            assert len(families) == n + 1
-            for mask in range(1 << n):
-                disconnected = len(component_masks(g.adj, mask)) >= 2
-                assert (families[mask.bit_count()] >> mask & 1
-                        == disconnected), (g.edges, mask)
-            # a lower top builds the same levels, and no others
-            for top in range(2, n):
-                assert invariants._disconnected_families(g.adj, top) == \
-                    families[:top + 1]
+            assert_families_exact(
+                joined(random_graph(rng, n - u, rng.uniform(0.1, 0.9)), u)
+                if u < n else complete(n))
+
+
+def test_walks_leave_the_layer_tables_of_their_order_intact(family_builds):
+    # every build of one order reads that order's P_k and sel; walks to
+    # the end, which trim their own families, must leave a fresh build of
+    # the order exact
+    rng = random.Random(79)
+    order = invariants.FAMILY_MAX_ORDER
+    walked = 0
+    while walked < 4:
+        g = random_graph(rng, order, rng.uniform(0.4, 0.8))
+        if g.is_connected() and not g.is_complete() and not takes_kernel(g):
+            assert tuple(toughness(g)) == walk_toughness(g), g.edges
+            walked += 1
+    assert [n for n, _ in family_builds].count(order) >= 4
+    assert_families_exact(random_graph(rng, order, 0.5))
 
 
 def test_dense_walks_jump_between_disconnected_sets(family_builds):
@@ -731,13 +753,20 @@ def test_walk_above_the_family_cap_stays_on_gospers_loop(family_builds):
     assert family_builds == []
 
 
-def test_h2_walk_meets_too_few_connected_sets_to_build(family_builds):
-    # 96 of the 382 kept sets of H(2)'s walk are connected: jumps over them
-    # would not repay the build, so the walk stays on Gosper's loop
-    g = build(FamilySpec.parse("H:n=2")).graph
-    assert toughness(g).value == Fraction(6, 5)
-    assert is_t_tough(g, 1)
+def test_walk_decided_before_a_connected_set_builds_nothing(family_builds):
+    # the delta/2 cut refutes 7/4 on the Petersen graph before any set is
+    # counted, and the bowtie's first kept set, its cut vertex removed, is
+    # disconnected and gives tau <= 1/2 at once
+    assert not is_t_tough(petersen(), Fraction(7, 4))
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    assert not is_t_tough(bowtie, 1)
     assert family_builds == []
+    # H(2) has two universal vertices: its walk starts at size 2, whose one
+    # kept set, all of G - U, is connected and the last of its size, so it
+    # builds at the first connected set of size 3, up to level 9
+    g = build(FamilySpec.parse("H:n=2")).graph
+    assert toughness(g) == (Fraction(6, 5), frozenset({0, 1, 7, 8, 9, 10}))
+    assert family_builds == [(10, 9)]
 
 
 def k_bipartite(a: int, b: int) -> Graph:

@@ -37,6 +37,7 @@ from tough2f.theorems import THEOREM_IDS, HuntReport
 
 from conftest import random_connected_graph, random_graph
 from test_acceptance import hunt_grid
+from test_invariants import brute_toughness
 
 
 def h1_graph():
@@ -536,6 +537,38 @@ def test_graph_facts_reject_bad_thresholds(t):
     assert facts.tough_at(1) and not facts.tough_at(2)  # the walk is paused
     with pytest.raises(GraphError):
         facts.tough_at(t)
+
+
+def test_hunt_fills_one_layer_table_per_order(monkeypatch, hunt_corpus):
+    # the cut walks of a hunt read P_k and sel of each order n' from one
+    # table, filled at its first build; the answers stay exact
+    builds, asked = [], []
+
+    def counted(radj, top, real=invariants._disconnected_families):
+        builds.append(len(radj))
+        return real(radj, top)
+
+    def recording(g, t, real=invariants.is_t_tough, **kwargs):
+        answer = real(g, t, **kwargs)
+        asked.append((g, t, answer))
+        return answer
+
+    monkeypatch.setattr(invariants, "_disconnected_families", counted)
+    monkeypatch.setattr(invariants, "is_t_tough", recording)
+    invariants._vertex_sets.cache_clear()
+    facts = [GraphFacts(g) for g in hunt_corpus[:200]]
+    for spec in hunt_grid():
+        hunt(facts, spec)
+    orders = set(builds)
+    info = invariants._vertex_sets.cache_info()
+    assert len(builds) > len(orders) >= 2
+    assert (info.misses, info.currsize) == (len(orders), len(orders))
+    assert info.hits + info.misses == len(builds)
+    taus = {}
+    for g, t, answer in asked[::25]:
+        if id(g) not in taus:
+            taus[id(g)] = brute_toughness(g)[0]
+        assert answer == (taus[id(g)] >= t), (g.edges, t)
 
 
 def test_graph_facts_search_alpha_once(monkeypatch, hunt_corpus):

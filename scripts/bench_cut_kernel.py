@@ -18,8 +18,10 @@ The measurements, each made on the tough2f tree given by ``--src``:
   ``hunt_facts_masks`` counts the ``component_masks`` calls the
   invariants module makes in one pass, ``hunt_reports_sha256`` digests
   the pass's ``HuntReport``s, and ``hunt_sweeps`` and
-  ``hunt_sweeps_exhausted`` count the induced-path sweeps
-  (``forbidden._sweep``) the pass starts and walks to their end.
+  ``hunt_sweeps_exhausted`` count the forest sweeps the pass starts and
+  runs to their end: ``forbidden._independent_sweep``, one per graph and
+  k asked, or, on a tree from before the ``independent-side-change``
+  entry, the induced-path sweep ``forbidden._sweep``, one per graph.
   ``hunt_family_builds`` counts the families of disconnected kept sets
   (``invariants._disconnected_families``) the pass builds, null on a tree
   without them, and ``hunt_facts_best_s`` is the fastest of 7 more passes,
@@ -139,7 +141,9 @@ def main(argv=None) -> int:
     def hunt_pass():
         return [call.run() for call in inputs.make_pass()]
 
-    sweep = forbidden._sweep
+    sweep_name = "_independent_sweep" if hasattr(
+        forbidden, "_independent_sweep") else "_sweep"
+    sweep = getattr(forbidden, sweep_name)
     sweeps = [0, 0]  # started, exhausted
 
     def counting_sweep(*args):
@@ -157,14 +161,14 @@ def main(argv=None) -> int:
 
     before = masks
     invariants.component_masks = counting
-    forbidden._sweep = counting_sweep
+    setattr(forbidden, sweep_name, counting_sweep)
     if families is not None:
         invariants._disconnected_families = counting_families
     try:
         reports = hunt_pass()
     finally:
         invariants.component_masks = component_masks
-        forbidden._sweep = sweep
+        setattr(forbidden, sweep_name, sweep)
         if families is not None:
             invariants._disconnected_families = families
     facts_masks = masks - before

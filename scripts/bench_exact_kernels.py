@@ -27,7 +27,11 @@ kept):
   over the corpus, through one fresh ``GraphFacts`` per graph, as a
   chunked hunt asks them; ``forest_hunt_alpha_read_s``: the same, with
   each graph's alpha read before the clock starts, as the THM2 clauses
-  of a hunt read it before its forest clauses.
+  of a hunt read it before its forest clauses;
+- ``forest_lone_<pattern>_best_s``: one lone question, P2+2P1, P3+2P1
+  or P4+2P1, asked of each of the first 120 graphs of the seed-1 hunt
+  corpus through fresh ``GraphFacts``, as one ``tough2f hunt`` call of
+  a forest theorem asks it: the best of ``LONE_REPEATS``.
 
 Over one more, untimed, pass of ``connectivity`` on those graphs,
 ``connectivity_pairs`` counts the Esfahanian-Hakimi pairs tested,
@@ -37,11 +41,13 @@ the pairs that the greedy paths (``invariants._greedy_paths``) settled; a
 tree without the greedy paths runs the flow on every pair. Over one more,
 untimed, pass of the forest clauses, ``forest_find_induced_calls`` counts
 the calls of ``forbidden.find_induced``, ``forest_sweeps_started`` the
-induced-path sweeps (``forbidden._sweep``) started, and
-``forest_bound_settled`` the questions that the counting bound decides
-(n < m + k or alpha < ceil(m/2) + k) and that are answered with no sweep
-started or advanced. On a tree without the bound, that counts only the
-bound's questions that an exhausted sweep had already answered.
+sweeps started (``forbidden._independent_sweep``, one per graph and k
+asked, or ``forbidden._sweep``, the induced-path sweep of older trees),
+and ``forest_bound_settled`` the questions answered with no sweep
+started or resumed: by the counting bound (n < m + k or
+alpha < ceil(m/2) + k) on a tree that has one, or by what earlier
+questions' sweeps already found. Before the ``independent-side-*`` rows
+it counted only the questions the counting bound decides.
 
 ``answers_sha256`` hashes every answer: each alpha with its witness, each
 2-factor answer with its edges, each gadget's edges and each gadget
@@ -72,6 +78,8 @@ REPEATS = 3
 ALPHA_SPECS = ("Gstar:n=1,k=1", "Ghat:n=1,k=1", "Ghat:n=2,k=1")
 TWO_FACTOR_SPECS = ("Ghat:n=2,k=2", "Ghat:n=3,k=3")
 CONNECTIVITY_SPECS = ("Ghat:n=2,k=1", "Ghat:n=2,k=2")
+LONE_PATTERNS = ("P2+2P1", "P3+2P1", "P4+2P1")
+LONE_REPEATS = 5
 
 
 def main(argv=None) -> int:
@@ -208,9 +216,22 @@ def main(argv=None) -> int:
         for f in primed[-1]:
             f.alpha
     time_it("forest_hunt_alpha_read", lambda: forest_pass(primed.pop()))
-    real_find, real_sweep = forbidden.find_induced, forbidden._sweep
+    lone_corpus = workloads.hunt_corpus(1, workloads.Sizes().cli_graphs)
+    for text in LONE_PATTERNS:
+        lone = forbidden.ForestPattern.parse(text)
+        runs = []
+        for _ in range(LONE_REPEATS):
+            facts = [GraphFacts(g) for g in lone_corpus]
+            runs.append(timed(lambda: [f.is_free(lone) for f in facts], 1)[0])
+        entry[f"forest_lone_{text}_best_s"] = round(min(runs), 6)
+        entry[f"forest_lone_{text}_repeats_s"] = [round(s, 6) for s in runs]
+
+    sweep_name = "_independent_sweep" if hasattr(
+        forbidden, "_independent_sweep") else "_sweep"
+    real_find, real_sweep = forbidden.find_induced, getattr(forbidden,
+                                                            sweep_name)
     searches = []
-    sweeps = [0, 0]  # started, advanced
+    sweeps = [0, 0]  # started, resumed
 
     def counted_find(*args):
         searches.append(None)
@@ -218,27 +239,28 @@ def main(argv=None) -> int:
 
     def counted_sweep(*args):
         sweeps[0] += 1
-        for _ in real_sweep(*args):
+        inner = real_sweep(*args)
+        while True:
             sweeps[1] += 1
+            try:
+                next(inner)
+            except StopIteration:
+                return
             yield
 
-    alphas = [independence_number(g)[0] for g in corpus]
     settled = 0
     forbidden.find_induced = counted_find
-    forbidden._sweep = counted_sweep
+    setattr(forbidden, sweep_name, counted_sweep)
     try:
         facts = [GraphFacts(g) for g in corpus]
         for p in patterns:
-            (m,), k = p
-            for f, a in zip(facts, alphas):
+            for f in facts:
                 before = sweeps.copy()
                 f.is_free(p)
-                bound = f.order < m + k or a < (m + 1) // 2 + k
-                if bound and sweeps == before:
-                    settled += 1
+                settled += sweeps == before
     finally:
         forbidden.find_induced = real_find
-        forbidden._sweep = real_sweep
+        setattr(forbidden, sweep_name, real_sweep)
     entry["forest_find_induced_calls"] = len(searches)
     entry["forest_sweeps_started"] = sweeps[0]
     entry["forest_bound_settled"] = settled

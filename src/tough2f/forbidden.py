@@ -8,24 +8,16 @@ bitmask of the candidates that keep the embedding induced; path reversal
 and equal-length component permutation symmetries are broken to avoid
 duplicate work.
 
-``_sweep`` answers every P_m + kP_1 question about one host, for m up to
-``top`` and k up to ``cap``, from one walk of its induced paths. It keeps
-best[j] = min(cap, max over induced P_j called Q of alpha(G - N[Q])), -1
-while no induced P_j has been seen. Two facts make this exact:
+``_independent_sweep`` answers P_m + kP_1 for one k and every m up to
+``top``. It finds L_k, the largest min(top, order of a longest induced
+path of G - N[I]) over independent k-sets I, or -1 if there is none;
+L_0 is the longest induced path of G. This is exact:
 
-- G contains P_m + kP_1 iff best[m] >= k (for k <= cap). An induced copy
-  is an induced P_m, Q, with k vertices that are pairwise non-adjacent
-  and adjacent to no vertex of Q: an independent set of G - N[Q].
-  Conversely Q with such a set induces P_m + kP_1.
-- best is non-increasing in j. A subpath Q' of an induced path Q is an
-  induced path with N[Q'] a subset of N[Q], so G - N[Q] is an induced
-  subgraph of G - N[Q'] and alpha(G - N[Q']) >= alpha(G - N[Q]). A rise
-  of best[m] therefore lifts every best[j], j < m, to at least the same
-  value, and an extension of Q is worth no more than Q. Once best[top]
-  reaches cap, every entry has, and the sweep ends.
-
-``theorems.GraphFacts`` keeps one sweep per graph suspended between
-questions and advances it only until a question is decided.
+- For m <= top, G contains P_m + kP_1 iff L_k >= m. An induced copy is
+  an induced P_m, Q, and an independent k-set I with I and N[Q] disjoint,
+  that is, with Q inside G - N[I]. Conversely, an induced path of
+  G - N[I] on m or more vertices has a subpath on m, which is induced.
+- L_k is non-increasing in k: a larger I leaves a smaller G - N[I].
 """
 
 from __future__ import annotations
@@ -181,62 +173,70 @@ def is_free(host: Graph, p: ForestPattern) -> bool:
     return find_induced(host, p) is None
 
 
-def _capped_alpha(adj: list, rest: int, cap: int) -> int:
-    """min(cap, alpha of the subgraph on ``rest``): take the lowest vertex
-    of ``rest``, or, when it has a neighbour there, leave it."""
-    if not rest or cap == 0:
-        return 0
-    bit = rest & -rest
-    rest ^= bit
-    nbrs = adj[bit.bit_length() - 1] & rest
-    alpha = 1 + _capped_alpha(adj, rest & ~nbrs, cap - 1)
-    if alpha < cap and nbrs:
-        alpha = max(alpha, _capped_alpha(adj, rest, cap))
-    return alpha
-
-
-def _sweep(host: Graph, top: int, cap: int, best: list):
-    """Walk the induced paths of ``host`` on at most ``top`` vertices depth
-    first, raising ``best[j]`` to min(cap, alpha(host - N[Q])) for each
-    induced P_j called Q, and yield after each rise. ``best`` has ``top + 1``
-    entries, -1 where no induced path of that order has been seen; entry 0
-    is not used. When the generator is exhausted, ``best`` is exact.
-
-    A path grows at its end only, so each path of two or more vertices is
-    walked from both ends; it is evaluated from the end below its other
-    end. A subpath of Q has a smaller closed neighbourhood, so a rise at j
-    lifts every entry below j, and the value of Q bounds the value of every
-    path that extends it: the walk leaves a path whose bound is at most
-    ``best[top]``, and it returns once ``best[top]`` reaches ``cap``.
+def _longest_path(adj: list, rest: int, floor: int, cap: int) -> int:
+    """min(cap, order of a longest induced path on ``rest``) if that is
+    above ``floor``, else at most ``floor``. A path grows at its end, and
+    its vertices after the next one lie outside the closed neighbourhood
+    of the path so far: size + 1 + |rest - closed| bounds its extensions.
     """
-    adj = host.adj
-    full = host.full_mask
-    for first in range(host.n):
-        # (last vertex, closed neighbourhood of the vertices before it,
-        # order, bound on the value of the path)
-        stack = [(first, 0, 1, cap)]
+    cap = min(cap, rest.bit_count())
+    best = max(floor, 0)
+    starts = rest
+    while starts and best < cap:
+        bit = starts & -starts
+        starts ^= bit
+        # (last vertex, closed neighbourhood of the vertices before it, order)
+        stack = [(bit.bit_length() - 1, 0, 1)]
         while stack:
-            last, before, size, bound = stack.pop()
+            last, before, size = stack.pop()
+            if size > best:
+                best = size
+                if best >= cap:
+                    return best
             closed = before | adj[last] | 1 << last
-            # evaluate where the value can raise best[size], or prune the
-            # extensions: values are at least 0, so only once best[top] is
-            if last >= first and (bound > best[size] or best[top] >= 0):
-                bound = _capped_alpha(adj, full & ~closed, bound)
-                if bound > best[size]:
-                    j = size
-                    while j and best[j] < bound:
-                        best[j] = bound
-                        j -= 1
-                    yield
-                    if best[top] >= cap:
-                        return
-            if size < top and bound > best[top]:
-                cands = adj[last] & ~before
+            if size + 1 + (rest & ~closed).bit_count() > best:
+                cands = adj[last] & rest & ~before
                 while cands:
                     bit = cands & -cands
                     cands ^= bit
-                    stack.append((bit.bit_length() - 1, closed, size + 1,
-                                  bound))
+                    stack.append((bit.bit_length() - 1, closed, size + 1))
+    return best
+
+
+def _independent_sweep(host: Graph, k: int, top: int, longest: list):
+    """Raise ``longest[k]``, from -1, to L_k (module docstring) over the
+    independent k-sets I of ``host`` in increasing order, yielding after
+    each rise, until it reaches ``top``. A partial I is dropped when the
+    vertices it leaves, less those it has still to take, are at most
+    ``longest[k]``: every completion of I leaves no more than that."""
+    adj, full = host.adj, host.full_mask
+    if k == 0:
+        longest[0] = _longest_path(adj, full, -1, top)
+        yield
+        return
+    # (V - N[I], the vertices of it above max(I), k - |I|)
+    stack = [(full, full, k)]
+    while stack:
+        rest, cands, need = stack.pop()
+        if rest.bit_count() - need <= longest[k]:
+            continue
+        if need == 1:  # each I + v, lowest v first
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                left = rest & ~adj[bit.bit_length() - 1] & ~bit
+                if left.bit_count() > longest[k]:
+                    found = _longest_path(adj, left, longest[k], top)
+                    if found > longest[k]:
+                        longest[k] = found
+                        yield
+                        if found >= top:
+                            return
+        while need > 1 and cands:  # pushed highest first, popped lowest
+            v = cands.bit_length() - 1
+            cands ^= 1 << v
+            left = rest & ~adj[v] & ~(1 << v)
+            stack.append((left, left >> v + 1 << v + 1, need - 1))
 
 
 def verify_embedding(host: Graph, p: ForestPattern, embedding) -> bool:

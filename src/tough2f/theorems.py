@@ -13,9 +13,9 @@ One loop, ``_failed_clause``, finds the first clause that fails:
 from it and the 2-factor answer, with no report per graph. A
 forbidden-forest theorem asks its connectivity level before the forest:
 kappa is one search per graph, shared with the cut walk, while a
-P_m + kP_1-free clause that the counting bound of ``GraphFacts.is_free``
-leaves open may walk every induced path on up to 7 vertices. So a graph
-below the level never starts that walk.
+P_m + kP_1-free clause that holds makes ``GraphFacts.is_free`` search
+G - N[I] for every independent k-set I it does not prune. So a graph
+below the level never starts that search.
 """
 
 from __future__ import annotations
@@ -41,22 +41,21 @@ class GraphFacts:
     ``alpha`` and ``kappa`` on each call, so a graph's alpha and kappa
     are searched for once, and the walk holds no reference to the facts.
 
-    ``is_free`` answers P_m + kP_1 by counting when n or alpha is too
-    small for the pattern, and otherwise from one induced-path sweep
-    (``forbidden._sweep``), kept suspended between questions and advanced
-    only until the question is decided. It sweeps paths up to the longest
-    of the registry's forest theorems, or the longest m asked if that is
-    longer, with the largest k asked as its cap; a question beyond either
-    starts a new sweep. Other patterns go to ``forbidden.is_free``.
+    ``is_free`` answers P_m + kP_1 from the independent side: one
+    ``forbidden._independent_sweep`` per k asked, kept suspended between
+    questions and advanced only until the question is decided. The
+    sweeps cap their paths at the longest of the registry's forest
+    theorems, or at the longest m asked if that is longer; a question
+    beyond it starts the sweeps afresh. Other patterns go to
+    ``forbidden.is_free``.
     """
 
     def __init__(self, graph: Graph, name: str = ""):
         self.graph = graph
         self.name = name or f"order-{graph.n}"
-        self._top = _LONGEST_FOREST_PATH  # longest path the sweep walks
-        self._cap = -1  # largest k the sweep decides; -1 before the first
-        self._best: list = []  # the sweep's best[j], see forbidden._sweep
-        self._sweep = None  # the suspended sweep, None once exhausted
+        self._top = _LONGEST_FOREST_PATH  # the sweeps' cap on path orders
+        self._longest: list = []  # per k, L_k so far (forbidden docstring)
+        self._sweeps: list = []  # per k, its sweep; None unasked, () exhausted
 
     @property
     def order(self) -> int:
@@ -88,34 +87,29 @@ class GraphFacts:
                                      kappa=lambda: self.kappa, walk=self._walk)
 
     def is_free(self, pattern: forbidden.ForestPattern) -> bool:
-        """Whether the graph has no induced copy of ``pattern``.
-
-        P_m + kP_1 is settled by counting first. An induced copy has
-        m + k vertices, and it holds ceil(m/2) + k pairwise non-adjacent
-        ones: every other vertex of the P_m, from an end, and the k
-        isolated vertices, which see no vertex of the path. So n < m + k
-        or alpha(G) < ceil(m/2) + k proves the graph free, and then no
-        sweep is started or advanced. Otherwise the sweep decides.
-        """
+        """Whether the graph has no induced copy of ``pattern``: for
+        P_m + kP_1, whether L_k < m, with the k-th sweep advanced only
+        until L_k reaches m or the sweep ends."""
         if len(pattern.paths) != 1:
             return forbidden.is_free(self.graph, pattern)
         (m,), k = pattern
-        if self.order < m + k or self.alpha < (m + 1) // 2 + k:
-            return True
-        if m > self._top or k > self._cap:
-            self._top = max(self._top, m)
-            self._cap = max(self._cap, k)
-            self._best = [-1] * (self._top + 1)
-            self._sweep = forbidden._sweep(self.graph, self._top, self._cap,
-                                           self._best)
-        best = self._best
-        if best[m] < k and self._sweep is not None:
-            for _ in self._sweep:
-                if best[m] >= k:
+        if m > self._top:
+            self._top = m
+            self._longest, self._sweeps = [], []
+        longest, sweeps = self._longest, self._sweeps
+        while len(sweeps) <= k:
+            sweeps.append(None)
+            longest.append(-1)
+        if longest[k] < m:
+            if sweeps[k] is None:
+                sweeps[k] = forbidden._independent_sweep(
+                    self.graph, k, self._top, longest)
+            for _ in sweeps[k]:
+                if longest[k] >= m:
                     break
             else:
-                self._sweep = None
-        return best[m] < k
+                sweeps[k] = ()
+        return longest[k] < m
 
     @cached_property
     def has_two_factor(self) -> bool:

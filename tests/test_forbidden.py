@@ -158,37 +158,42 @@ def test_embedding_is_first_in_normal_form():
                 (g.edges, str(p))
 
 
-def brute_best(host, top: int, cap: int) -> list:
-    """Oracle for the sweep: per order j, min(cap, the largest independent
-    set of host - N[Q]) over the vertex sets Q that induce P_j, or -1."""
-    best = [-1] * (top + 1)
-    for size in range(1, top + 1):
+def brute_longest(host, k: int, top: int) -> int:
+    """Oracle for L_k: over the independent k-sets I, the largest
+    min(top, |Q|) over the vertex sets Q of host - N[I] that induce a
+    path, 0 when host - N[I] is empty; -1 when there is no such I."""
+    paths = []
+    for size in range(1, host.n + 1):
         for q in combinations(range(host.n), size):
             sub = induced(host, q)
-            if len(sub.edges) != size - 1 or not sub.is_connected() or \
-                    any(sub.degree(v) > 2 for v in range(size)):
-                continue
-            rest = [v for v in range(host.n) if v not in q
-                    and not any(host.has_edge(v, u) for u in q)]
-            alpha = max(r for r in range(len(rest) + 1)
-                        for s in combinations(rest, r)
-                        if not any(host.has_edge(u, v)
-                                   for u, v in combinations(s, 2)))
-            best[size] = max(best[size], min(cap, alpha))
+            if len(sub.edges) == size - 1 and sub.is_connected() and \
+                    all(sub.degree(v) <= 2 for v in range(size)):
+                paths.append(set(q))
+    best = -1
+    for i in combinations(range(host.n), k):
+        if any(host.has_edge(u, v) for u, v in combinations(i, 2)):
+            continue
+        closed = set(i).union(*(host.neighbors(v) for v in i))
+        best = max(best, max((min(top, len(q)) for q in paths
+                              if not q & closed), default=0))
     return best
 
 
-def test_sweep_matches_brute_force_oracle():
+def test_independent_sweep_matches_brute_force_oracle():
     rng = random.Random(67)
     hosts = [complete(4), cycle(7), path(6), pattern_graph(
         ForestPattern.parse("P4+2P1"))]
     hosts += [random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.8))
               for _ in range(40)]
     for g in hosts:
-        for top, cap in ((1, 2), (3, 0), (4, 1), (5, 2), (5, 3)):
-            best = [-1] * (top + 1)
-            before = list(best)
-            for _ in forbidden._sweep(g, top, cap, best):
-                assert best != before  # each yield follows a rise
-                before = list(best)
-            assert best == brute_best(g, top, cap), (g.edges, top, cap)
+        for k in range(4):
+            for top in range(1, 6):
+                longest = [-1] * (k + 1)
+                before = list(longest)
+                for _ in forbidden._independent_sweep(g, k, top, longest):
+                    # each yield follows a rise of entry k, and only of it
+                    assert longest[k] > before[k], (g.edges, k, top)
+                    assert longest[:k] == before[:k]
+                    before = list(longest)
+                assert longest[k] == brute_longest(g, k, top), \
+                    (g.edges, k, top)

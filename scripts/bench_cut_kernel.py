@@ -25,7 +25,12 @@ The measurements, each made on the tough2f tree given by ``--src``:
   ``hunt_family_builds`` counts the families of disconnected kept sets
   (``invariants._disconnected_families``) the pass builds, null on a tree
   without them, and ``hunt_facts_best_s`` is the fastest of 7 more passes,
-  steadier than the median on a shared host.
+  steadier than the median on a shared host. ``hunt_connectivity_delta3``
+  and ``hunt_connectivity_delta2`` count the ``invariants.connectivity``
+  calls of that pass on graphs of minimum degree at least 3 and at most
+  2. ``hunt_kappa_sha256`` and ``hunt_tau_sha256`` digest kappa and tau,
+  value and witness, of every corpus graph, each read from fresh
+  ``GraphFacts`` after its graph's recorded queries, as a hunt reads them.
 - ``toughness_H2_s``, ``toughness_H3_s``, ``toughness_H4_s`` and
   ``toughness_R2213_s``: ``toughness`` on H(2) (order 12), H(3) (order
   17), H(4) (order 22) and R(2,2,1,3) (order 14), each with its value and
@@ -71,7 +76,7 @@ BEST_OF = 7
 
 def main(argv=None) -> int:
     args = parse_args(__doc__.splitlines()[0], argv)
-    from tough2f import forbidden, invariants
+    from tough2f import forbidden, invariants, theorems
     from tough2f.families import FamilySpec, build
     import workloads
 
@@ -159,8 +164,16 @@ def main(argv=None) -> int:
         builds += 1
         return families(*args)
 
+    connectivity = invariants.connectivity
+    kappa_calls = {True: 0, False: 0}  # by minimum degree >= 3
+
+    def counting_connectivity(g):
+        kappa_calls[invariants.min_degree(g) >= 3] += 1
+        return connectivity(g)
+
     before = masks
     invariants.component_masks = counting
+    invariants.connectivity = counting_connectivity
     setattr(forbidden, sweep_name, counting_sweep)
     if families is not None:
         invariants._disconnected_families = counting_families
@@ -168,10 +181,23 @@ def main(argv=None) -> int:
         reports = hunt_pass()
     finally:
         invariants.component_masks = component_masks
+        invariants.connectivity = connectivity
         setattr(forbidden, sweep_name, sweep)
         if families is not None:
             invariants._disconnected_families = families
     facts_masks = masks - before
+    corpus = workloads.hunt_corpus(SEED, workloads.Sizes().hunt_graphs)
+    asked = {g: [] for g in corpus}  # equal graphs share their queries
+    for g, t in queries:
+        asked.setdefault(g, []).append(t)
+    kappas, taus = [], []
+    for g in corpus:
+        facts = theorems.GraphFacts(g)
+        for t in asked[g]:
+            facts.tough_at(t)
+        tau = facts.toughness
+        kappas.append((g.n, g.edges, facts.kappa))
+        taus.append((g.n, g.edges, str(tau.value), sorted(tau.witness or ())))
     facts_s, facts_all, _ = timed(hunt_pass, REPEATS)
     _, facts_best_all, _ = timed(hunt_pass, BEST_OF)
 
@@ -226,6 +252,11 @@ def main(argv=None) -> int:
         "hunt_facts_best_s": round(min(facts_best_all), 4),
         "hunt_facts_best_repeats_s": [round(s, 4) for s in facts_best_all],
         "hunt_family_builds": builds,
+        "hunt_connectivity_delta3": kappa_calls[True],
+        "hunt_connectivity_delta2": kappa_calls[False],
+        "hunt_kappa_sha256": hashlib.sha256(
+            repr(kappas).encode()).hexdigest(),
+        "hunt_tau_sha256": hashlib.sha256(repr(taus).encode()).hexdigest(),
         "hunt_reports_sha256": hashlib.sha256(
             repr(reports).encode()).hexdigest(),
         "hunt_sweeps": sweeps[0],

@@ -410,7 +410,9 @@ class CutWalk:
     (|S|, lexicographic) order. Complete and disconnected graphs are
     settled at once, and so is a graph the clique kernel takes. ``alpha``
     and ``kappa``, if given, are callables that return alpha(G) and
-    kappa(G); each is called at most once a walk, and never stored.
+    kappa(G), never stored; ``alpha`` is called at most once a walk, and
+    ``kappa`` so too, but only on more than FAMILY_MAX_ORDER vertices
+    besides U (below).
 
     Every cut holds the universal vertices U, as G - S is connected while
     a vertex of U is kept. Both engines search G - U, relabelled
@@ -444,11 +446,13 @@ class CutWalk:
     below t no later than it reaches tau.
 
     alpha is asked for only when floor(s/r) + 1 > 2, as alpha >= 2. The
-    walk starts at size max(1, |U|) <= kappa, and asks for kappa only at
+    walk starts at size max(1, |U|) <= kappa, and finds kappa only at
     the start of the next size, with no cut yet and delta(G) above it, to
     skip to size kappa: a cut at the first size makes it kappa, and
     kappa <= delta, so otherwise the search would be wasted, as on the
     many graphs without a 2-factor with a cut vertex or degree-2 vertex.
+    On at most FAMILY_MAX_ORDER vertices besides U it reads kappa = n -
+    max{k : D_k != 0} off the families (below), built there if need be.
 
     Within a size, the masks of k = n - s kept vertices come by Gosper's
     hack, in increasing order. On at most FAMILY_MAX_ORDER vertices, at
@@ -470,6 +474,10 @@ class CutWalk:
     C_{k-1} that miss v and meet N(v), shifted by 2^v, from C_1 the
     singletons, and D_k = P_k - C_k. The families are dropped once the
     walk is done.
+    The kappa read off them is exact: no size below ``size`` holds a cut;
+    S = U + (V' - K) is a cut of size n - k exactly when bit K of D_k is
+    set; and for v of minimum degree the cut N(v), holding U, has size
+    delta > size, so the maximum is over k <= n - size and exists.
 
     A question t is answered False at once, the walk left where it was,
     when a cheap cut of G, non-complete here, shows tau < t: N(v) for v of
@@ -540,7 +548,14 @@ class CutWalk:
             # n - len(radj) = |U|: the start of the second size, no cut yet
             if (not den and not self.kappa and size > max(1, n - len(radj))
                     and self.delta > size):
-                self.kappa = kappa() if kappa is not None else connectivity(g)
+                if small:  # kappa = n - max{k : D_k != 0}
+                    if families is None:
+                        families = _disconnected_families(radj, left)
+                    self.kappa = n - next(k for k in range(left, 1, -1)
+                                          if families[k])
+                else:
+                    self.kappa = (kappa() if kappa is not None
+                                  else connectivity(g))
                 if self.kappa > size:
                     size = self.kappa
                     rest = (1 << n - size) - 1

@@ -12,10 +12,10 @@ One loop, ``_failed_clause``, finds the first clause that fails:
 ``check_theorem`` builds its report from that index, and ``hunt`` counts
 from it and the 2-factor answer, with no report per graph. A
 forbidden-forest theorem asks its connectivity level before the forest:
-kappa is one search per graph, shared with the cut walk, while a
-P_m + kP_1-free clause that holds makes ``GraphFacts.is_free`` search
-G - N[I] for every independent k-set I it does not prune. So a graph
-below the level never starts that search.
+kappa is one search per graph, or none where the cut walk read it first,
+while a P_m + kP_1-free clause that holds makes ``GraphFacts.is_free``
+search G - N[I] for every independent k-set I it does not prune. So a
+graph below the level never starts that search.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ class GraphFacts:
     graph, each question going on from where the last stopped. They pass
     ``alpha`` and ``kappa`` on each call, so a graph's alpha and kappa
     are searched for once, and the walk holds no reference to the facts.
+    ``kappa`` takes the walk's kappa once the walk has read it off its
+    families, and calls ``invariants.connectivity`` otherwise.
 
     ``is_free`` answers P_m + kP_1 from the independent side: one
     ``forbidden._independent_sweep`` per k asked, kept suspended between
@@ -71,6 +73,9 @@ class GraphFacts:
 
     @cached_property
     def kappa(self) -> int:
+        walk = self.__dict__.get("_walk")
+        if walk is not None and walk.kappa:
+            return walk.kappa
         return invariants.connectivity(self.graph)
 
     @cached_property

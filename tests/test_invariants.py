@@ -343,7 +343,9 @@ def test_is_t_tough_rejects_bad_thresholds(t):
 
 def test_kappa_floor_keeps_every_record(atlas_connected, monkeypatch):
     # sizes below kappa(G) cannot cut G, so starting there gives the full
-    # walk's answers and records; None walks to the end
+    # walk's answers and records, with kappa asked for (FAMILY_MAX_ORDER
+    # patched to 0, no families) or read off the families; None walks to
+    # the end
     thresholds = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 4),
                   Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(3),
                   None]
@@ -354,22 +356,66 @@ def test_kappa_floor_keeps_every_record(atlas_connected, monkeypatch):
         return real(adj, avail)
 
     monkeypatch.setattr(invariants, "component_masks", counted)
+    top = invariants.FAMILY_MAX_ORDER
     walked = floored = 0
     for g in atlas_connected:
         if g.is_complete():
             continue
         for t in thresholds:
+            monkeypatch.setattr(invariants, "FAMILY_MAX_ORDER", 0)
             masks.clear()
             full = invariants.CutWalk(g)
             answer = full.at_least(t, kappa=lambda: 1)
             walked += len(masks)
             masks.clear()
-            walk = invariants.CutWalk(g)
-            assert walk.at_least(t) == answer, (g.edges, t)
-            assert (walk.num, walk.den, walk.cut) == (full.num, full.den,
-                                                      full.cut), (g.edges, t)
+            asked = invariants.CutWalk(g)
+            assert asked.at_least(t) == answer, (g.edges, t)
             floored += len(masks)
+            monkeypatch.setattr(invariants, "FAMILY_MAX_ORDER", top)
+            read = invariants.CutWalk(g)
+            assert read.at_least(t) == answer, (g.edges, t)
+            for walk in (asked, read):
+                assert (walk.num, walk.den, walk.cut) == (
+                    full.num, full.den, full.cut), (g.edges, t)
     assert floored < walked
+
+
+def test_walk_kappa_is_connectivity(atlas_connected):
+    # on n - |U| <= FAMILY_MAX_ORDER the walk reads kappa off its families
+    # and asks no callable; above it, it asks the callable once
+    def unasked():
+        raise AssertionError("kappa asked for")
+
+    rng = random.Random(35)
+    graphs = [g for g in atlas_connected if not g.is_complete()]
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(8, 12), rng.uniform(0.3, 0.9))
+        if rng.random() < 0.3:  # G - U disconnected, once U is added
+            g = disjoint_union(g, random_graph(rng, rng.randint(1, 3), 0.7))
+        for _ in range(rng.randint(0, 2)):  # add a universal vertex
+            g = Graph(g.n + 1, g.edges + tuple((v, g.n) for v in range(g.n)))
+        if g.is_connected() and not g.is_complete():
+            graphs.append(g)
+    read = beside_u = split = 0
+    for g in graphs:
+        walk = invariants.CutWalk(g)
+        walk.at_least(None, kappa=unasked)
+        if walk.kappa:
+            assert walk.kappa == connectivity(g), g.edges
+            read += 1
+            beside_u += walk.universal != 0
+        split += not delete(g, [v for v in range(g.n)
+                                if g.degree(v) == g.n - 1]).is_connected()
+    assert read > 200 and beside_u > 20 and split > 20
+    while True:  # n' = 13: kappa comes from the callable
+        g = random_graph(rng, 13, 0.6)
+        if min_degree(g) >= 3 and connectivity(g) >= 2:
+            break
+    asked = []
+    walk = invariants.CutWalk(g)
+    walk.at_least(Fraction(1), kappa=lambda: asked.append(1) or
+                  connectivity(g))
+    assert asked == [1] and walk.kappa == connectivity(g)
 
 
 def test_alpha_stop_matches_oracle():

@@ -588,9 +588,11 @@ def test_graph_facts_search_alpha_once(monkeypatch, hunt_corpus):
 
 
 def test_graph_facts_search_kappa_once(monkeypatch, hunt_corpus):
-    # a kappa >= k clause and the kappa floor of the cut walk share one
-    # search; is_t_tough(g, 1) stops at a cut vertex without one, and a
-    # graph of minimum degree 2 has no size to skip
+    # the cut walk reads kappa off its families, and a kappa >= k clause
+    # asked after it takes that value: a minimum-degree >= 3 graph whose
+    # walk asks first runs no search, and a clause asked first runs one;
+    # is_t_tough(g, 1) stops at a cut vertex without one, and a graph of
+    # minimum degree 2 has no size to skip
     real = invariants.connectivity
     searched = []
 
@@ -599,20 +601,25 @@ def test_graph_facts_search_kappa_once(monkeypatch, hunt_corpus):
         return real(g)
 
     monkeypatch.setattr(invariants, "connectivity", counted)
-    walk_asked = 0
+    walk_read = 0
     for g in hunt_corpus[:100]:
         facts = GraphFacts(g)
         facts.tough_at(Fraction(3, 2))
-        walk_asked += len(searched)
+        kappa = facts.kappa
+        if facts._walk.kappa:
+            assert searched == []
+            walk_read += invariants.min_degree(g) >= 3
+        else:
+            assert searched == [id(g)]
         searched.clear()
         facts = GraphFacts(g)
-        assert facts.kappa >= 1
+        assert facts.kappa == kappa >= 1
         facts.tough_at(Fraction(3, 2))
         facts.tough_at(Fraction(5, 4))
         facts.toughness
         assert searched == [id(g)]
         searched.clear()
-    assert walk_asked  # the walk asked for kappa by itself
+    assert walk_read >= 20
     cut_vertex = [g for g in hunt_corpus if real(g) == 1]
     assert len(cut_vertex) >= 50
     for g in cut_vertex:
@@ -620,6 +627,22 @@ def test_graph_facts_search_kappa_once(monkeypatch, hunt_corpus):
     assert is_t_tough(cycle(8), 1)
     assert toughness(cycle(8)).value == 1
     assert searched == []
+
+
+def test_hunt_kappa_is_connectivity_in_any_clause_order(hunt_corpus):
+    # the hunt reads kappa off the cut walk where the walk got there
+    # first, and searches for it otherwise: the same kappa(G) either way
+    grid = hunt_grid()
+    kappas = [invariants.connectivity(g) for g in hunt_corpus]
+    for order in (grid, grid[::-1]):
+        facts = [GraphFacts(g) for g in hunt_corpus]
+        for start in range(0, len(facts), 100):
+            for spec in order:
+                assert hunt(facts[start:start + 100], spec).clean
+        read = sum("_walk" in f.__dict__ and f._walk.kappa != 0
+                   for f in facts)
+        assert [f.kappa for f in facts] == kappas
+        assert read >= 100
 
 
 # Ratio inequality ---------------------------------------------------------------

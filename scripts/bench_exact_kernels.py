@@ -9,6 +9,14 @@ kept):
 - ``alpha_hunt_s``: ``independence_number`` on each graph of the
   ``hunt-shared`` corpus, as ``bench/workloads.py`` draws it for seed 3
   and the default ``Sizes`` (800 graphs of orders 8-11);
+- ``alpha_facts_hunt_s``, from the ``alpha-tables-*`` entries on:
+  ``GraphFacts(g).alpha`` on each graph of the same corpus, fresh facts
+  per graph, as a hunt's THM2 and NIESSEN clauses read it (off the
+  order's subset tables up to ``invariants.FAMILY_MAX_ORDER`` on a tree
+  that has ``invariants._alpha``, by ``independence_number`` before);
+  ``alpha_facts_sha256`` digests those values, and ``hunt_reports_sha256``
+  the ``HuntReport``s of one ``hunt-shared`` pass, as
+  ``workloads.setup_hunt_shared`` makes it for the same seed;
 - ``two_factor_<spec>_s``: ``find_two_factor`` on Ghat(2,2) and Ghat(3,3),
   orders 62 and 87; ``two_factor_certify_<spec>_s``: the same with
   ``certify=True``; ``build_gadget_<spec>_s``: ``build_gadget`` alone on
@@ -125,6 +133,13 @@ def main(argv=None) -> int:
     entry["corpus"] = {"graphs": len(corpus),
                        "orders": workloads.order_mix(corpus)}
     record("alpha_hunt", lambda: [alpha(g) for g in corpus])
+    facts_alpha = time_it("alpha_facts_hunt",
+                          lambda: [GraphFacts(g).alpha for g in corpus])
+    entry["alpha_facts_sha256"] = hashlib.sha256(
+        repr(facts_alpha).encode()).hexdigest()
+    hunt = workloads.setup_hunt_shared(SEED, workloads.Sizes(), ROOT, True)
+    entry["hunt_reports_sha256"] = hashlib.sha256(repr(
+        [call.run() for call in hunt.make_pass()]).encode()).hexdigest()
 
     exists = []
 

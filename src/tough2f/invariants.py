@@ -18,10 +18,12 @@ degree, and the kernel runs when the bound is below the walk's
 2^(n - |U|) by the factor 2^CLIQUE_KERNEL_MARGIN_BITS. It takes
 milliseconds on H(n) and G(1,1) and about 30 ms on Ghat(2,2), order 62.
 The cut walk skips the sizes below kappa(G), as no smaller set cuts G.
-The independence search also prunes on a greedy clique cover, which
-bounds alpha from above, and returns the same alpha and witness as
-without it; it takes well under a second on random graphs of order 80
-and on the paper's constructions.
+On orders 1 to FAMILY_MAX_ORDER, ``_alpha`` reads alpha off the order's
+subset tables, 2 us a random graph of order 8-11 against the search's 13.
+The independence search prunes on a greedy clique cover, which bounds
+alpha from above, and returns the same alpha and witness as without it;
+it takes well under a second on random graphs of order 80 and on the
+paper's constructions.
 Connectivity is read off the minimum degree when it is 1 or 2 (kappa <=
 delta; with delta = 2, kappa is 1 exactly when G has a cut vertex).
 Otherwise it tests only the pairs that Esfahanian-Hakimi selection keeps
@@ -354,14 +356,16 @@ def _kernel_split(radj: list[int]) -> tuple | None:
 # ``CutWalk`` builds the families of disconnected kept sets at the first
 # connected kept set it counts, on at most FAMILY_MAX_ORDER vertices besides
 # U, so a walk decided among disconnected sets builds none. A family has
-# 2^n' bits; at n' = 12 a build takes under 0.1 ms.
+# 2^n' bits; at n' = 12 a build takes under 0.1 ms. ``_alpha`` reads alpha
+# off the same tables up to this order.
 FAMILY_MAX_ORDER = 12
 
 
 @cache
 def _vertex_sets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sel, sets) on n vertices, a bit per vertex set: sel[v] marks the
-    sets that hold v, sets[k] the k-sets. Made once an order, never changed."""
+    sets that hold v, sets[k] the k-sets. Made once an order, never changed;
+    the cut walk's families and ``_alpha`` both read them."""
     every = (1 << (1 << n)) - 1
     # sel[v]: 2^v clear bits then 2^v set, repeated over the 2^n sets
     sel = tuple(every // ((1 << 2 * s) - 1) * ((1 << 2 * s) - (1 << s))
@@ -371,6 +375,26 @@ def _vertex_sets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for k in range(j + 1, 0, -1):
             sets[k] |= sets[k - 1] << (1 << j)
     return sel, tuple(sets)
+
+
+def _alpha(g: Graph) -> int:
+    """alpha(G), off the order's tables (``_vertex_sets``) on 1 <= n <=
+    FAMILY_MAX_ORDER, else ``independence_number``'s. A set is independent
+    exactly when it holds no edge, and bit K of ``bad`` = OR over the edges
+    uv of sel[u] & sel[v] is set exactly when K holds an edge. Subsets of an
+    independent set are independent, so sets[k] & ~bad != 0 exactly for k
+    <= alpha: alpha is n or the first k with sets[k + 1] & ~bad = 0."""
+    n = g.n
+    if not 1 <= n <= FAMILY_MAX_ORDER:
+        return independence_number(g)[0]
+    sel, sets = _vertex_sets(n)
+    bad = 0
+    for u, v in g.edges:
+        bad |= sel[u] & sel[v]
+    free, k = ~bad, 1
+    while k < n and sets[k + 1] & free:
+        k += 1
+    return k
 
 
 def _disconnected_families(radj: list[int], top: int) -> list[int]:
@@ -539,8 +563,7 @@ class CutWalk:
             a, b = (p, q) if p else (num, den)  # the stop tests' ratio
             c_stop = size * b // a + 1
             if c_stop > 2 and not self.alpha and size * b < a * left:
-                self.alpha = (alpha() if alpha is not None
-                              else independence_number(g)[0])
+                self.alpha = alpha() if alpha is not None else _alpha(g)
             if size == n - 1 or size * b >= a * left or (
                     c_stop > max(2, self.alpha)):
                 self.done = not p

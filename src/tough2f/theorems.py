@@ -38,10 +38,11 @@ class GraphFacts:
 
     ``tough_at`` and ``toughness`` read one ``invariants.CutWalk`` of the
     graph, each question going on from where the last stopped. They pass
-    ``alpha`` and ``kappa`` on each call, so a graph's alpha and kappa
-    are searched for once, and the walk holds no reference to the facts.
-    ``kappa`` takes the walk's kappa once the walk has read it off its
-    families, and calls ``invariants.connectivity`` otherwise.
+    the bound methods ``_ask_alpha`` and ``_ask_kappa``, no closures, so
+    alpha (``invariants._alpha``) and kappa are found once a graph, and
+    the walk holds no reference to the facts. ``kappa`` takes the walk's
+    kappa once the walk has read it off its families, and calls
+    ``invariants.connectivity`` otherwise.
 
     ``is_free`` answers P_m + kP_1 from the independent side: one
     ``forbidden._independent_sweep`` per k asked, kept suspended between
@@ -54,14 +55,11 @@ class GraphFacts:
 
     def __init__(self, graph: Graph, name: str = ""):
         self.graph = graph
+        self.order = graph.n
         self.name = name or f"order-{graph.n}"
         self._top = _LONGEST_FOREST_PATH  # the sweeps' cap on path orders
         self._longest: list = []  # per k, L_k so far (forbidden docstring)
         self._sweeps: list = []  # per k, its sweep; None unasked, () exhausted
-
-    @property
-    def order(self) -> int:
-        return self.graph.n
 
     @cached_property
     def min_degree(self) -> int:
@@ -69,7 +67,7 @@ class GraphFacts:
 
     @cached_property
     def alpha(self) -> int:
-        return invariants.independence_number(self.graph)[0]
+        return invariants._alpha(self.graph)
 
     @cached_property
     def kappa(self) -> int:
@@ -84,12 +82,18 @@ class GraphFacts:
 
     @cached_property
     def toughness(self) -> invariants.ToughnessResult:
-        return invariants.toughness(self.graph, alpha=lambda: self.alpha,
-                                    kappa=lambda: self.kappa, walk=self._walk)
+        return invariants.toughness(self.graph, alpha=self._ask_alpha,
+                                    kappa=self._ask_kappa, walk=self._walk)
 
     def tough_at(self, t) -> bool:
-        return invariants.is_t_tough(self.graph, t, alpha=lambda: self.alpha,
-                                     kappa=lambda: self.kappa, walk=self._walk)
+        return invariants.is_t_tough(self.graph, t, alpha=self._ask_alpha,
+                                     kappa=self._ask_kappa, walk=self._walk)
+
+    def _ask_alpha(self) -> int:
+        return self.alpha
+
+    def _ask_kappa(self) -> int:
+        return self.kappa
 
     def is_free(self, pattern: forbidden.ForestPattern) -> bool:
         """Whether the graph has no induced copy of ``pattern``: for

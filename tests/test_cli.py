@@ -62,7 +62,7 @@ def test_invariants_h4(tmp_path, capsys):
 def test_invariants_rejects_order_zero_before_computing(
         tmp_path, capsys, monkeypatch):
     calls = []
-    for name in ("toughness", "independence_number", "connectivity"):
+    for name in ("toughness", "_alpha", "independence_number", "connectivity"):
         def counted(g, real=getattr(invariants, name), name=name):
             calls.append(name)
             return real(g)
@@ -79,11 +79,11 @@ def test_invariants_and_family_verify_search_alpha_once(
     # the alpha claim report, so each graph is searched once
     searched = []
 
-    def counted(g, real=invariants.independence_number):
+    def counted(g, real=invariants._alpha):
         searched.append(g.n)
         return real(g)
 
-    monkeypatch.setattr(invariants, "independence_number", counted)
+    monkeypatch.setattr(invariants, "_alpha", counted)
     corpus = hunt_corpus[:40]
     source = write(tmp_path, "\n".join(map(encode_graph6, corpus)))
     code, payloads = run(capsys, ["invariants", source])

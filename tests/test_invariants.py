@@ -237,6 +237,27 @@ def test_alpha_of_constructions(text, alpha):
     assert_alpha_witness(g, value, witness)
 
 
+def test_alpha_from_the_subset_tables_is_exact(monkeypatch):
+    # invariants._alpha reads alpha off the order's subset tables on orders
+    # 1 to FAMILY_MAX_ORDER and runs the search at order 0 and above
+    top = invariants.FAMILY_MAX_ORDER
+    rng = random.Random(36)
+    hosts = [random_graph(rng, n, rng.random())
+             for n in range(top + 2) for _ in range(8)]
+    hosts += [make(n) for n in range(top + 2) for make in (edgeless, complete)]
+    hosts += [build(FamilySpec.parse(text)).graph
+              for text in ("H:n=1", "H:n=2")] + [two_k24()]
+    real = invariants.independence_number
+    searched = []
+    monkeypatch.setattr(invariants, "independence_number",
+                        lambda g: searched.append(g.n) or real(g))
+    for g in hosts:
+        before = len(searched)
+        assert invariants._alpha(g) == real(g)[0] == brute_alpha(g), g.edges
+        assert len(searched) - before == (not 1 <= g.n <= top), g.n
+    assert searched.count(top + 1) == 10  # 8 random, edgeless and complete
+
+
 def golden_graphs() -> list:
     """The graph of every instance in ``family_golden.json``, orders 5-62."""
     return [decode_graph6(entry["graph6"])
@@ -863,7 +884,7 @@ def test_a_lone_question_starts_no_alpha_search(monkeypatch):
     # with no alpha given, must not search for alpha to use that bound
     g = two_k24()
     searched = []
-    monkeypatch.setattr(invariants, "independence_number",
-                        lambda g: searched.append(g) or (0, frozenset()))
+    monkeypatch.setattr(invariants, "_alpha",
+                        lambda g: searched.append(g) or 0)
     assert not is_t_tough(g, 1)
     assert searched == []

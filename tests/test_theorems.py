@@ -398,15 +398,15 @@ def test_graph_facts_forest_answers_match_the_search():
 def test_forest_questions_read_no_alpha(monkeypatch):
     # every P_m + kP_1, 2 <= m <= 7 and 0 <= k <= 3, in grid order and in
     # reverse, each order on fresh facts: the answers are those of the
-    # search, and no question reads or searches for alpha
-    real = invariants.independence_number
+    # search, and no question reads or finds alpha
+    real = invariants._alpha
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "independence_number", counted)
+    monkeypatch.setattr(invariants, "_alpha", counted)
     rng = random.Random(73)
     hosts = [cycle(n) for n in (5, 9)] + [h1_graph(), edgeless(4)]
     hosts += [random_graph(rng, rng.randint(2, 11), rng.uniform(0.1, 0.9))
@@ -527,13 +527,18 @@ def test_graph_facts_reject_bad_thresholds(t):
 
 
 def test_hunt_fills_one_layer_table_per_order(monkeypatch, hunt_corpus):
-    # the cut walks of a hunt read P_k and sel of each order n' from one
-    # table, filled at its first build; the answers stay exact
-    builds, asked = [], []
+    # the cut walks and alpha reads of a hunt take P_k and sel of each order
+    # from one table, filled at its first use; the answers stay exact
+    builds, reads, asked = [], [], []
 
     def counted(radj, top, real=invariants._disconnected_families):
         builds.append(len(radj))
         return real(radj, top)
+
+    def read(g, real=invariants._alpha):
+        if 1 <= g.n <= invariants.FAMILY_MAX_ORDER:
+            reads.append(g.n)
+        return real(g)
 
     def recording(g, t, real=invariants.is_t_tough, **kwargs):
         answer = real(g, t, **kwargs)
@@ -542,15 +547,16 @@ def test_hunt_fills_one_layer_table_per_order(monkeypatch, hunt_corpus):
 
     monkeypatch.setattr(invariants, "_disconnected_families", counted)
     monkeypatch.setattr(invariants, "is_t_tough", recording)
+    monkeypatch.setattr(invariants, "_alpha", read)
     invariants._vertex_sets.cache_clear()
     facts = [GraphFacts(g) for g in hunt_corpus[:200]]
     for spec in hunt_grid():
         hunt(facts, spec)
-    orders = set(builds)
+    orders = set(builds) | set(reads)
     info = invariants._vertex_sets.cache_info()
-    assert len(builds) > len(orders) >= 2
+    assert len(builds) > len(set(builds)) >= 2 and reads
     assert (info.misses, info.currsize) == (len(orders), len(orders))
-    assert info.hits + info.misses == len(builds)
+    assert info.hits + info.misses == len(builds) + len(reads)
     taus = {}
     for g, t, answer in asked[::25]:
         if id(g) not in taus:
@@ -561,20 +567,20 @@ def test_hunt_fills_one_layer_table_per_order(monkeypatch, hunt_corpus):
 def test_graph_facts_search_alpha_once(monkeypatch, hunt_corpus):
     # GraphFacts.alpha and the alpha stop of the cut walk share one search,
     # whichever of the two asks first
-    real = invariants.independence_number
+    real = invariants._alpha
     searched = []
 
     def counted(g):
         searched.append(id(g))
         return real(g)
 
-    monkeypatch.setattr(invariants, "independence_number", counted)
+    monkeypatch.setattr(invariants, "_alpha", counted)
     walk_first = 0
     for g in hunt_corpus[:100]:
         facts = GraphFacts(g)
         facts.tough_at(Fraction(3, 2))
         walk_first += len(searched)
-        assert facts.alpha == real(g)[0]
+        assert facts.alpha == invariants.independence_number(g)[0]
         assert len(searched) <= 1
         searched.clear()
     assert walk_first  # the walk reached its alpha stop
